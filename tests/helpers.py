@@ -58,3 +58,25 @@ def internal_id(g: Graph, original: int) -> int:
     pos = np.nonzero(g.original_ids == original)[0]
     assert pos.size == 1
     return int(pos[0])
+
+
+def powerlaw_edges(seed, n, raw, m):
+    """The criterion-8 generator: ``m`` distinct skewed edges over ``n`` ids.
+
+    Endpoints are drawn with weight ``i ** -0.7``; self-loops and
+    duplicates are dropped and ``m`` of the distinct pairs are kept, as
+    two aligned arrays sorted by (u, v).
+    """
+    rng = np.random.default_rng(seed)
+    weights = np.arange(1, n + 1, dtype=np.float64) ** -0.7
+    cum = np.cumsum(weights)
+    cum /= cum[-1]
+    us = np.searchsorted(cum, rng.random(raw)).astype(np.int64)
+    vs = np.searchsorted(cum, rng.random(raw)).astype(np.int64)
+    keep = us != vs
+    lo = np.minimum(us[keep], vs[keep])
+    hi = np.maximum(us[keep], vs[keep])
+    keys = np.unique(lo * np.int64(n) + hi)
+    assert keys.size >= m
+    pick = np.sort(rng.permutation(keys.size)[:m])
+    return keys[pick] // n, keys[pick] % n
