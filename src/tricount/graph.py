@@ -239,39 +239,72 @@ def _parse_pairs_slow(data: bytes) -> np.ndarray:
     return np.array([us, vs], dtype=dtype).T.reshape(-1, 2)
 
 
+def edge_key(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """One uint64 key per vertex pair, ordered like the pairs ``(u, v)``.
+
+    Requires ``0 <= u, v < n <= 2**32``, so ``u * n + v < 2**64``; the
+    pair is recovered as ``np.divmod(key, np.uint64(n))``.
+    """
+    key = u.astype(np.uint64)
+    key *= np.uint64(n)
+    key += v.astype(np.uint64)
+    return key
+
+
+def _sorted_unique_mask(x: np.ndarray) -> np.ndarray:
+    """True at the first element of each run of equal values of sorted ``x``."""
+    mask = np.empty(x.shape[0], dtype=bool)
+    mask[:1] = True
+    np.not_equal(x[1:], x[:-1], out=mask[1:])
+    return mask
+
+
 def _build(pairs: np.ndarray) -> Graph:
     if pairs.size == 0:
         raise EmptyGraphError("edge list contains no edges")
 
-    # Dense remap in order of first appearance (row-major over the pairs).
+    # Dense remap in order of first appearance (row-major over the pairs):
+    # sort the ids once, take each distinct id's smallest position, and
+    # rank the distinct ids by that position.
     flat = pairs.reshape(-1)
-    uniq, first_pos, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    appearance = np.argsort(first_pos, kind="stable")
-    rank = np.empty(uniq.shape[0], dtype=np.int64)
-    rank[appearance] = np.arange(uniq.shape[0])
-    codes = rank[inverse].reshape(-1, 2)
-    original_ids = uniq[appearance]
-    n = int(uniq.shape[0])
+    order = np.argsort(flat)
+    ids = flat[order]
+    new = _sorted_unique_mask(ids)
+    first_pos = np.minimum.reduceat(order, np.flatnonzero(new))
+    appearance = np.argsort(first_pos)
+    del first_pos
+    original_ids = ids[new][appearance]
+    del ids
+    n = int(original_ids.shape[0])
     if n >= 2**32:
         raise GraphFormatError("more than 2**32 distinct vertex ids")
+    rank = np.empty(n, dtype=np.int64)
+    rank[appearance] = np.arange(n)
+    del appearance
+    codes = np.empty(order.shape[0], dtype=np.int64)
+    codes[order] = rank[np.cumsum(new) - 1]
+    del order, new, rank
+    codes = codes.reshape(-1, 2)
 
     u, v = codes[:, 0], codes[:, 1]
     keep = u != v
     u, v = u[keep], v[keep]
+    del codes, keep
     if u.size == 0:
         raise EmptyGraphError("no edges survive self-loop removal")
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    key = np.unique(lo * np.int64(n) + hi)  # sorted canonical (u, v) keys
-    eu = key // n
-    ev = key % n
-    m = int(key.shape[0])
+    key = np.sort(edge_key(np.minimum(u, v), np.maximum(u, v), n))
+    del u, v
+    key = key[_sorted_unique_mask(key)]  # sorted canonical (u, v) keys
+    eu, ev = np.divmod(key, np.uint64(n))
+    del key
+    m = int(eu.shape[0])
 
     idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     src = np.concatenate([eu, ev]).astype(idx_dtype)
     dst = np.concatenate([ev, eu]).astype(idx_dtype)
-    order = np.lexsort((dst, src))
-    neighbors = dst[order]
+    del eu, ev
+    neighbors = dst[np.argsort(edge_key(src, dst, n))]
+    del dst
     degrees = np.bincount(src, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])

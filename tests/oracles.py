@@ -30,6 +30,15 @@ def triangles_by_triples(edges):
             if t[1] in adj[t[0]] and t[2] in adj[t[0]] and t[2] in adj[t[1]]]
 
 
+def edge_triangle_counts(edges):
+    """T(e) for every cleaned edge (min, max), from triangle enumeration."""
+    counts = dict.fromkeys(clean_edges(edges), 0)
+    for a, b, c in triangles_by_triples(edges):
+        for e in ((a, b), (a, c), (b, c)):
+            counts[e] += 1
+    return counts
+
+
 def phi_by_triangle_enumeration(edges):
     """Sum over triangles of (sum of per-edge min endpoint degrees) - 3."""
     adj = adjacency(edges)

@@ -8,7 +8,6 @@ reproducible.
 import math
 import time
 
-import numpy as np
 import pytest
 
 from tricount import (GraphMetrics, RandomSource, SamplingPlan,
@@ -18,8 +17,8 @@ from tricount import (GraphMetrics, RandomSource, SamplingPlan,
                       ews_estimate, ews_wedge_increment, load_edge_list,
                       rse_omega_approx, rse_tau_approx, sample_size_for_rse,
                       wedge_is_closed, ws_estimate)
-from helpers import (complete_edges, er_edges, graph_from_edges, internal_id,
-                     path_edges, star_edges)
+from helpers import (complete_edges, er_edges, graph_from_edges, graph_text,
+                     internal_id, path_edges, powerlaw_edges, star_edges)
 
 
 def _criterion(num, name, failures):
@@ -233,25 +232,9 @@ def test_criterion_7_parallel_scaling(er300_metrics):
 
 @pytest.fixture(scope="module")
 def powerlaw_file(tmp_path_factory):
-    rng = np.random.default_rng(8675309)
-    n = 300_000
-    weights = np.arange(1, n + 1, dtype=np.float64) ** -0.7
-    cum = np.cumsum(weights)
-    cum /= cum[-1]
-    raw = 1_400_000
-    us = np.searchsorted(cum, rng.random(raw)).astype(np.int64)
-    vs = np.searchsorted(cum, rng.random(raw)).astype(np.int64)
-    keep = us != vs
-    lo = np.minimum(us[keep], vs[keep])
-    hi = np.maximum(us[keep], vs[keep])
-    keys = np.unique(lo * np.int64(n) + hi)
-    assert keys.size >= 1_000_000
-    pick = np.sort(rng.permutation(keys.size)[:1_000_000])
-    u = keys[pick] // n
-    v = keys[pick] % n
+    u, v = powerlaw_edges(8675309, n=300_000, raw=1_400_000, m=1_000_000)
     path = tmp_path_factory.mktemp("perf") / "powerlaw.txt"
-    path.write_text("\n".join(f"{a} {b}" for a, b in zip(u.tolist(), v.tolist()))
-                    + "\n")
+    path.write_text(graph_text(zip(u.tolist(), v.tolist())))
     return str(path)
 
 

@@ -4,11 +4,12 @@ import math
 import pytest
 
 from tricount import (brute_force_triangles, compute_metrics,
-                      count_triangles_exact, wedge_count)
+                      count_triangles_exact, exact, wedge_count)
 from tricount.exact import METRICS_CSV_HEADER
 from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
                      graph_from_edges, path_edges, star_edges)
-from oracles import phi_by_triangle_enumeration, triangles_by_triples
+from oracles import (edge_triangle_counts, phi_by_triangle_enumeration,
+                     triangles_by_triples)
 
 
 def test_k4_triangles_and_per_edge_counts(k4):
@@ -49,6 +50,25 @@ def test_forward_matches_brute_force(seed, density):
     assert delta == brute_force_triangles(g)
     assert delta == len(triangles_by_triples(edges))
     assert per_edge.total() == 3 * delta
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("edges", [
+    er_edges(30, 0.3, 21), er_edges(45, 0.2, 22), er_edges(20, 0.7, 23),
+    complete_edges(6), FIVE_TRIANGLE_EDGES,
+    star_edges(6), path_edges(5), [(4, 9)],
+])
+def test_per_edge_counts_across_wedge_blocks(monkeypatch, block, edges):
+    # Tiny blocks split one edge's wedges over several blocks; the star,
+    # the path and the single edge have no oriented wedges at all.
+    monkeypatch.setattr(exact, "_WEDGE_BLOCK", block)
+    g = graph_from_edges(edges)
+    delta, per_edge = count_triangles_exact(g)
+    ids = g.original_ids
+    got = {tuple(sorted((int(ids[a]), int(ids[b])))): int(t)
+           for a, b, t in zip(per_edge.u, per_edge.v, per_edge.counts)}
+    assert got == edge_triangle_counts(edges)
+    assert delta == len(triangles_by_triples(edges))
 
 
 def test_wedge_count_examples(k3, k4, five_tri):

@@ -1,9 +1,8 @@
 """Golden pins: loading and the exact oracle reproduce recorded bytes.
 
-The digests were recorded from the per-vertex oracle and the hash-based
-CSR build that preceded the array-form versions, so any rewrite of
-either must give byte-identical arrays and identical metrics, not
-merely values within a tolerance.
+Any rewrite of the CSR build or of the exact oracle must give
+byte-identical arrays and identical metrics, not merely values within a
+tolerance, so these digests never change with the implementation.
 """
 
 import hashlib

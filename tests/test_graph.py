@@ -5,6 +5,7 @@ import pytest
 
 from tricount import (EmptyGraphError, GraphFormatError, has_edge_many,
                       load_edge_list)
+from tricount.graph import edge_key
 from helpers import (complete_edges, er_edges, graph_from_edges,
                      graph_from_text, path_edges, star_edges)
 from oracles import clean_edges
@@ -170,3 +171,18 @@ def test_edge_arrays_are_canonical_and_sorted():
 def test_edge_min_degree():
     star = graph_from_edges(star_edges(4))
     assert star.edge_min_degree(0, 1) == 1
+
+
+def test_edge_key_round_trips_and_orders_at_the_vertex_limit():
+    # The largest vertex count the loader accepts; u * n + v then exceeds
+    # the int64 range, so the key must be computed in uint64.
+    n = 2**32 - 1
+    vals = [0, 1, 2**31, 2**32 - 3, n - 1]
+    pairs = sorted((a, b) for a in vals for b in vals)
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    key = edge_key(u, v, n)
+    assert key.dtype == np.uint64
+    assert np.all(key[1:] > key[:-1])
+    back_u, back_v = np.divmod(key, np.uint64(n))
+    assert back_u.tolist() == u.tolist() and back_v.tolist() == v.tolist()
