@@ -1,8 +1,10 @@
-"""Golden pins: loading and the exact oracle reproduce recorded bytes.
+"""Golden pins: loading, the exact oracle and the estimators reproduce
+recorded values.
 
-Any rewrite of the CSR build or of the exact oracle must give
-byte-identical arrays and identical metrics, not merely values within a
-tolerance, so these digests never change with the implementation.
+Any rewrite of the CSR build, the exact oracle or the estimators must
+give byte-identical arrays, identical metrics and identical estimates,
+not merely values within a tolerance, so these pins never change with
+the implementation.
 """
 
 import hashlib
@@ -10,7 +12,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from tricount import compute_metrics, count_triangles_exact
+from tricount import (RandomSource, compute_metrics, count_triangles_exact,
+                      es_estimate, ews_estimate, rse_sweep, ws_estimate)
 from helpers import graph_from_text, graph_text, powerlaw_edges
 
 
@@ -76,3 +79,49 @@ def test_golden_csr_and_oracle(graphs, name):
            (g.n, g.m),
            (met.triangle_count, met.wedge_count, met.phi, met.shared_edge_pairs))
     assert got == GOLDEN[name]
+
+
+# Single estimates: graph -> method -> (level, {seed: (estimate, raw, sampled)})
+GOLDEN_ESTIMATES = {
+    "er300": {
+        "ews": (0.1, {3: (363.33333333333326, 109, 250),
+                      17: (449.99999999999994, 135, 208),
+                      2024: (633.3333333333333, 190, 211)}),
+        "es": (0.2, {3: (658.3333333333333, 79, 475),
+                     17: (533.3333333333333, 64, 447),
+                     2024: (533.3333333333333, 64, 425)}),
+        "ws": (224, {3: (299.5625, 6, 224),
+                     17: (599.125, 12, 224),
+                     2024: (599.125, 12, 224)}),
+    },
+    "five_tri": {
+        "ews": (0.3, {3: (5.555555555555556, 5, 5),
+                      17: (7.777777777777779, 7, 6),
+                      2024: (7.777777777777779, 7, 7)}),
+        "es": (0.5, {3: (8.0, 6, 9),
+                     17: (8.0, 6, 9),
+                     2024: (6.666666666666667, 5, 10)}),
+        "ws": (20, {3: (4.666666666666667, 5, 20),
+                    17: (2.8, 3, 20),
+                    2024: (2.8, 3, 20)}),
+    },
+}
+# sha256 of rse_sweep(er300, ["ews", "es", "ws"], [0.1, 0.2], runs=50, seed=7).to_csv()
+GOLDEN_SWEEP_SHA256 = "96852a978d70f76edd254b1438dbffba19c2f5c40508b3a95a1de2f289d7e703"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ESTIMATES))
+@pytest.mark.parametrize("method", ["ews", "es", "ws"])
+def test_golden_estimates(er300, five_tri, name, method):
+    g = {"er300": er300, "five_tri": five_tri}[name]
+    estimate = {"ews": ews_estimate, "es": es_estimate, "ws": ws_estimate}[method]
+    level, want = GOLDEN_ESTIMATES[name][method]
+    for seed, (est, raw, sampled) in want.items():
+        res = estimate(g, level, RandomSource(seed))
+        assert (res.estimate, res.raw_statistic, res.entities_sampled) == (est, raw, sampled)
+        assert type(res.raw_statistic) is int
+
+
+def test_golden_sweep_csv(er300):
+    csv = rse_sweep(er300, ["ews", "es", "ws"], [0.1, 0.2], runs=50, seed=7).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SWEEP_SHA256
