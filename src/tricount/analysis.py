@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import GraphMetrics, compute_metrics
+from .exact import GraphMetrics, compute_metrics, csv_cell
 from .graph import Graph
-from .estimators import (SamplingPlan, build_wedge_sampler, es_estimate,
-                         ews_estimate, ws_estimate)
+from .estimators import SamplingPlan, _run_trials
 from .rng import RandomSource, mix_seed
 
 RSE_REPORT_CSV_HEADER = ("method,p,k,sampled,empirical_rse,exact_rse,"
@@ -168,13 +167,7 @@ class RseRow:
         cells = [self.method, self.p, self.k, self.sampled,
                  self.empirical_rse, self.exact_rse, self.approx_rse,
                  self.mean_estimate, self.runs]
-        return ",".join("" if c is None else _fmt(c) for c in cells)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return str(int(x)) if x.is_integer() else repr(x)
-    return str(x)
+        return ",".join(csv_cell(c) for c in cells)
 
 
 @dataclass(frozen=True)
@@ -215,8 +208,11 @@ def empirical_rse(g: Graph, plan: SamplingPlan, metrics: GraphMetrics) -> RseRow
 
     Trial ``i`` draws from ``RandomSource(plan.seed).derive(i)``, so any
     single trial can be reproduced in isolation and trials are
-    order-independent. The sum of squared deviations uses compensated
-    accumulation (math.fsum).
+    order-independent. The trials run as batches on the estimators'
+    trial engine: draws stay per trial, the graph work runs once per
+    batch, and memory is bounded by the batch budget, not by
+    ``plan.runs`` times the sample size. The sum of squared deviations
+    uses compensated accumulation (math.fsum).
     """
     if plan.runs < 2:
         raise ValueError("empirical RSE needs at least 2 runs")
@@ -224,27 +220,15 @@ def empirical_rse(g: Graph, plan: SamplingPlan, metrics: GraphMetrics) -> RseRow
     if delta <= 0:
         raise RseDomainError("empirical RSE undefined for triangle-free graphs")
     base = RandomSource(plan.seed)
-    sampler = build_wedge_sampler(g) if plan.method == "ws" else None
-
-    estimates = []
-    sampled_total = 0
-    for i in range(plan.runs):
-        rng = base.derive(i)
-        if plan.method == "ews":
-            res = ews_estimate(g, plan.p, rng)
-        elif plan.method == "es":
-            res = es_estimate(g, plan.p, rng)
-        else:
-            res = ws_estimate(g, plan.k, rng, sampler=sampler)
-        estimates.append(res.estimate)
-        sampled_total += res.entities_sampled
+    _, sampled, estimates = _run_trials(
+        g, plan.method, plan.level, (base.derive(i) for i in range(plan.runs)))
 
     mu = math.fsum(estimates) / plan.runs
     mean_sq = math.fsum((e - mu) ** 2 for e in estimates) / plan.runs
     emp = math.sqrt(mean_sq) / delta
     exact, approx = theory_rse(plan.method, metrics, p=plan.p, k=plan.k)
     return RseRow(method=plan.method, p=plan.p, k=plan.k,
-                  sampled=sampled_total / plan.runs, empirical_rse=emp,
+                  sampled=sum(sampled) / plan.runs, empirical_rse=emp,
                   exact_rse=exact, approx_rse=approx, mean_estimate=mu,
                   runs=plan.runs)
 

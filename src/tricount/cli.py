@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .analysis import (RseDomainError, SampleSizeRequest, rse_sweep,
                        sample_size_for_rse)
-from .estimators import (METHODS, NoWedgesError, es_estimate, ews_estimate,
-                         ws_estimate)
-from .exact import METRICS_CSV_HEADER, GraphMetrics, compute_metrics
+from .estimators import LEVELS, METHODS, NoWedgesError, SamplingPlan, estimate
+from .exact import METRICS_CSV_HEADER, GraphMetrics, compute_metrics, csv_cell
 from .graph import EmptyGraphError, GraphFormatError, load_edge_list
 from .rng import RandomSource
 
@@ -114,25 +114,19 @@ def _run_stats(args) -> str:
 
 
 def _run_estimate(args, parser) -> str:
-    if args.method in ("ews", "es"):
-        if args.p is None:
-            parser.error(f"--method {args.method} requires --p")
-        if not 0.0 < args.p <= 1.0:
-            parser.error(f"--p must be in (0, 1], got {args.p}")
-    else:
-        if args.k is None or args.k < 1:
-            parser.error("--method ws requires --k >= 1")
+    name = LEVELS[args.method]
+    level = getattr(args, name)
+    if level is None:
+        parser.error(f"--method {args.method} requires --{name}")
+    try:
+        plan = SamplingPlan(method=args.method, seed=args.seed, **{name: level})
+    except ValueError as exc:
+        parser.error(f"--{name}: {exc}")
     g = load_edge_list(args.graph)
-    rng = RandomSource(args.seed)
-    if args.method == "ews":
-        result = ews_estimate(g, args.p, rng)
-    elif args.method == "es":
-        result = es_estimate(g, args.p, rng)
-    else:
-        result = ws_estimate(g, args.k, rng)
+    result = estimate(g, plan.method, plan.level, RandomSource(plan.seed))
     if args.format == "json":
         return _to_json(result.to_dict())
-    row = ",".join(_cell(v) for v in result.to_dict().values())
+    row = ",".join(csv_cell(v) for v in result.to_dict().values())
     return f"{ESTIMATE_CSV_HEADER}\n{row}\n"
 
 
@@ -154,11 +148,25 @@ def _run_rse_sweep(args) -> str:
     return report.to_csv()
 
 
+_INLINE_FIELDS = ("n", "m", "delta", "lambda", "phi", "K")
+
+
 def _parse_inline_metrics(text: str) -> GraphMetrics:
     parts = text.split(",")
-    if len(parts) != 6:
+    if len(parts) != len(_INLINE_FIELDS):
         raise ValueError("--metrics needs six values: n,m,delta,lambda,phi,K")
-    n, m, delta, wedges, phi, shared = (float(t) for t in parts)
+    values = []
+    for field, token in zip(_INLINE_FIELDS, parts):
+        try:
+            x = float(token)
+        except ValueError:
+            raise ValueError(
+                f"--metrics: {field} is not a number: {token!r}") from None
+        if not (math.isfinite(x) and x >= 0):
+            raise ValueError(
+                f"--metrics: {field} must be finite and >= 0, got {token.strip()}")
+        values.append(x)
+    n, m, delta, wedges, phi, shared = values
     c = 3.0 * delta / wedges if wedges > 0 else 0.0
     return GraphMetrics(n=int(n), m=int(m), triangle_count=delta,
                         wedge_count=wedges, clustering_coefficient=c,
@@ -187,16 +195,8 @@ def _run_sample_size(args, parser) -> str:
            "es": sizes["es"], "ws_over_ews": ratio}
     if args.format == "json":
         return _to_json(obj)
-    row = ",".join(_cell(v) for v in obj.values())
+    row = ",".join(csv_cell(v) for v in obj.values())
     return f"{SIZES_CSV_HEADER}\n{row}\n"
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return str(int(v)) if v.is_integer() else repr(v)
-    return str(v)
 
 
 if __name__ == "__main__":

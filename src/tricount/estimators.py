@@ -11,24 +11,271 @@ Three methods share a deterministic random-source contract:
 * ``ws``: wedges drawn with replacement, hinge vertex proportional to
   its wedge count, endpoints uniform among the hinge's neighbor pairs.
   Estimate: closed * total_wedges / (3k).
+
+All three run on one trial engine. Each trial draws only from its own
+:class:`RandomSource`, the same draws in the same order whether it runs
+alone or among thousands; the graph work (hinge split, neighbor
+lookups, closure probes) runs once over a batch of trials' samples.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import Edge, Graph, has_edge_many, neighbor_rank
+from .graph import (Edge, Graph, _sorted_unique_mask, has_edge_many,
+                    neighbor_rank)
 from .rng import RandomSource
 
-METHODS = ("ews", "es", "ws")
+# Sampled entities (edges for ews and es, wedges for ws) a batch of
+# trials gathers before its graph work runs. The graph work holds
+# ~60-80 bytes of temporaries per entity, so a batch stays a few MB
+# however many trials a sweep row runs. es probes its wedge pairs in
+# blocks of _BATCH // 2, as it holds the batch's edge ends meanwhile.
+_BATCH = 1 << 16
 
 
 class NoWedgesError(ValueError):
     """Wedge sampling requires at least one wedge in the graph."""
+
+
+def _check_p(p: float):
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"sampling probability must be in (0, 1], got {p}")
+
+
+def _check_k(k: int):
+    if k < 1:
+        raise ValueError(f"wedge-sample count must be >= 1, got {k}")
+
+
+@dataclass(frozen=True)
+class _Method:
+    """How the trial engine runs one estimator.
+
+    ``level`` names the parameter the method reads: ``p`` (edge
+    probability) or ``k`` (wedge draws). ``draw`` makes a trial's first
+    draw; ``finish`` gets a batch's first draws end to end with the
+    offsets of each trial's run, does the graph work, including each
+    trial's later draws, and returns the raw statistic per trial;
+    ``scale`` turns one raw statistic into the estimate.
+    """
+
+    level: str
+    check: Callable
+    prepare: Callable
+    draw: Callable
+    finish: Callable
+    scale: Callable
+
+
+def _edge_draw(g: Graph, p: float, rng: RandomSource, sampler) -> np.ndarray:
+    """Phase one: positions in ``g.edge_arrays`` of the edges kept, each
+    with probability p."""
+    return np.flatnonzero(rng.uniform_reals(g.m) < p)
+
+
+def _concat(draws: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The trials' draws end to end, and where each trial's run starts
+    (one more entry than trials: the last is the total). Empties
+    ``draws``, so a batch holds its sample once."""
+    bounds = np.zeros(len(draws) + 1, dtype=np.int64)
+    np.cumsum([d.size for d in draws], out=bounds[1:])
+    values = np.concatenate(draws)
+    draws.clear()
+    return values, bounds
+
+
+def _draw_each(rngs: list[RandomSource], high: np.ndarray,
+               bounds: np.ndarray) -> np.ndarray:
+    """``uniform_indices(high[run])`` from each trial's own source, end to
+    end; trials with an empty run draw nothing."""
+    parts = [rng.uniform_indices(high[a:b])
+             for rng, a, b in zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist())
+             if b > a]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Exact integer sum of ``values`` over each trial's run."""
+    cum = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=cum[1:])
+    return cum[bounds[1:]] - cum[bounds[:-1]]
+
+
+def _hinge_split(g: Graph, eu: np.ndarray, ev: np.ndarray):
+    """Lower-degree endpoint of each edge (ties: smaller id), the other
+    endpoint, and the lower endpoint's degree."""
+    deg = g.degrees
+    du = deg[eu]
+    dv = deg[ev]
+    take_v = (dv < du) | ((dv == du) & (ev < eu))
+    return np.where(take_v, ev, eu), np.where(take_v, eu, ev), np.minimum(du, dv)
+
+
+def _ews_finish(g: Graph, p: float, rngs, idx: np.ndarray, bounds: np.ndarray,
+                sampler) -> np.ndarray:
+    eu, ev = g.edge_arrays
+    hinge, other, dh = _hinge_split(g, eu[idx], ev[idx])
+    del idx
+    # Edges whose hinge is a pendant close no wedge and draw nothing.
+    ok = dh >= 2
+    kept = np.zeros(ok.size + 1, dtype=np.int64)
+    np.cumsum(ok, out=kept[1:])
+    bounds = kept[bounds]
+    if bounds[-1] == 0:
+        return np.zeros(len(rngs), dtype=np.int64)
+    hinge, other, dh = hinge[ok], other[ok], dh[ok]
+    del ok, kept
+    dh -= 1
+    j = _draw_each(rngs, dh, bounds)
+    j += j >= neighbor_rank(g, hinge, other)
+    j += g.offsets[hinge]
+    del hinge
+    w = g.neighbors[j]
+    del j
+    closed = has_edge_many(g, other, w)
+    return _run_sums(np.where(closed, dh, 0), bounds)
+
+
+def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray, trial: np.ndarray,
+                   trials: int) -> tuple[np.ndarray, int]:
+    """Closed wedges per trial among each trial's sampled edges, and the
+    wedge total over all trials.
+
+    Every unordered pair of a trial's edges sharing a vertex is one
+    wedge at that hinge. Edge ends are sorted by (trial, hinge); an end
+    then pairs with each later end of its run, and the pairs are probed
+    ``_BATCH // 2`` at a time.
+    """
+    closed = np.zeros(trials, dtype=np.int64)
+    if eu.size == 0:
+        return closed, 0
+    n = g.n
+    key = np.concatenate([trial, trial])
+    del trial
+    key *= n
+    key += np.concatenate([eu, ev])
+    order = np.argsort(key)
+    key = key[order]
+    other = np.concatenate([ev, eu])[order]
+    del eu, ev, order
+    # Trial t owns ends first[t] .. first[t+1]-1. End q pairs with the
+    # later ends of its run, pairs bounds[q] .. bounds[q+1]-1 in the
+    # numbering of all pairs.
+    first = np.searchsorted(key, np.arange(trials + 1) * n)
+    starts = np.flatnonzero(_sorted_unique_mask(key))
+    del key
+    lengths = np.diff(starts, append=other.size)
+    fan = np.repeat(starts + lengths, lengths)
+    del starts, lengths
+    fan -= np.arange(1, other.size + 1)
+    bounds = np.zeros(other.size + 1, dtype=np.int64)
+    np.cumsum(fan, out=bounds[1:])
+    del fan
+    total = int(bounds[-1])
+    block = max(_BATCH // 2, 1)
+    for t0 in range(0, total, block):
+        t1 = min(t0 + block, total)
+        j0 = int(np.searchsorted(bounds, t0, side="right")) - 1
+        j1 = int(np.searchsorted(bounds, t1, side="left"))
+        fan = np.diff(np.clip(bounds[j0:j1 + 1], t0, t1))
+        a = np.repeat(np.arange(j0, j1), fan)
+        b = np.repeat(np.arange(j0 + 1, j1 + 1) - bounds[j0:j1], fan)
+        del fan
+        b += np.arange(t0, t1)
+        b = other[b]
+        hit = a[has_edge_many(g, other[a], b)]
+        closed += np.bincount(np.searchsorted(first, hit, side="right") - 1,
+                              minlength=trials)
+    return closed, total
+
+
+def _es_finish(g: Graph, p: float, rngs, idx: np.ndarray, bounds: np.ndarray,
+               sampler) -> np.ndarray:
+    eu, ev = g.edge_arrays
+    closed, _ = _closed_wedges(g, eu[idx], ev[idx],
+                               np.repeat(np.arange(len(rngs)), np.diff(bounds)),
+                               len(rngs))
+    return closed
+
+
+def _ws_draw(g: Graph, k: int, rng: RandomSource, sampler) -> np.ndarray:
+    """Positions of ``k`` wedges drawn uniformly with replacement."""
+    return rng.uniform_indices(sampler.total, size=int(k))
+
+
+def _ws_finish(g: Graph, k: int, rngs, t: np.ndarray, bounds: np.ndarray,
+               sampler) -> np.ndarray:
+    hinge = np.searchsorted(sampler.cumulative, t, side="right")
+    d = g.degrees[hinge]
+    i = _draw_each(rngs, d, bounds)
+    d -= 1
+    j = _draw_each(rngs, d, bounds)
+    del d
+    j += j >= i
+    base = g.offsets[hinge]
+    del hinge
+    i += base
+    j += base
+    del base
+    closed = has_edge_many(g, g.neighbors[i], g.neighbors[j])
+    return _run_sums(closed, bounds)
+
+
+_METHODS = {
+    "ews": _Method(level="p", check=_check_p, prepare=lambda g: None,
+                   draw=_edge_draw, finish=_ews_finish,
+                   scale=lambda tau, p, _: tau / (3.0 * p)),
+    "es": _Method(level="p", check=_check_p, prepare=lambda g: None,
+                  draw=_edge_draw, finish=_es_finish,
+                  scale=lambda closed, p, _: closed / (3.0 * p * p)),
+    "ws": _Method(level="k", check=_check_k,
+                  prepare=lambda g: build_wedge_sampler(g),
+                  draw=_ws_draw, finish=_ws_finish,
+                  scale=lambda omega, k, s: omega * s.total / (3.0 * k)),
+}
+METHODS = tuple(_METHODS)
+# Method -> the name of the level it reads: "p" or "k".
+LEVELS = {name: spec.level for name, spec in _METHODS.items()}
+
+
+def _run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource],
+                sampler: WedgeSampler | None = None
+                ) -> tuple[list[int], list[int], list[float]]:
+    """Raw statistic, sampled count and estimate of one trial per source.
+
+    Trial i draws only from the i-th source, exactly the draws of a lone
+    estimate and in the same order, so no result depends on batching.
+    Trials are gathered until their samples reach ``_BATCH`` entities,
+    then the graph work runs once over the batch, so memory is
+    O(_BATCH + one trial's sample) however many trials there are.
+    """
+    spec = _METHODS[method]
+    spec.check(level)
+    if sampler is None:
+        sampler = spec.prepare(g)
+    raw: list[int] = []
+    sampled: list[int] = []
+    batch: list[RandomSource] = []
+    draws: list[np.ndarray] = []
+    size = 0
+    for rng in rngs:
+        draw = spec.draw(g, level, rng, sampler)
+        batch.append(rng)
+        draws.append(draw)
+        size += draw.size
+        if size >= _BATCH:
+            sampled += [d.size for d in draws]
+            raw += spec.finish(g, level, batch, *_concat(draws), sampler).tolist()
+            batch, size = [], 0
+    if batch:
+        sampled += [d.size for d in draws]
+        raw += spec.finish(g, level, batch, *_concat(draws), sampler).tolist()
+    return raw, sampled, [spec.scale(r, level, sampler) for r in raw]
 
 
 @dataclass(frozen=True)
@@ -49,16 +296,22 @@ class SamplingPlan:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method in ("ews", "es"):
+        if LEVELS[self.method] == "p":
             if self.p is None or not 0.0 < self.p <= 1.0:
-                raise ValueError(f"{self.method} requires p in (0, 1]")
+                raise ValueError(
+                    f"{self.method} requires p in (0, 1], got {self.p}")
             if self.k is not None:
                 raise ValueError(f"{self.method} does not take k")
         else:
             if self.k is None or self.k < 1:
-                raise ValueError("ws requires k >= 1")
+                raise ValueError(f"ws requires k >= 1, got {self.k}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+
+    @property
+    def level(self):
+        """The level the method reads: ``p``, or ``k`` for ws."""
+        return getattr(self, LEVELS[self.method])
 
 
 @dataclass(frozen=True)
@@ -73,7 +326,7 @@ class EstimateResult:
     method: str
     p_or_k: float
     seed: int
-    raw_statistic: float
+    raw_statistic: int
     entities_sampled: int
     estimate: float
     elapsed: float
@@ -90,9 +343,14 @@ class EstimateResult:
         }
 
 
-def _check_p(p: float):
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"sampling probability must be in (0, 1], got {p}")
+def estimate(g: Graph, method: str, level, rng: RandomSource,
+             sampler: WedgeSampler | None = None) -> EstimateResult:
+    """One trial of ``method`` at ``level`` (``p``, or ``k`` for ws)."""
+    start = time.perf_counter()
+    (raw,), (sampled,), (est,) = _run_trials(g, method, level, [rng], sampler)
+    return EstimateResult(method=method, p_or_k=float(level), seed=rng.seed,
+                          raw_statistic=raw, entities_sampled=sampled,
+                          estimate=est, elapsed=time.perf_counter() - start)
 
 
 def bernoulli_edge_sample(g: Graph, p: float, rng: RandomSource) -> list[Edge]:
@@ -102,25 +360,9 @@ def bernoulli_edge_sample(g: Graph, p: float, rng: RandomSource) -> list[Edge]:
     deterministic function of the seed.
     """
     _check_p(p)
-    eu, ev = _sample_edge_arrays(g, p, rng)
-    return [Edge(int(a), int(b)) for a, b in zip(eu, ev)]
-
-
-def _sample_edge_arrays(g: Graph, p: float, rng: RandomSource):
     eu, ev = g.edge_arrays
-    mask = rng.uniform_reals(g.m) < p
-    return eu[mask], ev[mask]
-
-
-def _hinge_split(g: Graph, eu: np.ndarray, ev: np.ndarray):
-    """Lower-degree endpoint of each edge (ties: smaller id) and the other."""
-    deg = g.degrees
-    du = deg[eu]
-    dv = deg[ev]
-    take_v = (dv < du) | ((dv == du) & (ev < eu))
-    hinge = np.where(take_v, ev, eu).astype(np.int64)
-    other = np.where(take_v, eu, ev).astype(np.int64)
-    return hinge, other
+    idx = _edge_draw(g, p, rng, None)
+    return [Edge(int(a), int(b)) for a, b in zip(eu[idx], ev[idx])]
 
 
 def ews_wedge_increment(g: Graph, u: int, v: int, w: int) -> int:
@@ -131,11 +373,11 @@ def ews_wedge_increment(g: Graph, u: int, v: int, w: int) -> int:
     wedge closes, else 0. This is the scalar reference for the
     vectorized path inside :func:`ews_estimate`.
     """
-    hinge, other = _hinge_split(g, np.array([u]), np.array([v]))
+    hinge, other, dh = _hinge_split(g, np.array([u]), np.array([v]))
     h, o = int(hinge[0]), int(other[0])
     if w == o or not g.has_edge(h, w):
         raise ValueError(f"{w} is not an eligible wedge draw for edge ({u}, {v})")
-    return g.degree(h) - 1 if g.has_edge(o, w) else 0
+    return int(dh[0]) - 1 if g.has_edge(o, w) else 0
 
 
 def ews_estimate(g: Graph, p: float, rng: RandomSource) -> EstimateResult:
@@ -147,27 +389,7 @@ def ews_estimate(g: Graph, p: float, rng: RandomSource) -> EstimateResult:
     pendant contribute 0: no triangle can pass through them). The raw
     statistic is unbiased for 3p times the triangle count.
     """
-    _check_p(p)
-    start = time.perf_counter()
-    eu, ev = _sample_edge_arrays(g, p, rng)
-    sampled = int(eu.size)
-    hinge, other = _hinge_split(g, eu, ev)
-    dh = g.degrees.astype(np.int64)[hinge]
-    ok = dh >= 2
-    hinge, other, dh = hinge[ok], other[ok], dh[ok]
-    tau = 0
-    if hinge.size:
-        j = rng.uniform_indices(dh - 1)
-        pos = neighbor_rank(g, hinge, other)
-        j = j + (j >= pos)
-        w = g.neighbors[g.offsets[hinge] + j].astype(np.int64)
-        closed = has_edge_many(g, other, w)
-        tau = int(((dh - 1) * closed).sum())
-    estimate = tau / (3.0 * p)
-    return EstimateResult(method="ews", p_or_k=p, seed=rng.seed,
-                          raw_statistic=tau, entities_sampled=sampled,
-                          estimate=estimate,
-                          elapsed=time.perf_counter() - start)
+    return estimate(g, "ews", p, rng)
 
 
 def count_closed_wedges(g: Graph, edges: Iterable[tuple[int, int]]) -> tuple[int, int]:
@@ -180,30 +402,8 @@ def count_closed_wedges(g: Graph, edges: Iterable[tuple[int, int]]) -> tuple[int
     pairs = list(edges)
     eu = np.array([e[0] for e in pairs], dtype=np.int64)
     ev = np.array([e[1] for e in pairs], dtype=np.int64)
-    return _closed_wedges(g, eu, ev)
-
-
-def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray) -> tuple[int, int]:
-    if eu.size == 0:
-        return 0, 0
-    hinge = np.concatenate([eu, ev])
-    other = np.concatenate([ev, eu])
-    order = np.argsort(hinge, kind="stable")
-    hv = hinge[order]
-    ot = other[order]
-    _, starts, counts = np.unique(hv, return_index=True, return_counts=True)
-    total = int((counts * (counts - 1) // 2).sum())
-    closed = 0
-    for s in np.unique(counts):
-        if s < 2:
-            continue
-        rows = starts[counts == s]
-        block = ot[rows[:, None] + np.arange(s)]
-        ii, jj = np.triu_indices(int(s), k=1)
-        a = block[:, ii].ravel()
-        b = block[:, jj].ravel()
-        closed += int(has_edge_many(g, a, b).sum())
-    return closed, total
+    closed, total = _closed_wedges(g, eu, ev, np.zeros(eu.size, dtype=np.int64), 1)
+    return int(closed[0]), total
 
 
 def es_estimate(g: Graph, p: float, rng: RandomSource) -> EstimateResult:
@@ -213,15 +413,7 @@ def es_estimate(g: Graph, p: float, rng: RandomSource) -> EstimateResult:
     closing third edge is looked up in the original graph. The raw
     statistic is unbiased for 3 p^2 times the triangle count.
     """
-    _check_p(p)
-    start = time.perf_counter()
-    eu, ev = _sample_edge_arrays(g, p, rng)
-    closed, _ = _closed_wedges(g, eu.astype(np.int64), ev.astype(np.int64))
-    estimate = closed / (3.0 * p * p)
-    return EstimateResult(method="es", p_or_k=p, seed=rng.seed,
-                          raw_statistic=closed, entities_sampled=int(eu.size),
-                          estimate=estimate,
-                          elapsed=time.perf_counter() - start)
+    return estimate(g, "es", p, rng)
 
 
 @dataclass(frozen=True)
@@ -269,23 +461,4 @@ def ws_estimate(g: Graph, k: int, rng: RandomSource,
     closed fraction, scaled by total wedges over 3, estimates the
     triangle count.
     """
-    if k < 1:
-        raise ValueError(f"wedge-sample count must be >= 1, got {k}")
-    start = time.perf_counter()
-    if sampler is None:
-        sampler = build_wedge_sampler(g)
-    t = rng.uniform_indices(sampler.total, size=int(k))
-    hinge = np.searchsorted(sampler.cumulative, t, side="right")
-    d = g.degrees.astype(np.int64)[hinge]
-    i = rng.uniform_indices(d)
-    j = rng.uniform_indices(d - 1)
-    j = j + (j >= i)
-    base = g.offsets[hinge]
-    a = g.neighbors[base + i].astype(np.int64)
-    b = g.neighbors[base + j].astype(np.int64)
-    omega = int(has_edge_many(g, a, b).sum())
-    estimate = omega * sampler.total / (3.0 * k)
-    return EstimateResult(method="ws", p_or_k=float(k), seed=rng.seed,
-                          raw_statistic=omega, entities_sampled=int(k),
-                          estimate=estimate,
-                          elapsed=time.perf_counter() - start)
+    return estimate(g, "ws", k, rng, sampler)

@@ -78,13 +78,17 @@ class GraphMetrics:
         cells = [self.n, self.m, self.triangle_count, self.wedge_count,
                  self.clustering_coefficient, self.tri_per_edge,
                  self.phi_over_3delta, self.k_over_delta]
-        return ",".join(_fmt(c) for c in cells)
+        return ",".join(csv_cell(c) for c in cells)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float) and x.is_integer():
-        return str(int(x))
-    return repr(x) if isinstance(x, float) else str(x)
+def csv_cell(x) -> str:
+    """One CSV cell: empty for None, integral floats without a fraction,
+    other floats by ``repr`` (shortest round-trip form)."""
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return str(int(x)) if x.is_integer() else repr(x)
+    return str(x)
 
 
 @dataclass(frozen=True)

@@ -109,31 +109,21 @@ def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorized ``has_edge`` over aligned vertex arrays.
 
     Searches each pair's shorter neighbor list with a branchless binary
-    search, so the cost per query is O(log min(d_u, d_v)).
+    search, so the cost per query is O(log min(d_u, d_v)). Integer
+    arrays of any width are used as they are, without an int64 copy.
     """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    u = np.asarray(u)
+    v = np.asarray(v)
     if u.size == 0:
         return np.zeros(0, dtype=bool)
     deg = g.degrees
     swap = deg[u] > deg[v]
     x = np.where(swap, v, u)
     y = np.where(swap, u, v)
-    lo = g.offsets[x].astype(np.int64)
-    hi = g.offsets[x + 1].astype(np.int64)
-    nbr = g.neighbors
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        less = np.zeros_like(active)
-        less[active] = nbr[mid[active]] < y[active]
-        lo = np.where(active & less, mid + 1, lo)
-        hi = np.where(active & ~less, mid, hi)
-    end = g.offsets[x + 1]
-    found = lo < end
-    found[found] = nbr[lo[found]] == y[found]
+    del u, v, swap
+    pos = _lower_bound(g.neighbors, g.offsets[x], g.offsets[x + 1], y)
+    found = pos < g.offsets[x + 1]
+    found[found] = g.neighbors[pos[found]] == y[found]
     return found
 
 
@@ -142,21 +132,34 @@ def neighbor_rank(g: Graph, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Every (v, w) pair must be an edge; positions are 0-based.
     """
-    v = np.asarray(v, dtype=np.int64)
-    w = np.asarray(w, dtype=np.int64)
-    lo = g.offsets[v].astype(np.int64)
-    hi = g.offsets[v + 1].astype(np.int64)
-    nbr = g.neighbors
+    v = np.asarray(v)
+    w = np.asarray(w)
+    start = g.offsets[v]
+    pos = _lower_bound(g.neighbors, start.copy(), g.offsets[v + 1], w)
+    pos -= start
+    return pos
+
+
+def _lower_bound(nbr: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """Per query, the first position in the sorted run ``nbr[lo:hi]``
+    holding a value not below ``x``, or ``hi`` if there is none.
+
+    A branchless binary search over all queries at once: each round
+    halves every open range. It overwrites ``lo`` and ``hi`` and
+    returns ``lo``.
+    """
     while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        less = np.zeros_like(active)
-        less[active] = nbr[mid[active]] < w[active]
-        lo = np.where(active & less, mid + 1, lo)
-        hi = np.where(active & ~less, mid, hi)
-    return lo - g.offsets[v]
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = lo + hi
+        mid >>= 1
+        less = nbr.take(mid, mode="clip") < x
+        less &= open_
+        np.copyto(hi, mid, where=~less)
+        mid += 1
+        np.copyto(lo, mid, where=less)
 
 
 def load_edge_list(source: str | Path | BinaryIO) -> Graph:

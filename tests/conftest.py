@@ -4,8 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from tricount import (RandomSource, compute_metrics, es_estimate,
-                      ews_estimate, ws_estimate)
+from tricount import RandomSource, compute_metrics
+from tricount.estimators import _run_trials
 from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
                      graph_from_edges, path_edges, star_edges)
 
@@ -65,20 +65,11 @@ def er300_runs20k(er300, er300_metrics):
     out = {}
     for method, (kind, level) in configs.items():
         base = RandomSource(UNBIASEDNESS_SEEDS[method])
-        estimates = np.empty(UNBIASEDNESS_RUNS)
-        raws = np.empty(UNBIASEDNESS_RUNS)
         start = time.perf_counter()
-        for i in range(UNBIASEDNESS_RUNS):
-            rng = base.derive(i)
-            if method == "ews":
-                res = ews_estimate(g, level, rng)
-            elif method == "es":
-                res = es_estimate(g, level, rng)
-            else:
-                res = ws_estimate(g, level, rng)
-            estimates[i] = res.estimate
-            raws[i] = res.raw_statistic
-        out[method] = {"estimates": estimates, "raws": raws,
+        raws, _, estimates = _run_trials(
+            g, method, level, (base.derive(i) for i in range(UNBIASEDNESS_RUNS)))
+        out[method] = {"estimates": np.array(estimates),
+                       "raws": np.array(raws, dtype=np.float64),
                        "kind": kind, "level": level,
                        "elapsed": time.perf_counter() - start}
     return out

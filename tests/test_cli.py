@@ -234,3 +234,23 @@ def test_module_entry_point(triangle_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,m,delta")
+
+
+def test_estimate_json_raw_is_an_integer(capsys, k4_file):
+    code, out, _ = run_cli(capsys, ["estimate", "--graph", k4_file,
+                                    "--method", "ews", "--p", "1.0",
+                                    "--format", "json"])
+    assert code == 0
+    assert '"raw": 12,' in out
+    assert json.loads(out)["raw"] == 12
+
+
+@pytest.mark.parametrize("metrics, field", [("1,1,nan,1,1,1", "delta"),
+                                            ("1,1,1,inf,1,1", "lambda"),
+                                            ("1,1,1,3,1,-5", "K")])
+def test_sample_size_rejects_bad_inline_metrics(capsys, metrics, field):
+    code, out, err = run_cli(capsys, ["sample-size", "--metrics", metrics,
+                                      "--rse", "0.1"])
+    assert code == 1
+    assert out == ""
+    assert f"--metrics: {field} " in err

@@ -5,11 +5,14 @@ import pytest
 
 from tricount import (NoWedgesError, RandomSource, SamplingPlan,
                       bernoulli_edge_sample, build_wedge_sampler,
-                      count_closed_wedges, count_triangles_exact, es_estimate,
-                      ews_estimate, ews_wedge_increment, wedge_is_closed,
-                      ws_estimate)
+                      compute_metrics, count_closed_wedges,
+                      count_triangles_exact, empirical_rse, es_estimate, ews_estimate,
+                      ews_wedge_increment, wedge_is_closed, ws_estimate)
+from tricount import estimators
+from tricount.estimators import _run_trials
 from helpers import (FIVE_TRIANGLE_EDGES, circulant_edges, complete_edges,
-                     er_edges, graph_from_edges, internal_id, path_edges)
+                     er_edges, graph_from_edges, internal_id, path_edges,
+                     star_edges)
 
 
 def test_plan_validation():
@@ -247,3 +250,74 @@ def test_invalid_probability_rejected(k3):
             es_estimate(k3, bad, RandomSource(0))
     with pytest.raises(ValueError):
         ws_estimate(k3, 0, RandomSource(0))
+
+
+# --------------------------------------------------------------------------
+# The trial engine: batching never changes a trial's result.
+
+def _batch_cases():
+    er = graph_from_edges(er_edges(60, 0.15, 2))
+    five = graph_from_edges(FIVE_TRIANGLE_EDGES)
+    star = graph_from_edges(star_edges(6))
+    path = graph_from_edges(path_edges(5))
+    matching = graph_from_edges([(0, 1), (2, 3), (4, 5)])
+    return {
+        "er60-ews": (er, "ews", 0.3),
+        "er60-es": (er, "es", 0.3),
+        "er60-ws": (er, "ws", 40),
+        # most trials sample no edge at all
+        "sparse-ews": (five, "ews", 0.05),
+        "sparse-es": (five, "es", 0.05),
+        # every hinge is a pendant leaf / wedges but no triangle
+        "star-ews": (star, "ews", 0.5),
+        "star-es": (star, "es", 0.5),
+        "star-ws": (star, "ws", 5),
+        # triangle-free and wedge-free es
+        "path-es": (path, "es", 0.7),
+        "matching-es": (matching, "es", 0.9),
+        "path-ws": (path, "ws", 9),
+    }
+
+
+def _trials(g, method, level, runs=40, seed=5):
+    base = RandomSource(seed)
+    return _run_trials(g, method, level, [base.derive(i) for i in range(runs)])
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+def test_batch_budget_does_not_change_trials(monkeypatch, budget):
+    cases = _batch_cases()
+    want = {name: _trials(*case) for name, case in cases.items()}
+    monkeypatch.setattr(estimators, "_BATCH", budget)
+    for name, case in cases.items():
+        assert _trials(*case) == want[name], name
+
+
+def test_batched_trials_equal_lone_estimates():
+    lone = {"ews": ews_estimate, "es": es_estimate, "ws": ws_estimate}
+    for name, (g, method, level) in _batch_cases().items():
+        raw, sampled, est = _trials(g, method, level)
+        base = RandomSource(5)
+        for i in range(len(raw)):
+            res = lone[method](g, level, base.derive(i))
+            assert (res.raw_statistic, res.entities_sampled, res.estimate) \
+                == (raw[i], sampled[i], est[i]), (name, i)
+            assert type(res.raw_statistic) is int
+
+
+@pytest.mark.parametrize("budget", [1, 7])
+def test_batch_budget_does_not_change_sweep_rows(monkeypatch, budget):
+    g = graph_from_edges(er_edges(60, 0.15, 2))
+    metrics = compute_metrics(g)
+    plans = [SamplingPlan(method="ews", p=0.3, seed=1, runs=30),
+             SamplingPlan(method="es", p=0.3, seed=2, runs=30),
+             SamplingPlan(method="ws", k=40, seed=3, runs=30)]
+    want = [empirical_rse(g, plan, metrics) for plan in plans]
+    monkeypatch.setattr(estimators, "_BATCH", budget)
+    assert [empirical_rse(g, plan, metrics) for plan in plans] == want
+
+
+def test_zero_edge_trials_sample_nothing(five_tri):
+    raw, sampled, est = _trials(five_tri, "ews", 0.05, runs=60)
+    assert 0 in sampled and any(sampled)
+    assert all(r == 0 and e == 0.0 for r, s, e in zip(raw, sampled, est) if s == 0)
