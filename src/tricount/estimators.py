@@ -57,11 +57,12 @@ class _Method:
     """How the trial engine runs one estimator.
 
     ``level`` names the parameter the method reads: ``p`` (edge
-    probability) or ``k`` (wedge draws). ``draw`` makes a trial's first
-    draw; ``finish`` gets a batch's first draws end to end with the
-    offsets of each trial's run, does the graph work, including each
-    trial's later draws, and returns the raw statistic per trial;
-    ``scale`` turns one raw statistic into the estimate.
+    probability) or ``k`` (wedge draws), and ``check`` validates it.
+    ``prepare`` builds what all trials share (ws: the wedge sampler).
+    ``draw`` makes a trial's first draw; ``finish`` takes a batch's
+    first draws, does the graph work, including each trial's later
+    draws, and returns the raw statistic per trial; ``scale`` turns one
+    raw statistic into the estimate.
     """
 
     level: str
@@ -116,8 +117,8 @@ def _hinge_split(g: Graph, eu: np.ndarray, ev: np.ndarray):
     return np.where(take_v, ev, eu), np.where(take_v, eu, ev), np.minimum(du, dv)
 
 
-def _ews_finish(g: Graph, p: float, rngs, idx: np.ndarray, bounds: np.ndarray,
-                sampler) -> np.ndarray:
+def _ews_finish(g: Graph, p: float, rngs, draws, sampler) -> np.ndarray:
+    idx, bounds = _concat(draws)
     eu, ev = g.edge_arrays
     hinge, other, dh = _hinge_split(g, eu[idx], ev[idx])
     del idx
@@ -194,8 +195,8 @@ def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray, trial: np.ndarray,
     return closed, total
 
 
-def _es_finish(g: Graph, p: float, rngs, idx: np.ndarray, bounds: np.ndarray,
-               sampler) -> np.ndarray:
+def _es_finish(g: Graph, p: float, rngs, draws, sampler) -> np.ndarray:
+    idx, bounds = _concat(draws)
     eu, ev = g.edge_arrays
     closed, _ = _closed_wedges(g, eu[idx], ev[idx],
                                np.repeat(np.arange(len(rngs)), np.diff(bounds)),
@@ -208,9 +209,10 @@ def _ws_draw(g: Graph, k: int, rng: RandomSource, sampler) -> np.ndarray:
     return rng.uniform_indices(sampler.total, size=int(k))
 
 
-def _ws_finish(g: Graph, k: int, rngs, t: np.ndarray, bounds: np.ndarray,
-               sampler) -> np.ndarray:
+def _ws_finish(g: Graph, k: int, rngs, draws, sampler) -> np.ndarray:
+    t, bounds = _concat(draws)
     hinge = np.searchsorted(sampler.cumulative, t, side="right")
+    del t
     d = g.degrees[hinge]
     i = _draw_each(rngs, d, bounds)
     d -= 1
@@ -269,12 +271,13 @@ def _run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource],
         draws.append(draw)
         size += draw.size
         if size >= _BATCH:
+            # finish empties ``draws`` as it concatenates them
             sampled += [d.size for d in draws]
-            raw += spec.finish(g, level, batch, *_concat(draws), sampler).tolist()
+            raw += spec.finish(g, level, batch, draws, sampler).tolist()
             batch, size = [], 0
     if batch:
         sampled += [d.size for d in draws]
-        raw += spec.finish(g, level, batch, *_concat(draws), sampler).tolist()
+        raw += spec.finish(g, level, batch, draws, sampler).tolist()
     return raw, sampled, [spec.scale(r, level, sampler) for r in raw]
 
 
