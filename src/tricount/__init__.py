@@ -20,7 +20,7 @@ from .estimators import (EstimateResult, NoWedgesError, SamplingPlan,
 from .exact import (EdgeTriangleCounts, GraphMetrics, brute_force_triangles,
                     compute_metrics, count_triangles_exact, wedge_count)
 from .graph import (Edge, EmptyGraphError, Graph, GraphFormatError,
-                    canonical_edge, has_edge_many, load_edge_list)
+                    has_edge_many, load_edge_list)
 from .rng import RandomSource, mix_seed
 
 __version__ = "0.1.0"
@@ -31,7 +31,7 @@ __all__ = [
     "RandomSource", "RseDomainError", "RseReport", "RseRow",
     "SampleSizeRequest", "SamplingPlan", "WedgeSampler",
     "bernoulli_edge_sample", "brute_force_triangles", "build_wedge_sampler",
-    "canonical_edge", "compute_metrics", "count_closed_wedges",
+    "compute_metrics", "count_closed_wedges",
     "count_triangles_exact", "empirical_rse", "es_estimate", "ews_estimate",
     "ews_wedge_increment", "has_edge_many", "load_edge_list", "mix_seed",
     "rse_omega_approx", "rse_omega_exact", "rse_rho_approx", "rse_rho_exact",

@@ -35,10 +35,6 @@ class Edge(NamedTuple):
     v: int
 
 
-def canonical_edge(u: int, v: int) -> Edge:
-    return Edge(u, v) if u < v else Edge(v, u)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph in compressed adjacency form.
@@ -63,18 +59,16 @@ class Graph:
     def degree(self, u: int) -> int:
         return int(self.offsets[u + 1] - self.offsets[u])
 
-    @property
+    @cached_property
     def degrees(self) -> np.ndarray:
-        """Degree of every vertex (length n)."""
-        return np.diff(self.offsets)
+        """Degree of every vertex (length n), computed once; read-only."""
+        deg = np.diff(self.offsets)
+        deg.flags.writeable = False
+        return deg
 
     def neighbors_of(self, v: int) -> np.ndarray:
         """Sorted neighbor list of ``v`` (read-only view)."""
         return self.neighbors[self.offsets[v]:self.offsets[v + 1]]
-
-    def neighbor_at(self, v: int, i: int) -> int:
-        """The i-th smallest neighbor of ``v``; requires i < degree(v)."""
-        return int(self.neighbors[self.offsets[v] + i])
 
     def has_edge(self, u: int, v: int) -> bool:
         """Edge membership via binary search in the shorter neighbor list."""
@@ -83,10 +77,6 @@ class Graph:
         lst = self.neighbors_of(u)
         i = int(np.searchsorted(lst, v))
         return i < lst.shape[0] and int(lst[i]) == v
-
-    def edge_min_degree(self, u: int, v: int) -> int:
-        """Smaller endpoint degree of edge (u, v)."""
-        return min(self.degree(u), self.degree(v))
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -121,8 +111,9 @@ def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     x = np.where(swap, v, u)
     y = np.where(swap, u, v)
     del u, v, swap
-    pos = _lower_bound(g.neighbors, g.offsets[x], g.offsets[x + 1], y)
-    found = pos < g.offsets[x + 1]
+    end = g.offsets[x + 1]
+    pos = _lower_bound(g.neighbors, g.offsets[x], end.copy(), y)
+    found = pos < end
     found[found] = g.neighbors[pos[found]] == y[found]
     return found
 
@@ -145,21 +136,41 @@ def _lower_bound(nbr: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     """Per query, the first position in the sorted run ``nbr[lo:hi]``
     holding a value not below ``x``, or ``hi`` if there is none.
 
-    A branchless binary search over all queries at once: each round
-    halves every open range. It overwrites ``lo`` and ``hi`` and
-    returns ``lo``.
+    ``lo`` and ``hi`` (int64) are scratch: both are overwritten, and the
+    positions are returned in ``lo``'s array. A branchless binary search
+    over all queries at once: each round halves every open range. Once
+    at most half of the queries in the working arrays are open, the open
+    ones are gathered into smaller arrays, with their original
+    positions, so a query costs work only in the rounds it still needs;
+    the working positions are scattered back at each later compaction
+    and at the end.
     """
+    pos = lo
+    where = None  # positions in ``pos`` of the working arrays; None: all
     while True:
         open_ = lo < hi
-        if not open_.any():
-            return lo
+        count = np.count_nonzero(open_)
+        if count == 0:
+            break
+        if 2 * count <= open_.size:
+            keep = np.flatnonzero(open_)
+            if where is None:
+                where = keep
+            else:
+                pos[where] = lo
+                where = where[keep]
+            lo, hi, x = lo[keep], hi[keep], x[keep]
+            continue
         mid = lo + hi
         mid >>= 1
         less = nbr.take(mid, mode="clip") < x
-        less &= open_
+        less &= open_  # queries closed since the last compaction stay put
         np.copyto(hi, mid, where=~less)
         mid += 1
         np.copyto(lo, mid, where=less)
+    if where is not None:
+        pos[where] = lo
+    return pos
 
 
 def load_edge_list(source: str | Path | BinaryIO) -> Graph:

@@ -14,6 +14,7 @@ import pytest
 
 from tricount import (RandomSource, compute_metrics, count_triangles_exact,
                       es_estimate, ews_estimate, rse_sweep, ws_estimate)
+from tricount import estimators
 from helpers import graph_from_text, graph_text, powerlaw_edges
 
 
@@ -122,6 +123,22 @@ def test_golden_estimates(er300, five_tri, name, method):
         assert type(res.raw_statistic) is int
 
 
+def _sweep_digest(g) -> str:
+    csv = rse_sweep(g, ["ews", "es", "ws"], [0.1, 0.2], runs=50, seed=7).to_csv()
+    return hashlib.sha256(csv.encode()).hexdigest()
+
+
 def test_golden_sweep_csv(er300):
-    csv = rse_sweep(er300, ["ews", "es", "ws"], [0.1, 0.2], runs=50, seed=7).to_csv()
-    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SWEEP_SHA256
+    assert _sweep_digest(er300) == GOLDEN_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_phase_one_chunk_does_not_change_results(monkeypatch, er300, five_tri, chunk):
+    monkeypatch.setattr(estimators, "_CHUNK", chunk)
+    for name, g in {"er300": er300, "five_tri": five_tri}.items():
+        for method in ("ews", "es"):
+            level, want = GOLDEN_ESTIMATES[name][method]
+            for seed, expected in want.items():
+                res = estimators.estimate(g, method, level, RandomSource(seed))
+                assert (res.estimate, res.raw_statistic, res.entities_sampled) == expected
+    assert _sweep_digest(er300) == GOLDEN_SWEEP_SHA256

@@ -2,12 +2,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tricount import (EmptyGraphError, GraphFormatError, has_edge_many,
                       load_edge_list)
-from tricount.graph import edge_key
+from tricount.graph import _lower_bound, edge_key, neighbor_rank
 from helpers import (complete_edges, er_edges, graph_from_edges,
-                     graph_from_text, path_edges, star_edges)
+                     graph_from_text, path_edges, powerlaw_edges, star_edges)
 from oracles import clean_edges
 
 
@@ -86,15 +88,6 @@ def test_degree_examples():
     assert star.degree(0) == 4
 
 
-def test_neighbor_at_examples():
-    k4 = graph_from_edges(complete_edges(4))
-    assert k4.neighbor_at(0, 1) == 2
-    path = graph_from_edges(path_edges(2))
-    assert path.neighbor_at(1, 0) == 0
-    tri = graph_from_edges(complete_edges(3))
-    assert tri.neighbor_at(2, 1) == 1
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_membership_matches_dense_oracle(seed):
     n = 5 + seed * 5
@@ -159,6 +152,103 @@ def test_has_edge_many_matches_scalar():
         assert got == g.has_edge(int(u), int(v))
 
 
+def test_degrees_are_cached_and_read_only():
+    g = graph_from_edges(er_edges(40, 0.2, 5))
+    deg = g.degrees
+    assert deg is g.degrees
+    assert np.array_equal(deg, np.diff(g.offsets))
+    assert not deg.flags.writeable
+    with pytest.raises(ValueError):
+        deg[0] = 7
+
+
+# Run lengths mix short runs (1-4 search rounds) with runs of up to
+# 3,000 (12 rounds), so the open set is compacted at several rounds.
+_RUN_LENGTHS = st.lists(st.one_of(st.integers(0, 8), st.integers(9, 3_000)),
+                        max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=_RUN_LENGTHS, seed=st.integers(0, 2**32 - 1),
+       nbr_dtype=st.sampled_from([np.int32, np.int64]),
+       x_dtype=st.sampled_from([np.int32, np.int64]))
+@example(lengths=[], seed=0, nbr_dtype=np.int32, x_dtype=np.int64)
+@example(lengths=[1, 3_000, 0, 2, 2_048], seed=1, nbr_dtype=np.int32,
+         x_dtype=np.int32)
+def test_lower_bound_matches_searchsorted(lengths, seed, nbr_dtype, x_dtype):
+    rng = np.random.default_rng(seed)
+    runs = [np.sort(rng.integers(0, 2 * n + 1, n)) for n in lengths]
+    nbr = np.concatenate(runs + [np.zeros(0, dtype=np.int64)]).astype(nbr_dtype)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    run_of, xs = [], []
+    for r, vals in enumerate(runs):
+        # below, above, at and between the run's values
+        q = [-1, 2 * vals.size + 1, *rng.integers(-1, 2 * vals.size + 2, 4)]
+        if vals.size:
+            q += [vals[0] - 1, vals[-1] + 1, *rng.choice(vals, 3)]
+        run_of += [r] * len(q)
+        xs += q
+    order = rng.permutation(len(xs))
+    run_of = np.array(run_of, dtype=np.int64)[order]
+    x = np.array(xs, dtype=x_dtype)[order]
+    lo, hi = offsets[run_of], offsets[run_of + 1]
+    want = [int(np.searchsorted(nbr[a:b], q)) + a
+            for a, b, q in zip(lo.tolist(), hi.tolist(), x.tolist())]
+    got = _lower_bound(nbr, lo.copy(), hi.copy(), x)
+    assert got.tolist() == want
+
+
+@pytest.fixture(scope="module")
+def hubs_and_path():
+    """Hubs 0 and 1, adjacent, share 3,000 leaves; a path runs along the
+    leaves and on through a tail that ends in a pendant."""
+    leaves = range(2, 3_002)
+    edges = [(0, 1)] + [(h, v) for v in leaves for h in (0, 1)]
+    edges += [(v, v + 1) for v in range(2, 3_010)]
+    return graph_from_edges(edges)
+
+
+@pytest.fixture(scope="module")
+def powerlaw10k():
+    u, v = powerlaw_edges(8675309, n=3_000, raw=14_000, m=10_000)
+    return graph_from_edges(zip(u.tolist(), v.tolist()))
+
+
+@pytest.mark.parametrize("which", ["hubs_and_path", "powerlaw10k"])
+def test_has_edge_many_mixed_search_depths(request, which):
+    g = request.getfixturevalue(which)
+    rng = np.random.default_rng(3)
+    eu, ev = g.edge_arrays
+    top = np.argsort(g.degrees)[-40:]
+    us = np.concatenate([eu, ev, rng.integers(0, g.n, 4_000),
+                         np.repeat(top, top.size)])
+    vs = np.concatenate([ev, eu, rng.integers(0, g.n, 4_000),
+                         np.tile(top, top.size)])
+    shorter = np.minimum(g.degrees[us], g.degrees[vs])
+    assert shorter.min() == 1
+    if which == "hubs_and_path":
+        assert shorter.max() >= 2_048  # a 12-round search in the same call
+    order = rng.permutation(us.size)
+    us, vs = us[order], vs[order]
+    bulk = has_edge_many(g, us, vs)
+    assert bulk.tolist() == [g.has_edge(u, v) for u, v in zip(us.tolist(), vs.tolist())]
+
+
+@pytest.mark.parametrize("which", ["hubs_and_path", "powerlaw10k"])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_neighbor_rank_matches_searchsorted(request, which, dtype):
+    g = request.getfixturevalue(which)
+    eu, ev = g.edge_arrays
+    v = np.concatenate([eu, ev]).astype(dtype)
+    w = np.concatenate([ev, eu]).astype(dtype)
+    order = np.random.default_rng(4).permutation(v.size)
+    v, w = v[order], w[order]
+    want = [int(np.searchsorted(g.neighbors_of(a), b))
+            for a, b in zip(v.tolist(), w.tolist())]
+    assert neighbor_rank(g, v, w).tolist() == want
+
+
 def test_edge_arrays_are_canonical_and_sorted():
     g = graph_from_edges(er_edges(25, 0.3, 21))
     eu, ev = g.edge_arrays
@@ -166,11 +256,6 @@ def test_edge_arrays_are_canonical_and_sorted():
     assert (eu < ev).all()
     keys = eu.astype(np.int64) * g.n + ev.astype(np.int64)
     assert (np.diff(keys) > 0).all()
-
-
-def test_edge_min_degree():
-    star = graph_from_edges(star_edges(4))
-    assert star.edge_min_degree(0, 1) == 1
 
 
 def test_edge_key_round_trips_and_orders_at_the_vertex_limit():
