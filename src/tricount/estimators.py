@@ -80,12 +80,11 @@ class _Method:
 def _edge_draw(g: Graph, p: float, rng: RandomSource, sampler) -> np.ndarray:
     """Phase one: positions in ``g.edge_arrays`` of the edges kept, each
     with probability p."""
-    if g.m <= _CHUNK:  # one draw: the chunk loop costs small graphs ~3 us a trial
-        return np.flatnonzero(rng.uniform_reals(g.m) < p)
     parts = []
     for start in range(0, g.m, _CHUNK):
         kept = np.flatnonzero(rng.uniform_reals(min(_CHUNK, g.m - start)) < p)
-        kept += start
+        if start:
+            kept += start
         parts.append(kept)
     return np.concatenate(parts)
 
