@@ -13,24 +13,23 @@ from .analysis import (RseDomainError, RseReport, RseRow, SampleSizeRequest,
                        rse_tau_approx, rse_tau_exact, sample_size_for_rse,
                        theory_rse)
 from .estimators import (EstimateResult, NoWedgesError, SamplingPlan,
-                         WedgeSampler, bernoulli_edge_sample,
-                         build_wedge_sampler, count_closed_wedges,
-                         es_estimate, ews_estimate, ews_wedge_increment,
-                         wedge_is_closed, ws_estimate)
+                         WedgeSampler, build_wedge_sampler,
+                         count_closed_wedges, es_estimate, ews_estimate,
+                         ews_wedge_increment, wedge_is_closed, ws_estimate)
 from .exact import (EdgeTriangleCounts, GraphMetrics, brute_force_triangles,
                     compute_metrics, count_triangles_exact, wedge_count)
-from .graph import (Edge, EmptyGraphError, Graph, GraphFormatError,
-                    has_edge_many, load_edge_list)
+from .graph import (EmptyGraphError, Graph, GraphFormatError, has_edge_many,
+                    load_edge_list)
 from .rng import RandomSource, mix_seed
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Edge", "EdgeTriangleCounts", "EmptyGraphError", "EstimateResult",
+    "EdgeTriangleCounts", "EmptyGraphError", "EstimateResult",
     "Graph", "GraphFormatError", "GraphMetrics", "NoWedgesError",
     "RandomSource", "RseDomainError", "RseReport", "RseRow",
     "SampleSizeRequest", "SamplingPlan", "WedgeSampler",
-    "bernoulli_edge_sample", "brute_force_triangles", "build_wedge_sampler",
+    "brute_force_triangles", "build_wedge_sampler",
     "compute_metrics", "count_closed_wedges",
     "count_triangles_exact", "empirical_rse", "es_estimate", "ews_estimate",
     "ews_wedge_increment", "has_edge_many", "load_edge_list", "mix_seed",

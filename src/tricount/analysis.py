@@ -14,16 +14,15 @@ would not inflate this number; the harness relies on unbiasedness.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .exact import GraphMetrics, compute_metrics, csv_cell
 from .graph import Graph
-from .estimators import SamplingPlan, _run_trials
+from .estimators import (LEVELS, SamplingPlan, _check_level, _check_p,
+                         _run_trials)
 from .rng import RandomSource, mix_seed
-
-RSE_REPORT_CSV_HEADER = ("method,p,k,sampled,empirical_rse,exact_rse,"
-                         "approx_rse,mean_estimate,runs")
 
 
 class RseDomainError(ValueError):
@@ -83,8 +82,7 @@ def rse_rho_approx(p: float, delta: float, shared_pairs: float) -> float:
 
 
 def _check_p_delta(p: float, delta: float):
-    if not 0.0 < p <= 1.0:
-        raise RseDomainError(f"p must be in (0, 1], got {p}")
+    _check_p(p)
     if delta <= 0:
         raise RseDomainError("triangle count must be positive")
 
@@ -151,23 +149,13 @@ class RseRow:
     runs: int
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "p": self.p,
-            "k": self.k,
-            "sampled": self.sampled,
-            "empirical_rse": self.empirical_rse,
-            "exact_rse": self.exact_rse,
-            "approx_rse": self.approx_rse,
-            "mean_estimate": self.mean_estimate,
-            "runs": self.runs,
-        }
+        return asdict(self)
 
     def to_csv_row(self) -> str:
-        cells = [self.method, self.p, self.k, self.sampled,
-                 self.empirical_rse, self.exact_rse, self.approx_rse,
-                 self.mean_estimate, self.runs]
-        return ",".join(csv_cell(c) for c in cells)
+        return ",".join(csv_cell(c) for c in self.to_dict().values())
+
+
+RSE_REPORT_CSV_HEADER = ",".join(f.name for f in fields(RseRow))
 
 
 @dataclass(frozen=True)
@@ -187,7 +175,9 @@ class RseReport:
 
 def theory_rse(method: str, metrics: GraphMetrics, p: float | None = None,
                k: int | None = None) -> tuple[float, float]:
-    """(exact, approximate) closed-form RSE for one configuration."""
+    """(exact, approximate) closed-form RSE for one configuration: at
+    ``p`` for ews and es, at ``k`` for ws."""
+    _check_level(method, p, k)
     delta = metrics.triangle_count
     if method == "ews":
         return (rse_tau_exact(p, delta, metrics.shared_edge_pairs, metrics.phi),
@@ -195,12 +185,10 @@ def theory_rse(method: str, metrics: GraphMetrics, p: float | None = None,
     if method == "es":
         return (rse_rho_exact(p, delta, metrics.shared_edge_pairs),
                 rse_rho_approx(p, delta, metrics.shared_edge_pairs))
-    if method == "ws":
-        p_eff = k / metrics.m
-        c = metrics.clustering_coefficient
-        return (rse_omega_exact(p_eff, metrics.m, c, metrics.wedge_count),
-                rse_omega_approx(p_eff, metrics.m, c))
-    raise ValueError(f"unknown method {method!r}")
+    p_eff = k / metrics.m
+    c = metrics.clustering_coefficient
+    return (rse_omega_exact(p_eff, metrics.m, c, metrics.wedge_count),
+            rse_omega_approx(p_eff, metrics.m, c))
 
 
 def empirical_rse(g: Graph, plan: SamplingPlan, metrics: GraphMetrics) -> RseRow:
@@ -245,15 +233,9 @@ def rse_sweep(g: Graph, methods: list[str], ps: list[float], runs: int,
     if metrics is None:
         metrics = compute_metrics(g)
     rows = []
-    idx = 0
-    for method in methods:
-        for p in ps:
-            if method == "ws":
-                plan = SamplingPlan(method="ws", p=p, k=math.ceil(p * g.m),
-                                    seed=mix_seed(seed, idx), runs=runs)
-            else:
-                plan = SamplingPlan(method=method, p=p,
-                                    seed=mix_seed(seed, idx), runs=runs)
-            rows.append(empirical_rse(g, plan, metrics))
-            idx += 1
+    for idx, (method, p) in enumerate(itertools.product(methods, ps)):
+        k = math.ceil(p * g.m) if LEVELS.get(method) == "k" else None
+        plan = SamplingPlan(method=method, p=p, k=k, seed=mix_seed(seed, idx),
+                            runs=runs)
+        rows.append(empirical_rse(g, plan, metrics))
     return RseReport(rows=tuple(rows))

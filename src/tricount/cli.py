@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .analysis import (RseDomainError, SampleSizeRequest, rse_sweep,
                        sample_size_for_rse)
-from .estimators import LEVELS, METHODS, NoWedgesError, SamplingPlan, estimate
+from .estimators import (LEVELS, METHODS, NoWedgesError, SamplingPlan,
+                         _check_p, estimate)
 from .exact import METRICS_CSV_HEADER, GraphMetrics, compute_metrics, csv_cell
 from .graph import EmptyGraphError, GraphFormatError, load_edge_list
 from .rng import RandomSource
@@ -132,11 +133,13 @@ def _run_estimate(args, parser) -> str:
 
 def _run_rse_sweep(args) -> str:
     methods = args.method or list(METHODS)
-    for p in args.p:
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"--p must be in (0, 1], got {p}")
+    try:
+        for p in args.p:
+            _check_p(p)
+    except ValueError as exc:
+        raise ValueError(f"--p: {exc}") from None
     if args.runs < 2:
-        raise ValueError("--runs must be >= 2")
+        raise ValueError(f"--runs must be >= 2, got {args.runs}")
     g = load_edge_list(args.graph)
     # Echoed so any row is re-runnable: row i uses mix_seed(seed, i),
     # trial j of that row uses derive(j) of the row seed.

@@ -26,8 +26,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import (Edge, Graph, _sorted_unique_mask, has_edge_many,
-                    neighbor_rank)
+from .graph import Graph, _sorted_unique_mask, has_edge_many, neighbor_rank
 from .rng import RandomSource
 
 # Sampled entities (edges for ews and es, wedges for ws) a batch of
@@ -47,13 +46,15 @@ class NoWedgesError(ValueError):
 
 
 def _check_p(p: float):
+    """The one rule for an edge probability: 0 < p <= 1."""
     if not 0.0 < p <= 1.0:
-        raise ValueError(f"sampling probability must be in (0, 1], got {p}")
+        raise ValueError(f"sampling probability p must be in (0, 1], got {p}")
 
 
 def _check_k(k: int):
-    if k < 1:
-        raise ValueError(f"wedge-sample count must be >= 1, got {k}")
+    """The one rule for a wedge-sample count: an integer k >= 1."""
+    if not (float(k).is_integer() and k >= 1):
+        raise ValueError(f"wedge-sample count k must be an integer >= 1, got {k}")
 
 
 @dataclass(frozen=True)
@@ -255,6 +256,18 @@ METHODS = tuple(_METHODS)
 LEVELS = {name: spec.level for name, spec in _METHODS.items()}
 
 
+def _check_level(method: str, p: float | None, k: int | None):
+    """Reject an unknown method, or a missing or invalid level: ``p``
+    for ews and es, ``k`` for ws."""
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    spec = _METHODS[method]
+    level = p if spec.level == "p" else k
+    if level is None:
+        raise ValueError(f"{method} requires {spec.level}")
+    spec.check(level)
+
+
 def _run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource],
                 sampler: WedgeSampler | None = None
                 ) -> tuple[list[int], list[int], list[float]]:
@@ -307,17 +320,11 @@ class SamplingPlan:
     runs: int = 1
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if LEVELS[self.method] == "p":
-            if self.p is None or not 0.0 < self.p <= 1.0:
-                raise ValueError(
-                    f"{self.method} requires p in (0, 1], got {self.p}")
-            if self.k is not None:
-                raise ValueError(f"{self.method} does not take k")
-        else:
-            if self.k is None or self.k < 1:
-                raise ValueError(f"ws requires k >= 1, got {self.k}")
+        _check_level(self.method, self.p, self.k)
+        if self.p is not None:  # a ws plan's nominal p too
+            _check_p(self.p)
+        if LEVELS[self.method] == "p" and self.k is not None:
+            raise ValueError(f"{self.method} does not take k")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
 
@@ -364,18 +371,6 @@ def estimate(g: Graph, method: str, level, rng: RandomSource,
     return EstimateResult(method=method, p_or_k=float(level), seed=rng.seed,
                           raw_statistic=raw, entities_sampled=sampled,
                           estimate=est, elapsed=time.perf_counter() - start)
-
-
-def bernoulli_edge_sample(g: Graph, p: float, rng: RandomSource) -> list[Edge]:
-    """Independently keep each canonical edge with probability ``p``.
-
-    Edges are visited in canonical (u, v) order, so the outcome is a
-    deterministic function of the seed.
-    """
-    _check_p(p)
-    eu, ev = g.edge_arrays
-    idx = _edge_draw(g, p, rng, None)
-    return [Edge(int(a), int(b)) for a, b in zip(eu[idx], ev[idx])]
 
 
 def ews_wedge_increment(g: Graph, u: int, v: int, w: int) -> int:
@@ -435,15 +430,6 @@ class WedgeSampler:
 
     cumulative: np.ndarray
     total: int
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Per-vertex wedge counts d(d-1)/2."""
-        return np.diff(self.cumulative, prepend=0)
-
-    def vertex_for(self, position: int) -> int:
-        """Hinge vertex owning wedge ``position`` (0 <= position < total)."""
-        return int(np.searchsorted(self.cumulative, position, side="right"))
 
 
 def build_wedge_sampler(g: Graph) -> WedgeSampler:

@@ -99,20 +99,6 @@ class EdgeTriangleCounts:
     v: np.ndarray
     counts: np.ndarray
 
-    def count_for(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        i = int(np.searchsorted(self.u, u))
-        j = int(np.searchsorted(self.u, u, side="right"))
-        k = i + int(np.searchsorted(self.v[i:j], v))
-        if k < j and self.v[k] == v:
-            return int(self.counts[k])
-        raise KeyError(f"({u}, {v}) is not an edge")
-
-    def total(self) -> int:
-        """Sum of T(e); equals three times the triangle count."""
-        return int(self.counts.sum())
-
 
 def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     """Exact triangle count and per-edge T(e).

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO
 
 import numpy as np
 
@@ -26,13 +26,6 @@ class GraphFormatError(ValueError):
 
 class EmptyGraphError(ValueError):
     """No edges survived cleaning (self-loop removal, deduplication)."""
-
-
-class Edge(NamedTuple):
-    """Canonical undirected edge with ``u < v`` (internal ids)."""
-
-    u: int
-    v: int
 
 
 @dataclass(frozen=True)
@@ -88,11 +81,6 @@ class Graph:
         src = np.repeat(np.arange(self.n, dtype=self.neighbors.dtype), self.degrees)
         keep = src < self.neighbors
         return src[keep], self.neighbors[keep]
-
-    def edges(self) -> list[Edge]:
-        """All canonical edges in deterministic (u, v) order."""
-        eu, ev = self.edge_arrays
-        return [Edge(int(a), int(b)) for a, b in zip(eu, ev)]
 
 
 def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:

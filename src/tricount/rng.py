@@ -43,18 +43,8 @@ class RandomSource:
         """Independent deterministic child stream for ``child_index``."""
         return RandomSource(mix_seed(self.seed, child_index))
 
-    def uniform_real(self) -> float:
-        """One uniform draw in [0, 1)."""
-        return float(self._gen.random())
-
-    def uniform_index(self, n: int) -> int:
-        """One uniform draw in [0, n), each value equally likely."""
-        return int(self._gen.integers(0, n))
-
-    # Bulk variants used by the vectorized estimators; they consume the
-    # same underlying stream as the scalar calls.
-
     def uniform_reals(self, size: int) -> np.ndarray:
+        """``size`` uniform draws in [0, 1)."""
         return self._gen.random(size)
 
     def uniform_indices(self, n, size: int | None = None) -> np.ndarray:

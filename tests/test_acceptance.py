@@ -53,7 +53,7 @@ def test_criterion_1_exact_oracle_equivalence():
         slow = brute_force_triangles(g)
         if fast != slow:
             failures.append(f"seed {seed}: forward {fast} != brute {slow}")
-        if per_edge.total() != 3 * fast:
+        if int(per_edge.counts.sum()) != 3 * fast:
             failures.append(f"seed {seed}: per-edge totals broken")
         compared += 1
     elapsed = time.perf_counter() - start

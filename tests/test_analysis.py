@@ -245,9 +245,12 @@ def test_rse_sweep_csv_and_json(er300, er300_metrics):
     assert payload[0]["runs"] == 20
 
 
-def test_rse_sweep_requires_probabilities(er300):
+def test_rse_sweep_requires_probabilities(er300, er300_metrics):
     with pytest.raises(ValueError):
         rse_sweep(er300, ["ews"], [], runs=10, seed=0)
+    # ceil(1.5 m) wedges fit in er300, but p = 1.5 is no probability
+    with pytest.raises(ValueError, match="p must be"):
+        rse_sweep(er300, ["ws"], [1.5], runs=10, seed=0, metrics=er300_metrics)
 
 
 def test_theory_rse_dispatch(er300_metrics):
@@ -255,3 +258,5 @@ def test_theory_rse_dispatch(er300_metrics):
     assert 0 < ex <= ap
     with pytest.raises(ValueError):
         theory_rse("bogus", er300_metrics, p=0.1)
+    with pytest.raises(ValueError, match="ews requires p"):
+        theory_rse("ews", er300_metrics)

@@ -149,6 +149,19 @@ def test_rse_sweep_row_count_and_seed_echo(capsys, k4_file):
     assert "seed 7" in err and "seed" not in out
 
 
+@pytest.mark.parametrize("flag,value", [("--p", "0"), ("--p", "1.5"),
+                                        ("--runs", "1")])
+def test_rse_sweep_rejects_bad_input_before_loading(capsys, k4_file, flag, value):
+    args = {"--p": "0.5", "--runs": "30", flag: value}
+    code, out, err = run_cli(capsys, [
+        "rse-sweep", "--graph", k4_file, "--method", "ews",
+        "--p", args["--p"], "--runs", args["--runs"]])
+    assert code == 1
+    assert out == ""
+    assert flag in err and f"got {value}" in err
+    assert "base seed" not in err  # the check ran before the graph loaded
+
+
 def test_rse_sweep_byte_identical_reruns(capsys, k4_file):
     argv = ["rse-sweep", "--graph", k4_file, "--p", "0.5",
             "--runs", "25", "--seed", "3", "--format", "json"]

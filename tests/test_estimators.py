@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from tricount import (NoWedgesError, RandomSource, SamplingPlan,
-                      bernoulli_edge_sample, build_wedge_sampler,
-                      compute_metrics, count_closed_wedges,
+                      build_wedge_sampler, compute_metrics, count_closed_wedges,
                       count_triangles_exact, empirical_rse, es_estimate, ews_estimate,
                       ews_wedge_increment, wedge_is_closed, ws_estimate)
 from tricount import estimators
@@ -25,6 +24,10 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         SamplingPlan(method="ws", k=0)
     with pytest.raises(ValueError):
+        SamplingPlan(method="ws", k=2.5)
+    with pytest.raises(ValueError, match="p must be"):
+        SamplingPlan(method="ws", p=7.0, k=3)  # the nominal p is checked too
+    with pytest.raises(ValueError):
         SamplingPlan(method="ews", p=0.5, runs=0)
     with pytest.raises(ValueError):
         SamplingPlan(method="nope", p=0.5)
@@ -32,25 +35,18 @@ def test_plan_validation():
 
 @pytest.mark.parametrize("seed", [0, 1, 99])
 def test_bernoulli_p1_returns_every_edge(k3, seed):
-    edges = bernoulli_edge_sample(k3, 1.0, RandomSource(seed))
-    assert edges == k3.edges()
-    assert len(edges) == 3
+    kept = estimators._edge_draw(k3, 1.0, RandomSource(seed), None)
+    assert kept.tolist() == [0, 1, 2]  # every position in k3.edge_arrays
 
 
 def test_bernoulli_mean_size_matches_binomial():
     g = graph_from_edges(circulant_edges(2000, 5))
     assert g.m == 10_000
     p, trials = 0.01, 200
-    sizes = [len(bernoulli_edge_sample(g, p, RandomSource(s)))
+    sizes = [es_estimate(g, p, RandomSource(s)).entities_sampled
              for s in range(trials)]
     se = math.sqrt(g.m * p * (1 - p) / trials)
     assert abs(np.mean(sizes) - g.m * p) <= 3 * se
-
-
-def test_bernoulli_deterministic_given_seed(er300):
-    a = bernoulli_edge_sample(er300, 0.2, RandomSource(31))
-    b = bernoulli_edge_sample(er300, 0.2, RandomSource(31))
-    assert a == b
 
 
 @pytest.mark.parametrize("seed", [0, 7, 123, 9999])
@@ -152,11 +148,9 @@ def test_count_closed_wedges_manual(k4):
 def test_wedge_sampler_tables(k3, star4, path3):
     assert list(build_wedge_sampler(k3).cumulative) == [1, 2, 3]
     star = build_wedge_sampler(star4)
-    assert list(star.weights) == [6, 0, 0, 0, 0]
-    assert [star.vertex_for(t) for t in range(6)] == [0] * 6
+    assert list(star.cumulative) == [6, 6, 6, 6, 6] and star.total == 6
     path = build_wedge_sampler(path3)
-    assert list(path.weights) == [0, 1, 0]
-    assert path.vertex_for(0) == 1
+    assert list(path.cumulative) == [0, 1, 1] and path.total == 1
 
 
 def test_wedge_sampler_requires_wedges():
@@ -250,6 +244,15 @@ def test_invalid_probability_rejected(k3):
             es_estimate(k3, bad, RandomSource(0))
     with pytest.raises(ValueError):
         ws_estimate(k3, 0, RandomSource(0))
+
+
+def test_non_integer_k_rejected(k3):
+    # ws draws int(k) wedges, so a fractional k would bias the scale
+    for bad in (2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            ws_estimate(k3, bad, RandomSource(1))
+    for good in (np.int64(3), np.uint32(3), 3.0):
+        assert ws_estimate(k3, good, RandomSource(1)).estimate == 1.0
 
 
 # --------------------------------------------------------------------------

@@ -16,15 +16,12 @@ def test_k4_triangles_and_per_edge_counts(k4):
     delta, per_edge = count_triangles_exact(k4)
     assert delta == 4
     assert list(per_edge.counts) == [2] * 6
-    assert per_edge.count_for(2, 0) == 2
-    with pytest.raises(KeyError):
-        per_edge.count_for(0, 0)
 
 
 def test_path_has_no_triangles(path3):
     delta, per_edge = count_triangles_exact(path3)
     assert delta == 0
-    assert per_edge.total() == 0
+    assert int(per_edge.counts.sum()) == 0
 
 
 def test_five_triangle_example_graph(five_tri):
@@ -49,7 +46,7 @@ def test_forward_matches_brute_force(seed, density):
     delta, per_edge = count_triangles_exact(g)
     assert delta == brute_force_triangles(g)
     assert delta == len(triangles_by_triples(edges))
-    assert per_edge.total() == 3 * delta
+    assert int(per_edge.counts.sum()) == 3 * delta
 
 
 @pytest.mark.parametrize("block", [1, 7])

@@ -6,8 +6,9 @@ from tricount import RandomSource, mix_seed
 def test_same_seed_same_stream():
     a = RandomSource(123)
     b = RandomSource(123)
-    assert [a.uniform_real() for _ in range(20)] == [b.uniform_real() for _ in range(20)]
-    assert [a.uniform_index(97) for _ in range(20)] == [b.uniform_index(97) for _ in range(20)]
+    assert np.array_equal(a.uniform_reals(20), b.uniform_reals(20))
+    assert np.array_equal(a.uniform_indices(97, size=20),
+                          b.uniform_indices(97, size=20))
     assert np.array_equal(RandomSource(5).uniform_reals(64),
                           RandomSource(5).uniform_reals(64))
 
@@ -35,13 +36,13 @@ def test_derive_is_deterministic_and_distinct():
     again = RandomSource(42).derive(1)
     assert c1.seed == again.seed == mix_seed(42, 1)
     assert c1.seed != c2.seed
-    assert c1.uniform_real() == again.uniform_real()
+    assert np.array_equal(c1.uniform_reals(8), again.uniform_reals(8))
     # deriving does not consume from the parent stream
-    assert RandomSource(42).uniform_real() == base.uniform_real()
+    assert np.array_equal(RandomSource(42).uniform_reals(8), base.uniform_reals(8))
 
 
 def test_derived_streams_look_independent():
     base = RandomSource(0)
-    xs = np.array([base.derive(i).uniform_real() for i in range(2000)])
+    xs = np.array([base.derive(i).uniform_reals(1)[0] for i in range(2000)])
     assert abs(xs.mean() - 0.5) < 0.03
     assert 0.05 < xs.var() < 0.12  # uniform variance is 1/12
