@@ -226,16 +226,17 @@ def rse_sweep(g: Graph, methods: list[str], ps: list[float], runs: int,
     """Empirical RSE for every (method, p) pair.
 
     For ws the wedge-sample count is ceil(p * m). Row ``i`` (in method-
-    major order) uses base seed ``mix_seed(seed, i)``.
+    major order) uses base seed ``mix_seed(seed, i)``. Every (method, p)
+    is checked before the first row runs.
     """
     if not ps:
         raise ValueError("need at least one sampling probability")
+    for p in ps:
+        _check_p(p)  # before ceil(p * m), which overflows at p = inf
+    plans = [SamplingPlan(method=method, p=p,
+                          k=math.ceil(p * g.m) if LEVELS.get(method) == "k" else None,
+                          seed=mix_seed(seed, idx), runs=runs)
+             for idx, (method, p) in enumerate(itertools.product(methods, ps))]
     if metrics is None:
         metrics = compute_metrics(g)
-    rows = []
-    for idx, (method, p) in enumerate(itertools.product(methods, ps)):
-        k = math.ceil(p * g.m) if LEVELS.get(method) == "k" else None
-        plan = SamplingPlan(method=method, p=p, k=k, seed=mix_seed(seed, idx),
-                            runs=runs)
-        rows.append(empirical_rse(g, plan, metrics))
-    return RseReport(rows=tuple(rows))
+    return RseReport(rows=tuple(empirical_rse(g, plan, metrics) for plan in plans))

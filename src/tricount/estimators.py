@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import Graph, _sorted_unique_mask, has_edge_many, neighbor_rank
+from .graph import Graph, _sorted_unique_mask, has_edge_many
 from .rng import RandomSource
 
 # Sampled entities (edges for ews and es, wedges for ws) a batch of
@@ -128,6 +128,17 @@ def _hinge_split(g: Graph, eu: np.ndarray, ev: np.ndarray):
     return np.where(take_v, ev, eu), np.where(take_v, eu, ev), np.minimum(du, dv)
 
 
+def _wedge_end(g: Graph, hinge: np.ndarray, other: np.ndarray,
+               j: np.ndarray) -> np.ndarray:
+    """Entry ``j`` (0 <= j < d(hinge) - 1) of each hinge's neighbor list
+    once ``other`` is left out. The list is strictly increasing, so j
+    passes ``other`` exactly when the entry at j is not below it.
+    Overwrites ``j``."""
+    j += g.offsets[hinge]
+    j += g.neighbors[j] >= other
+    return g.neighbors[j]
+
+
 def _ews_finish(g: Graph, p: float, rngs, draws, sampler) -> np.ndarray:
     idx, bounds = _concat(draws)
     eu, ev = g.edge_arrays
@@ -143,12 +154,8 @@ def _ews_finish(g: Graph, p: float, rngs, draws, sampler) -> np.ndarray:
     hinge, other, dh = hinge[ok], other[ok], dh[ok]
     del ok, kept
     dh -= 1
-    j = _draw_each(rngs, dh, bounds)
-    j += j >= neighbor_rank(g, hinge, other)
-    j += g.offsets[hinge]
+    w = _wedge_end(g, hinge, other, _draw_each(rngs, dh, bounds))
     del hinge
-    w = g.neighbors[j]
-    del j
     closed = has_edge_many(g, other, w)
     return _run_sums(np.where(closed, dh, 0), bounds)
 

@@ -43,6 +43,16 @@ def five_tri():
 
 
 @pytest.fixture(scope="session")
+def hubs_and_path():
+    """Hubs 0 and 1, adjacent, share 3,000 leaves; a path runs along the
+    leaves and on through a tail that ends in a pendant."""
+    leaves = range(2, 3_002)
+    edges = [(0, 1)] + [(h, v) for v in leaves for h in (0, 1)]
+    edges += [(v, v + 1) for v in range(2, 3_010)]
+    return graph_from_edges(edges)
+
+
+@pytest.fixture(scope="session")
 def er300():
     return graph_from_edges(er_edges(ER_N, ER_PROB, ER_SEED))
 

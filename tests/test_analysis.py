@@ -9,6 +9,7 @@ from tricount import (GraphMetrics, RseDomainError, SamplingPlan,
                       rse_rho_approx, rse_rho_exact, rse_sweep,
                       rse_tau_approx, rse_tau_exact, sample_size_for_rse,
                       theory_rse)
+from tricount import analysis
 from tricount.analysis import RSE_REPORT_CSV_HEADER
 from helpers import complete_edges, er_edges, graph_from_edges
 from oracles import ews_moments_exhaustive
@@ -251,6 +252,20 @@ def test_rse_sweep_requires_probabilities(er300, er300_metrics):
     # ceil(1.5 m) wedges fit in er300, but p = 1.5 is no probability
     with pytest.raises(ValueError, match="p must be"):
         rse_sweep(er300, ["ws"], [1.5], runs=10, seed=0, metrics=er300_metrics)
+
+
+def test_rse_sweep_checks_every_row_before_the_first(monkeypatch):
+    k5 = graph_from_edges(complete_edges(5))
+    # ceil(inf * m) would raise OverflowError before p is checked
+    with pytest.raises(ValueError, match="p must be"):
+        rse_sweep(k5, ["ws"], [math.inf], runs=5, seed=0)
+    rows = []
+    monkeypatch.setattr(analysis, "empirical_rse", lambda *args: rows.append(args))
+    for methods, ps in [(["ews", "ws"], [0.5, math.inf]), (["ews"], [0.5, 0.0]),
+                        (["ws", "es"], [0.5, math.nan]), (["ews", "bogus"], [0.5])]:
+        with pytest.raises(ValueError):
+            rse_sweep(k5, methods, ps, runs=5, seed=0)
+    assert rows == []  # a bad late row costs no computed row
 
 
 def test_theory_rse_dispatch(er300_metrics):

@@ -93,6 +93,24 @@ def test_ews_wedge_increment_on_known_graph(five_tri):
         ews_wedge_increment(g, i(1), i(4), i(1))  # excluded opposite endpoint
 
 
+@pytest.mark.parametrize("which", ["five_tri", "k5", "hubs_and_path"])
+def test_phase_two_skip_is_exact(request, which):
+    # Every sampled edge and every phase-two draw j in [0, d(hinge) - 1):
+    # the wedge end is entry j of the hinge's list without the other end.
+    g = (graph_from_edges(complete_edges(5)) if which == "k5"
+         else request.getfixturevalue(which))
+    eu, ev = g.edge_arrays
+    hinge, other, dh = estimators._hinge_split(g, eu, ev)
+    want = []
+    for a, b in zip(hinge.tolist(), other.tolist()):
+        want += [w for w in g.neighbors_of(a).tolist() if w != b]
+    draws = dh - 1
+    j = np.arange(draws.sum()) - np.repeat(np.cumsum(draws) - draws, draws)
+    got = estimators._wedge_end(g, np.repeat(hinge, draws),
+                                np.repeat(other, draws), j)
+    assert got.tolist() == want
+
+
 def test_forced_outcome_ews_example(five_tri):
     """Three sampled edges, wedge draws as in the worked illustration."""
     g = five_tri

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tricount import (EmptyGraphError, GraphFormatError, has_edge_many,
-                      load_edge_list)
-from tricount.graph import _lower_bound, edge_key, neighbor_rank
+from tricount import (EmptyGraphError, GraphFormatError, compute_metrics,
+                      has_edge_many, load_edge_list)
+from tricount.graph import (_lower_bound, _parse_pairs, _parse_pairs_slow,
+                            edge_key, neighbor_rank)
 from helpers import (complete_edges, er_edges, graph_from_edges,
                      graph_from_text, path_edges, powerlaw_edges, star_edges)
 from oracles import clean_edges
@@ -56,6 +57,35 @@ def test_load_full_64_bit_ids():
     assert [int(x) for x in g.original_ids] == [top, 3, top - 1]
     with pytest.raises(GraphFormatError, match="line 1"):
         graph_from_text(f"{2**64} 3\n")
+
+
+# Edge-list bytes mixing valid lines with near misses: signs, digit
+# separators, other bases, floats, non-ASCII digits, and separators that
+# some parsers count as whitespace and others do not.
+_PARSER_TOKENS = st.one_of(
+    st.integers(0, 2**64 + 1).map(lambda i: str(i).encode()),
+    st.sampled_from([b"-1", b"+7", b"1_000", b"0x1f", b"1.0", b"1e3", b"007",
+                     b"x", b"#", b"#7", "\u0663".encode(), b"\xa0"]))
+_PARSER_GAPS = st.sampled_from([b" ", b"\t", b"  ", b"\x0b", b"\x0c", b"\r",
+                                b"\x1c", b"\x1f", b"\x85", b"\xa0", b"\xc2\xa0",
+                                b",", b""])
+_PARSER_LINES = st.lists(
+    st.tuples(st.sampled_from([b"", b" ", b"\t", b"#"]),
+              st.lists(_PARSER_TOKENS, max_size=3), _PARSER_GAPS,
+              st.sampled_from([b"\n", b"\r\n", b"\r", b"\n\n", b""])),
+    max_size=6)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lines=_PARSER_LINES)
+@example(lines=[(b"", [b"0", b"1"], b"\xa0", b"\n")])
+def test_parser_fast_path_agrees_with_line_scan(lines):
+    data = b"".join(lead + gap.join(tokens) + end for lead, tokens, gap, end in lines)
+    try:
+        pairs = _parse_pairs(data)
+    except GraphFormatError:
+        return  # only the line scan raises, so both paths reject it alike
+    assert _parse_pairs_slow(data).tolist() == pairs.tolist()
 
 
 def test_load_inline_comment_rejected():
@@ -200,16 +230,6 @@ def test_lower_bound_matches_searchsorted(lengths, seed, nbr_dtype, x_dtype):
 
 
 @pytest.fixture(scope="module")
-def hubs_and_path():
-    """Hubs 0 and 1, adjacent, share 3,000 leaves; a path runs along the
-    leaves and on through a tail that ends in a pendant."""
-    leaves = range(2, 3_002)
-    edges = [(0, 1)] + [(h, v) for v in leaves for h in (0, 1)]
-    edges += [(v, v + 1) for v in range(2, 3_010)]
-    return graph_from_edges(edges)
-
-
-@pytest.fixture(scope="module")
 def powerlaw10k():
     u, v = powerlaw_edges(8675309, n=3_000, raw=14_000, m=10_000)
     return graph_from_edges(zip(u.tolist(), v.tolist()))
@@ -247,6 +267,73 @@ def test_neighbor_rank_matches_searchsorted(request, which, dtype):
     want = [int(np.searchsorted(g.neighbors_of(a), b))
             for a, b in zip(v.tolist(), w.tolist())]
     assert neighbor_rank(g, v, w).tolist() == want
+
+
+def _home_slot_ref(key: int, size: int) -> int:
+    """Home slot of ``key`` in an edge index of ``size`` slots, from the
+    documented formula in Python integers."""
+    bits = size.bit_length() - 1
+    return (key * 0x9E3779B97F4A7C15 % 2**64) >> (64 - bits)
+
+
+def test_edge_index_probe_chain_wraps_around():
+    # A path over 0..199 fixes the internal ids (first appearance), so the
+    # keys of extra chords are known before loading; m stays in
+    # [128, 256), so the table has 2**10 slots.
+    n, size = 200, 1 << 10
+    path = [(i, i + 1) for i in range(n - 1)]
+    by_home = {}
+    for u in range(n):
+        for v in range(u + 2, n):
+            by_home.setdefault(_home_slot_ref(u * n + v, size), []).append((u, v))
+    last, first = by_home[size - 1], by_home[0]
+    assert len(last) >= 6 and len(first) >= 4
+    g = graph_from_edges(path + last[:3] + first[:2])
+    assert (g.n, g.m) == (n, n + 4)
+    assert g.original_ids.tolist() == list(range(n))
+    table = g.edge_index
+    assert table.size == size
+    slot_of = {int(k): s for s, k in enumerate(table.tolist()) if k != 2**64 - 1}
+    # One slot past the last is the first: at least two of the three keys
+    # homed at the last slot sit at the start of the table.
+    assert sum(slot_of[u * n + v] < 8 for u, v in last[:3]) >= 2
+    # Absent keys whose home slot another key holds walk the same chain.
+    absent = last[3:6] + first[2:4]
+    assert all(table[_home_slot_ref(u * n + v, size)] != 2**64 - 1 for u, v in absent)
+    eu, ev = g.edge_arrays
+    au = np.array([u for u, _ in absent])
+    av = np.array([v for _, v in absent])
+    us = np.concatenate([eu, ev, au, av])
+    vs = np.concatenate([ev, eu, av, au])
+    want = [True] * (2 * g.m) + [False] * (2 * len(absent))
+    assert has_edge_many(g, us, vs).tolist() == want
+
+
+def test_has_edge_many_self_pairs_and_empty_queries(five_tri):
+    v = np.arange(five_tri.n)
+    assert not has_edge_many(five_tri, v, v).any()
+    out = has_edge_many(five_tri, np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32))
+    assert out.dtype == bool and out.shape == (0,)
+
+
+def test_edge_index_is_cached_and_read_only():
+    g = graph_from_edges(er_edges(40, 0.2, 5))
+    table = g.edge_index
+    assert table is g.edge_index
+    assert table.dtype == np.uint64 and table.size == 1 << (g.m.bit_length() + 2)
+    assert sorted(table[table != 2**64 - 1].tolist()) == \
+        edge_key(*g.edge_arrays, g.n).tolist()
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 7
+
+
+def test_loading_and_metrics_do_not_build_the_edge_index():
+    g = graph_from_edges(er_edges(40, 0.2, 5))
+    compute_metrics(g)
+    assert "edge_index" not in vars(g)
+    has_edge_many(g, [0], [1])
+    assert "edge_index" in vars(g)
 
 
 def test_edge_arrays_are_canonical_and_sorted():
