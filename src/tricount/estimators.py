@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import Graph, _sorted_unique_mask, has_edge_many
+from .graph import Graph, _run_pairs, _sorted_unique_mask, has_edge_many
 from .rng import RandomSource
 
 # Sampled entities (edges for ews and es, wedges for ws) a batch of
@@ -182,32 +182,15 @@ def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray, trial: np.ndarray,
     key = key[order]
     other = np.concatenate([ev, eu])[order]
     del eu, ev, order
-    # Trial t owns ends first[t] .. first[t+1]-1. End q pairs with the
-    # later ends of its run, pairs bounds[q] .. bounds[q+1]-1 in the
-    # numbering of all pairs.
+    # Trial t owns ends first[t] .. first[t+1]-1.
     first = np.searchsorted(key, np.arange(trials + 1) * n)
-    starts = np.flatnonzero(_sorted_unique_mask(key))
+    pairs = _run_pairs(np.append(np.flatnonzero(_sorted_unique_mask(key)), other.size),
+                       max(_BATCH // 2, 1))
     del key
-    lengths = np.diff(starts, append=other.size)
-    fan = np.repeat(starts + lengths, lengths)
-    del starts, lengths
-    fan -= np.arange(1, other.size + 1)
-    bounds = np.zeros(other.size + 1, dtype=np.int64)
-    np.cumsum(fan, out=bounds[1:])
-    del fan
-    total = int(bounds[-1])
-    block = max(_BATCH // 2, 1)
-    for t0 in range(0, total, block):
-        t1 = min(t0 + block, total)
-        j0 = int(np.searchsorted(bounds, t0, side="right")) - 1
-        j1 = int(np.searchsorted(bounds, t1, side="left"))
-        fan = np.diff(np.clip(bounds[j0:j1 + 1], t0, t1))
-        a = np.repeat(np.arange(j0, j1), fan)
-        b = np.repeat(np.arange(j0 + 1, j1 + 1) - bounds[j0:j1], fan)
-        del fan
-        b += np.arange(t0, t1)
-        b = other[b]
-        hit = a[has_edge_many(g, other[a], b)]
+    total = 0
+    for a, b in pairs:
+        total += a.size
+        hit = a[has_edge_many(g, other[a], other[b])]
         closed += np.bincount(np.searchsorted(first, hit, side="right") - 1,
                               minlength=trials)
     return closed, total

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, edge_key
+from .graph import Graph, _run_pairs, edge_key
 
-# Oriented wedges checked per block of ``count_triangles_exact``. Each
-# wedge costs ~40 bytes of temporaries; at 2**17 a block stays in cache
-# and adds nothing to the peak memory of loading a million-edge graph.
-_WEDGE_BLOCK = 1 << 17
+# Out-edge pairs checked per block of ``count_triangles_exact``. Each
+# pair costs ~57 bytes of temporaries (tracemalloc), so a block holds
+# ~4 MB and adds nothing to the peak memory of loading a million-edge
+# graph.
+_WEDGE_BLOCK = 1 << 16
 
 METRICS_CSV_HEADER = "n,m,delta,lambda,C,tri_per_edge,phi_over_3delta,K_over_delta"
 
@@ -105,12 +106,14 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
 
     The forward algorithm in array form. Each edge is oriented from
     lower to higher rank under the (degree, id) total order, so a
-    triangle is found exactly once, as the oriented wedge ``u->v->w``
-    at its lowest-ranked vertex ``u`` whose closing edge ``u->w`` is
-    present. Oriented wedges are enumerated a fixed block at a time and
-    closed by one binary search over the sorted oriented-edge keys; T(e)
-    is tallied with ``np.bincount``. Time is O(m^1.5) on the graphs this
-    library targets; memory is O(m + block).
+    triangle is found exactly once, at its lowest-ranked vertex ``u``:
+    as the pair of out-edges ``u->v``, ``u->w`` whose heads are
+    adjacent. That makes sum over u of C(d+(u), 2) closure queries,
+    where d+(u) is the out-degree. The pairs are taken a fixed block at
+    a time; a block's closing keys are sorted, then found by one binary
+    search over the sorted canonical edge keys, and T(e) is tallied
+    with ``np.bincount``. Time is O(m^1.5) on the graphs this library
+    targets; memory is O(m + block).
     """
     n, m = g.n, g.m
     deg = g.degrees
@@ -124,48 +127,39 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     tail = np.where(up, eu, ev)
     head = np.where(up, ev, eu)
     del rank, up
-    okey = edge_key(tail, head, n)
-    canon = np.argsort(okey)
-    okey, tail, head = okey[canon], tail[canon], head[canon]
+    canon = np.argsort(edge_key(tail, head, n))
+    head = head[canon]
     out_off = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=n), out=out_off[1:])
+    del tail
 
-    # Oriented edge j carries the wedges tail[j]->head[j]->w, one per
-    # out-neighbour w of head[j], numbered bounds[j] .. bounds[j+1]-1.
-    # The out-list of head[j] is the run of oriented edges starting at
-    # out_off[head[j]], so each wedge's second edge is an index into
-    # the oriented edges too.
-    bounds = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(out_off[head + 1] - out_off[head], out=bounds[1:])
-    t_oriented = np.zeros(m, dtype=np.int64)
+    # A tail's heads ascend, so out-edges a < b of one tail close on
+    # the canonical edge head[a]--head[b].
+    ekey = edge_key(eu, ev, n)
+    t_counts = np.zeros(m, dtype=np.int64)
     pending: list[np.ndarray] = []
     npending = 0
     delta = 0
-    total = int(bounds[-1])
-    for t0 in range(0, total, _WEDGE_BLOCK):
-        t1 = min(t0 + _WEDGE_BLOCK, total)
-        j0 = int(np.searchsorted(bounds, t0, side="right")) - 1
-        j1 = int(np.searchsorted(bounds, t1, side="left"))
-        fan = np.diff(np.clip(bounds[j0:j1 + 1], t0, t1))
-        second = np.repeat(out_off[head[j0:j1]] - bounds[j0:j1], fan)
-        second += np.arange(t0, t1)
-        query = edge_key(np.repeat(tail[j0:j1], fan), head[second], n)
-        closing = np.searchsorted(okey, query)
+    for a, b in _run_pairs(out_off, _WEDGE_BLOCK):
+        query = edge_key(head[a], head[b], n)
+        order = np.argsort(query)
+        query = query[order]
+        closing = np.searchsorted(ekey, query)
         np.minimum(closing, m - 1, out=closing)
-        closed = np.flatnonzero(okey[closing] == query)
+        closed = ekey[closing] == query
         del query
-        if closed.size:
-            delta += int(closed.size)
-            first = np.searchsorted(bounds, closed + t0, side="right") - 1
-            pending += [first, second[closed], closing[closed]]
-            npending += 3 * closed.size
+        if closed.any():
+            hit = order[closed]
+            delta += int(hit.size)
+            pending += [canon[a[hit]], canon[b[hit]], closing[closed]]
+            npending += 3 * hit.size
         # Tally in batches of about m edge hits: one bincount per block
         # would cost O(m) each, one at the end O(triangles) memory.
-        if pending and (npending >= m or t1 == total):
-            t_oriented += np.bincount(np.concatenate(pending), minlength=m)
+        if npending >= m:
+            t_counts += np.bincount(np.concatenate(pending), minlength=m)
             pending, npending = [], 0
-    t_counts = np.empty(m, dtype=np.int64)
-    t_counts[canon] = t_oriented
+    if pending:
+        t_counts += np.bincount(np.concatenate(pending), minlength=m)
     t_counts.flags.writeable = False
     return delta, EdgeTriangleCounts(u=eu, v=ev, counts=t_counts)
 

@@ -318,6 +318,35 @@ def _sorted_unique_mask(x: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _run_pairs(offsets: np.ndarray, block: int):
+    """Every pair of positions ``a < b`` in the same run, in (a, b) order.
+
+    Run r holds the positions ``offsets[r] .. offsets[r+1]-1``, with
+    ``offsets[0] == 0``. Yields int64 arrays ``(a, b)`` of at most
+    ``block`` pairs at a time, so memory is O(positions + block).
+    """
+    # Position q pairs with the later positions of its run: pairs
+    # bounds[q] .. bounds[q+1]-1 in the numbering of all pairs. A caller
+    # that passes its only reference to ``offsets`` frees it here.
+    fan = np.repeat(offsets[1:], np.diff(offsets))
+    del offsets
+    fan -= np.arange(1, fan.size + 1)
+    bounds = np.zeros(fan.size + 1, dtype=np.int64)
+    np.cumsum(fan, out=bounds[1:])
+    del fan
+    total = int(bounds[-1])
+    for t0 in range(0, total, block):
+        t1 = min(t0 + block, total)
+        j0 = int(np.searchsorted(bounds, t0, side="right")) - 1
+        j1 = int(np.searchsorted(bounds, t1, side="left"))
+        fan = np.diff(np.clip(bounds[j0:j1 + 1], t0, t1))
+        a = np.repeat(np.arange(j0, j1), fan)
+        b = np.repeat(np.arange(j0 + 1, j1 + 1) - bounds[j0:j1], fan)
+        del fan
+        b += np.arange(t0, t1)
+        yield a, b
+
+
 def _build(pairs: np.ndarray) -> Graph:
     if pairs.size == 0:
         raise EmptyGraphError("edge list contains no edges")

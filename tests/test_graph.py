@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from tricount import (EmptyGraphError, GraphFormatError, compute_metrics,
                       has_edge_many, load_edge_list)
+from tricount import exact
 from tricount.graph import (_lower_bound, _parse_pairs, _parse_pairs_slow,
-                            edge_key, neighbor_rank)
+                            _run_pairs, edge_key, neighbor_rank)
 from helpers import (complete_edges, er_edges, graph_from_edges,
                      graph_from_text, path_edges, powerlaw_edges, star_edges)
 from oracles import clean_edges
@@ -358,3 +360,20 @@ def test_edge_key_round_trips_and_orders_at_the_vertex_limit():
     assert np.all(key[1:] > key[:-1])
     back_u, back_v = np.divmod(key, np.uint64(n))
     assert back_u.tolist() == u.tolist() and back_v.tolist() == v.tolist()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lengths=st.lists(st.one_of(st.integers(0, 1), st.integers(2, 40)),
+                        max_size=10),
+       block=st.sampled_from([1, 7, exact._WEDGE_BLOCK]))
+@example(lengths=[], block=1)
+@example(lengths=[0, 1, 0, 1], block=7)
+def test_run_pairs_are_the_combinations_of_each_run(lengths, block):
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    want = [pair for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())
+            for pair in itertools.combinations(range(a, b), 2)]
+    blocks = list(_run_pairs(offsets, block))
+    assert all(0 < a.size <= block and a.size == b.size for a, b in blocks)
+    got = [(int(a), int(b)) for pa, pb in blocks for a, b in zip(pa, pb)]
+    assert got == want
