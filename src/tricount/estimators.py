@@ -190,7 +190,9 @@ def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray, trial: np.ndarray,
     total = 0
     for a, b in pairs:
         total += a.size
-        hit = a[has_edge_many(g, other[a], other[b])]
+        b = other[b]
+        hit = a[has_edge_many(g, other[a], b)]
+        del a, b  # before the next block is built
         closed += np.bincount(np.searchsorted(first, hit, side="right") - 1,
                               minlength=trials)
     return closed, total

@@ -218,7 +218,7 @@ def load_edge_list(source: str | Path | BinaryIO) -> Graph:
     """Parse an edge-list byte stream into a :class:`Graph`.
 
     Lines beginning with ``#`` are comments; blank lines are ignored;
-    every other line must hold exactly two non-negative integer tokens.
+    every other line must hold exactly two ids, each a run of ASCII digits.
     Self-loops are dropped, parallel/reverse duplicates collapse to one
     undirected edge, and source ids are remapped densely to ``[0, n)``
     in order of first appearance.
@@ -240,13 +240,16 @@ def load_edge_list(source: str | Path | BinaryIO) -> Graph:
 def _parse_pairs(data: bytes) -> np.ndarray:
     # Fast path: numpy's C parser. Falls back to a line-by-line scan to
     # produce an error message with the offending line number, and to
-    # reject inline '#' (only whole-line comments are allowed). Tokens
-    # are split at ASCII whitespace only; numpy's parser also splits at
-    # \x1c-\x1f and at non-ASCII spaces, so input holding such bytes
-    # takes the line scan too.
-    strict = (data.isascii() and not any(b in data for b in b"\x1c\x1d\x1e\x1f")
+    # reject inline '#' (only whole-line comments are allowed). Ids are
+    # ASCII digits split at ASCII whitespace; numpy's parser also splits
+    # at \x1c-\x1f and at non-ASCII spaces, and reads +7 and -0 as ids
+    # (it rejects 1_000 today; '_' is guarded in case a version does
+    # not). So input that is not ASCII, or that holds one of those bytes
+    # or a '-' outside comment lines, takes the line scan too.
+    strict = (data.isascii()
               and all(pos == 0 or data[pos - 1:pos] == b"\n"
-                      for pos in _hash_positions(data)))
+                      for pos in _hash_positions(data))
+              and not any(_outside_comments(data, b) for b in b"\x1c\x1d\x1e\x1f_+-"))
     if strict:
         try:
             with warnings.catch_warnings():
@@ -267,6 +270,17 @@ def _hash_positions(data: bytes):
         pos = data.find(b"#", pos + 1)
 
 
+def _outside_comments(data: bytes, byte: int) -> bool:
+    """Whether ``byte`` occurs in ``data`` on a line not starting with '#'."""
+    pos = data.find(byte)
+    while pos != -1:
+        if not data.startswith(b"#", data.rfind(b"\n", 0, pos) + 1):
+            return True
+        end = data.find(b"\n", pos)
+        pos = -1 if end == -1 else data.find(byte, end)
+    return False
+
+
 def _parse_pairs_slow(data: bytes) -> np.ndarray:
     us: list[int] = []
     vs: list[int] = []
@@ -280,14 +294,13 @@ def _parse_pairs_slow(data: bytes) -> np.ndarray:
         if len(tokens) != 2:
             raise GraphFormatError(
                 f"line {lineno}: expected two integer tokens, got {len(tokens)}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
+        if not (tokens[0].isdigit() and tokens[1].isdigit()):
             raise GraphFormatError(
-                f"line {lineno}: non-integer token in {line.decode(errors='replace')!r}"
-            ) from None
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"line {lineno}: negative vertex id")
+                f"line {lineno}: vertex ids must be decimal digits only, got "
+                f"{line.decode(errors='replace')!r}")
+        # int() refuses more than 4,300 digits, leading zeros included.
+        sig = [t.lstrip(b"0") or b"0" for t in tokens]
+        u, v = (int(t) if len(t) <= 20 else 2**64 for t in sig)
         if u >= 2**64 or v >= 2**64:
             raise GraphFormatError(f"line {lineno}: vertex id exceeds 64 bits")
         us.append(u)
@@ -336,15 +349,21 @@ def _run_pairs(offsets: np.ndarray, block: int):
     del fan
     total = int(bounds[-1])
     for t0 in range(0, total, block):
-        t1 = min(t0 + block, total)
-        j0 = int(np.searchsorted(bounds, t0, side="right")) - 1
-        j1 = int(np.searchsorted(bounds, t1, side="left"))
-        fan = np.diff(np.clip(bounds[j0:j1 + 1], t0, t1))
-        a = np.repeat(np.arange(j0, j1), fan)
-        b = np.repeat(np.arange(j0 + 1, j1 + 1) - bounds[j0:j1], fan)
-        del fan
-        b += np.arange(t0, t1)
-        yield a, b
+        # Built by a helper, so this frame holds no reference to a block
+        # while the caller works on it.
+        yield _pair_block(bounds, t0, min(t0 + block, total))
+
+
+def _pair_block(bounds: np.ndarray, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs ``t0 .. t1-1`` of ``_run_pairs``, as its ``(a, b)`` arrays."""
+    j0 = int(np.searchsorted(bounds, t0, side="right")) - 1
+    j1 = int(np.searchsorted(bounds, t1, side="left"))
+    fan = np.diff(np.clip(bounds[j0:j1 + 1], t0, t1))
+    a = np.repeat(np.arange(j0, j1), fan)
+    b = np.repeat(np.arange(j0 + 1, j1 + 1) - bounds[j0:j1], fan)
+    del fan
+    b += np.arange(t0, t1)
+    return a, b
 
 
 def _build(pairs: np.ndarray) -> Graph:

@@ -49,16 +49,14 @@ def test_forward_matches_brute_force(seed, density):
     assert int(per_edge.counts.sum()) == 3 * delta
 
 
-@pytest.mark.parametrize("block", [1, 7])
-@pytest.mark.parametrize("edges", [
+_BLOCK_GRAPHS = [
     er_edges(30, 0.3, 21), er_edges(45, 0.2, 22), er_edges(20, 0.7, 23),
     complete_edges(6), FIVE_TRIANGLE_EDGES,
     star_edges(6), path_edges(5), [(4, 9)],
-])
-def test_per_edge_counts_across_wedge_blocks(monkeypatch, block, edges):
-    # Tiny blocks split one edge's wedges over several blocks; the star,
-    # the path and the single edge have no oriented wedges at all.
-    monkeypatch.setattr(exact, "_WEDGE_BLOCK", block)
+]
+
+
+def _assert_oracle_counts(edges):
     g = graph_from_edges(edges)
     delta, per_edge = count_triangles_exact(g)
     ids = g.original_ids
@@ -66,6 +64,31 @@ def test_per_edge_counts_across_wedge_blocks(monkeypatch, block, edges):
            for a, b, t in zip(per_edge.u, per_edge.v, per_edge.counts)}
     assert got == edge_triangle_counts(edges)
     assert delta == len(triangles_by_triples(edges))
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("edges", _BLOCK_GRAPHS)
+def test_per_edge_counts_across_wedge_blocks(monkeypatch, block, edges):
+    # Tiny blocks split one edge's wedges over several blocks; the star,
+    # the path and the single edge have no oriented wedges at all.
+    monkeypatch.setattr(exact, "_WEDGE_BLOCK", block)
+    _assert_oracle_counts(edges)
+
+
+@pytest.mark.parametrize("slots", [
+    pytest.param(lambda m: 1, id="one-slot"),
+    # At most m slots: most slots hold an edge, so many non-edges pass
+    # the filter and only the search rejects them; others are dropped.
+    pytest.param(lambda m: 1 << (m.bit_length() - 1), id="shared-slots"),
+    # 256 to 512 slots per edge: nearly every edge has a slot of its own,
+    # so an edge whose slot went unmarked would lose its triangles.
+    pytest.param(lambda m: 1 << (m.bit_length() + 8), id="sparse-slots"),
+])
+@pytest.mark.parametrize("edges", _BLOCK_GRAPHS)
+def test_non_edge_filter_changes_no_count(monkeypatch, slots, edges):
+    monkeypatch.setattr(exact, "_filter_slots", slots)
+    monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
+    _assert_oracle_counts(edges)
 
 
 def test_wedge_count_examples(k3, k4, five_tri):

@@ -1,5 +1,6 @@
 import io
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from tricount import (EmptyGraphError, GraphFormatError, compute_metrics,
                       has_edge_many, load_edge_list)
-from tricount import exact
+from tricount import exact, graph
 from tricount.graph import (_lower_bound, _parse_pairs, _parse_pairs_slow,
                             _run_pairs, edge_key, neighbor_rank)
 from helpers import (complete_edges, er_edges, graph_from_edges,
@@ -50,6 +51,40 @@ def test_load_non_integer_reports_line():
 def test_load_negative_id_rejected():
     with pytest.raises(GraphFormatError, match="line 1"):
         graph_from_text("-1 2\n")
+
+
+@pytest.mark.parametrize("text", ["1_000 2\n", "0 1\n+7 2\n", "0 1\n1 -0\n",
+                                  "0 \u0663\n"])
+def test_load_non_digit_ids_rejected(text):
+    # numpy's parser takes +7 and -0, Python's int() 1_000; ids are digits only.
+    line = text.count("\n")
+    with pytest.raises(GraphFormatError, match=f"line {line}"):
+        graph_from_text(text)
+    with pytest.raises(GraphFormatError, match=f"line {line}"):
+        _parse_pairs_slow(text.encode())
+
+
+def test_comment_lines_keep_the_fast_path(monkeypatch):
+    # A header such as "# gen_graph.py, 2010-04-01" must not send a
+    # million-line file to the line scan, which is ~10x slower.
+    def line_scan(data):
+        raise AssertionError("took the line scan")
+
+    monkeypatch.setattr(graph, "_parse_pairs_slow", line_scan)
+    data = b"# gen_graph.py +1, 2010-04-01\x1c\n0 1\n#-0\n1 2"
+    assert _parse_pairs(data).tolist() == [[0, 1], [1, 2]]
+    with pytest.raises(AssertionError, match="line scan"):
+        _parse_pairs(b"# a+b\n0 1\n+1 2\n")
+
+
+def test_load_ids_longer_than_int_converts():
+    # Python's int() takes at most 4,300 digits; numpy's parser takes
+    # leading zeros of any length, and so must the line scan.
+    padded = b"0 1\n" + b"0" * 5000 + b"1 2\n"
+    assert _parse_pairs(padded).tolist() == _parse_pairs_slow(padded).tolist() \
+        == [[0, 1], [1, 2]]
+    with pytest.raises(GraphFormatError, match="line 2: vertex id exceeds 64 bits"):
+        graph_from_text("0 1\n" + "1" * 5000 + " 2\n")
 
 
 def test_load_full_64_bit_ids():
@@ -377,3 +412,12 @@ def test_run_pairs_are_the_combinations_of_each_run(lengths, block):
     assert all(0 < a.size <= block and a.size == b.size for a, b in blocks)
     got = [(int(a), int(b)) for pa, pb in blocks for a, b in zip(pa, pb)]
     assert got == want
+
+
+def test_run_pairs_keeps_no_reference_to_a_yielded_block():
+    pairs = _run_pairs(np.array([0, 5, 9], dtype=np.int64), 4)
+    a, b = next(pairs)
+    gone = weakref.ref(b)
+    del a, b
+    assert gone() is None
+    assert next(pairs)[0].size == 4  # the generator was only suspended
