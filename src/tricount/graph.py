@@ -4,15 +4,17 @@ Graphs are built from whitespace-separated edge lists (SNAP style:
 ``#``-prefixed comment lines, two integer tokens per line). Loading
 drops self-loops, collapses parallel edges, symmetrizes direction, and
 remaps the source ids densely to ``[0, n)`` in order of first
-appearance. Neighbor lists are stored sorted. Edge membership is one
-lookup in a hash set of the canonical edge keys, which a graph builds
-on its first membership query.
+appearance, in a few passes: numpy's text parser reads the input in
+blocks of whole lines, each checked byte by byte first (a line scan
+takes input that fails the check, and reports its errors); one sort of
+the ids gives the remap; one sort of the edge keys of both directions
+gives the sorted neighbor lists. Edge membership is one lookup in a
+hash set of the canonical edge keys, which a graph builds on its first
+membership query.
 """
 
 from __future__ import annotations
 
-import io
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -233,52 +235,82 @@ def load_edge_list(source: str | Path | BinaryIO) -> Graph:
         data = source.read()
         if isinstance(data, str):  # tolerate text-mode file objects
             data = data.encode()
-    pairs = _parse_pairs(data)
-    return _build(pairs)
+    ids = _parse_pairs(data).reshape(-1)  # u0, v0, u1, v1, ...
+    del data
+    if ids.size == 0:
+        raise EmptyGraphError("edge list contains no edges")
+    original_ids = _remap(ids)
+    key = _canonical_keys(ids, original_ids.shape[0])
+    del ids
+    return _build(key, original_ids)
+
+
+# Bytes per block of the fast parser; a block runs on to the end of the
+# line this many bytes in.
+_PARSE_BLOCK = 1 << 20
 
 
 def _parse_pairs(data: bytes) -> np.ndarray:
-    # Fast path: numpy's C parser. Falls back to a line-by-line scan to
-    # produce an error message with the offending line number, and to
-    # reject inline '#' (only whole-line comments are allowed). Ids are
-    # ASCII digits split at ASCII whitespace; numpy's parser also splits
-    # at \x1c-\x1f and at non-ASCII spaces, and reads +7 and -0 as ids
-    # (it rejects 1_000 today; '_' is guarded in case a version does
-    # not). So input that is not ASCII, or that holds one of those bytes
-    # or a '-' outside comment lines, takes the line scan too.
-    strict = (data.isascii()
-              and all(pos == 0 or data[pos - 1:pos] == b"\n"
-                      for pos in _hash_positions(data))
-              and not any(_outside_comments(data, b) for b in b"\x1c\x1d\x1e\x1f_+-"))
-    if strict:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # empty input warns; slow path decides
-                arr = np.loadtxt(io.BytesIO(data), dtype=np.int64,
-                                 comments="#", ndmin=2)
-        except ValueError:
-            arr = None
-        if arr is not None and arr.shape[1] == 2 and (arr.size == 0 or arr.min() >= 0):
-            return arr
-    return _parse_pairs_slow(data)
+    # Fast path: numpy's text parser, one block of whole lines at a time,
+    # into one array sized for two ids per line. A block that fails the
+    # checks of _checked_block, or whose values do not match its digit
+    # runs one to one and stay below 10**18 (numpy's parser saturates at
+    # 2**63 - 1), sends the input to the line scan: the only path that
+    # reports errors, and the only one that reads ids of 10**18 and up.
+    lines = np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1
+    out = np.empty(2 * lines, dtype=np.int64)
+    size = start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _PARSE_BLOCK - 1)
+        end = len(data) if end == -1 else end + 1
+        checked = _checked_block(data[start:end])
+        start = end
+        if checked is None:
+            return _parse_pairs_slow(data)
+        block, count = checked
+        if count == 0:
+            continue  # np.fromstring reads a blank block as [0]
+        values = np.fromstring(block, dtype=np.int64, sep=" ")
+        if values.size != count or values.max() >= 10**18:
+            return _parse_pairs_slow(data)
+        out[size:size + count] = values
+        size += count
+    return out[:size].reshape(-1, 2)
 
 
-def _hash_positions(data: bytes):
-    pos = data.find(b"#")
-    while pos != -1:
-        yield pos
-        pos = data.find(b"#", pos + 1)
+def _checked_block(block: bytes) -> tuple[bytes, int] | None:
+    """A block of whole lines with its comment lines blanked, and its
+    count of digit runs; None if the line scan must read it.
 
-
-def _outside_comments(data: bytes, byte: int) -> bool:
-    """Whether ``byte`` occurs in ``data`` on a line not starting with '#'."""
-    pos = data.find(byte)
-    while pos != -1:
-        if not data.startswith(b"#", data.rfind(b"\n", 0, pos) + 1):
-            return True
-        end = data.find(b"\n", pos)
-        pos = -1 if end == -1 else data.find(byte, end)
-    return False
+    A comment line is one whose first byte is ``#``, and it is not
+    checked. Every other byte must be an ASCII digit or ASCII whitespace,
+    and every line must hold 0 or 2 runs of digits. Those are the lines
+    the line scan accepts, but for ids of 2**64 and up, which the caller
+    catches by value.
+    """
+    a = np.frombuffer(block, dtype=np.uint8)
+    starts = np.flatnonzero(a[:-1] == ord("\n"))
+    starts = np.concatenate(([0], starts + 1))  # line starts
+    if b"#" in block:
+        comment = a[starts] == ord("#")
+        if comment.any():
+            # Newlines too: the line starts are already taken.
+            a = a.copy()
+            a[np.repeat(comment, np.diff(starts, append=a.size))] = ord(" ")
+            block = a.tobytes()
+    if block.translate(None, b"0123456789 \t\n\v\f\r"):
+        return None  # a byte other than an ASCII digit or ASCII whitespace
+    digit = a - np.uint8(ord("0")) < 10
+    runs = np.empty_like(digit)  # the first digit of each run
+    runs[:1] = digit[:1]
+    np.greater(digit[1:], digit[:-1], out=runs[1:])
+    # One byte per count, as a wider dtype would copy ``runs`` into it
+    # first. Counts wrap at 256 runs in a line; the total then falls short
+    # of the values np.fromstring reads, and the line scan takes over.
+    per_line = np.add.reduceat(runs.view(np.uint8), starts, dtype=np.uint8)
+    if ((per_line | 2) != 2).any():  # a line with other than 0 or 2 runs
+        return None
+    return block, int(per_line.sum())
 
 
 def _parse_pairs_slow(data: bytes) -> np.ndarray:
@@ -366,53 +398,63 @@ def _pair_block(bounds: np.ndarray, t0: int, t1: int) -> tuple[np.ndarray, np.nd
     return a, b
 
 
-def _build(pairs: np.ndarray) -> Graph:
-    if pairs.size == 0:
-        raise EmptyGraphError("edge list contains no edges")
+def _remap(ids: np.ndarray) -> np.ndarray:
+    """Overwrite the 1-D ``ids`` with dense ids in ``[0, n)``, numbered in
+    order of first appearance, and return the source id of each.
 
-    # Dense remap in order of first appearance (row-major over the pairs):
-    # sort the ids once, take each distinct id's smallest position, and
-    # rank the distinct ids by that position.
-    flat = pairs.reshape(-1)
-    order = np.argsort(flat)
-    ids = flat[order]
-    new = _sorted_unique_mask(ids)
-    first_pos = np.minimum.reduceat(order, np.flatnonzero(new))
-    appearance = np.argsort(first_pos)
-    del first_pos
-    original_ids = ids[new][appearance]
-    del ids
+    Sorts the ids once; each distinct id's first position is the
+    smallest position in its run of the sort, which need not come first
+    in the run, as the sort is not stable.
+    """
+    order = np.argsort(ids)
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(_sorted_unique_mask(sorted_ids))
+    appearance = np.argsort(np.minimum.reduceat(order, starts))
+    original_ids = sorted_ids[starts[appearance]]
+    del sorted_ids
     n = int(original_ids.shape[0])
     if n >= 2**32:
         raise GraphFormatError("more than 2**32 distinct vertex ids")
     rank = np.empty(n, dtype=np.int64)
     rank[appearance] = np.arange(n)
     del appearance
-    codes = np.empty(order.shape[0], dtype=np.int64)
-    codes[order] = rank[np.cumsum(new) - 1]
-    del order, new, rank
-    codes = codes.reshape(-1, 2)
+    ids[order] = np.repeat(rank, np.diff(starts, append=ids.size))
+    return original_ids
 
-    u, v = codes[:, 0], codes[:, 1]
-    keep = u != v
-    u, v = u[keep], v[keep]
-    del codes, keep
-    if u.size == 0:
+
+def _canonical_keys(ids: np.ndarray, n: int) -> np.ndarray:
+    """Sorted distinct ``edge_key(u, v, n)``, u < v, of the dense id pairs
+    ``ids[0::2], ids[1::2]``, self-loops dropped."""
+    u, v = ids[0::2], ids[1::2]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keep = lo != hi
+    key = edge_key(lo, hi, n)
+    del lo, hi
+    key = key[keep]
+    if key.size == 0:
         raise EmptyGraphError("no edges survive self-loop removal")
-    key = np.sort(edge_key(np.minimum(u, v), np.maximum(u, v), n))
-    del u, v
-    key = key[_sorted_unique_mask(key)]  # sorted canonical (u, v) keys
-    eu, ev = np.divmod(key, np.uint64(n))
-    del key
-    m = int(eu.shape[0])
+    key.sort()
+    return key[_sorted_unique_mask(key)]
 
+
+def _build(key: np.ndarray, original_ids: np.ndarray) -> Graph:
+    """CSR graph of the sorted canonical edge keys.
+
+    The keys of both edge directions, ``src * n + dst``, sorted together
+    sort by (src, dst); modulo n they are the neighbor lists.
+    """
+    n = int(original_ids.shape[0])
+    m = int(key.shape[0])
+    eu, ev = np.divmod(key, np.uint64(n))
+    both = np.concatenate([key, edge_key(ev, eu, n)])
+    both.sort()
+    np.remainder(both, np.uint64(n), out=both)
     idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    src = np.concatenate([eu, ev]).astype(idx_dtype)
-    dst = np.concatenate([ev, eu]).astype(idx_dtype)
-    del eu, ev
-    neighbors = dst[np.argsort(edge_key(src, dst, n))]
-    del dst
-    degrees = np.bincount(src, minlength=n)
+    neighbors = both.astype(idx_dtype)
+    del both
+    # Ids are below 2**32, so the int64 views read the same values.
+    degrees = np.bincount(eu.view(np.int64), minlength=n)
+    degrees += np.bincount(ev.view(np.int64), minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
 

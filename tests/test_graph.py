@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,8 +13,8 @@ from tricount import (EmptyGraphError, GraphFormatError, compute_metrics,
 from tricount import exact, graph
 from tricount.graph import (_lower_bound, _parse_pairs, _parse_pairs_slow,
                             _run_pairs, edge_key, neighbor_rank)
-from helpers import (complete_edges, er_edges, graph_from_edges,
-                     graph_from_text, path_edges, powerlaw_edges, star_edges)
+from helpers import (complete_edges, er_edges, graph_from_edges, graph_from_text,
+                     graph_text, path_edges, powerlaw_edges, star_edges)
 from oracles import clean_edges
 
 
@@ -36,6 +37,34 @@ def test_load_remaps_by_first_appearance():
 def test_load_comments_blank_lines_and_tabs():
     g = graph_from_text("# header\n\n0\t1\n# mid\n1\t2\n\n")
     assert (g.n, g.m) == (3, 2)
+
+
+def test_load_remaps_by_first_appearance_far_apart():
+    # The remap's sort is not stable, so an id's first position need not
+    # come first among its equal ids in the sort.
+    rng = np.random.default_rng(7)
+    edges = (rng.integers(0, 40, size=(3_000, 2)) * 1_000 + 5).tolist()
+    g = graph_from_edges(edges)
+    assert g.original_ids.tolist() == list(dict.fromkeys(itertools.chain(*edges)))
+    eu, ev = (g.original_ids[x].tolist() for x in g.edge_arrays)
+    assert sorted(map(tuple, map(sorted, zip(eu, ev)))) == clean_edges(edges)
+
+
+def test_load_releases_its_parse_temporaries(tmp_path):
+    # The input bytes and the parsed pairs are dropped before the CSR
+    # build. The peak reads ~7.3 bytes per input byte here; holding the
+    # bytes to the end reads ~8.3, the pairs ~8.4, and the np.loadtxt
+    # loader, which held both, ~12.
+    u, v = powerlaw_edges(8675309, n=3_000, raw=14_000, m=10_000)
+    path = tmp_path / "powerlaw10k.txt"
+    path.write_text(graph_text(zip(u.tolist(), v.tolist())))
+    tracemalloc.start()
+    try:
+        load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * path.stat().st_size
 
 
 def test_load_wrong_arity_reports_line():
@@ -75,6 +104,46 @@ def test_comment_lines_keep_the_fast_path(monkeypatch):
     assert _parse_pairs(data).tolist() == [[0, 1], [1, 2]]
     with pytest.raises(AssertionError, match="line scan"):
         _parse_pairs(b"# a+b\n0 1\n+1 2\n")
+
+
+def _no_line_scan(data):
+    raise AssertionError("took the line scan")
+
+
+def test_non_ascii_comment_lines_keep_the_fast_path(monkeypatch):
+    # A header such as "# Zürich road network" sent a million-line file
+    # to the line scan, ~10x slower, while the fast path checked the whole
+    # input for ASCII.
+    monkeypatch.setattr(graph, "_parse_pairs_slow", _no_line_scan)
+    data = "# Zürich road network\n0 1\n#\u00a0\u0663 7\n1 2\n".encode() + b"#\xff\n"
+    assert _parse_pairs(data).tolist() == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("data, want", [
+    (b"\n\n", []),  # np.fromstring reads a blank block as [0]
+    (b"0 1\n\n \t\n2 3\n", [[0, 1], [2, 3]]),
+    (b"0 1\n# 5 6 7, a comment\n#\n2 3\n", [[0, 1], [2, 3]]),
+    (b"0 1\n2 3", [[0, 1], [2, 3]]),
+    (b"0 1\r\n2 3\r\n", [[0, 1], [2, 3]]),
+    (b"999999999999999999 0\n", [[10**18 - 1, 0]]),  # the largest fast id
+])
+def test_parser_block_edges_keep_the_fast_path(monkeypatch, data, want):
+    monkeypatch.setattr(graph, "_parse_pairs_slow", _no_line_scan)
+    for block in range(1, len(data) + 2):
+        monkeypatch.setattr(graph, "_PARSE_BLOCK", block)
+        assert _parse_pairs(data).tolist() == want
+
+
+@pytest.mark.parametrize("last, message", [
+    (b"5 x\n", "line 22: vertex ids must be decimal digits only"),
+    (b"5 6 7", "line 22: expected two integer tokens, got 3"),
+    (b" ".join(b"%d" % i for i in range(258)), "line 22: expected two integer tokens, got 258"),
+])
+def test_parser_bad_line_in_the_last_block_reports_its_line(monkeypatch, last, message):
+    # 258 ids on a line: 2 runs once the per-line count wraps at 256.
+    monkeypatch.setattr(graph, "_PARSE_BLOCK", 8)
+    with pytest.raises(GraphFormatError, match=message):
+        _parse_pairs(b"0 1\n" * 20 + b"# note\n" + last)
 
 
 def test_load_ids_longer_than_int_converts():
@@ -123,6 +192,24 @@ def test_parser_fast_path_agrees_with_line_scan(lines):
     except GraphFormatError:
         return  # only the line scan raises, so both paths reject it alike
     assert _parse_pairs_slow(data).tolist() == pairs.tolist()
+
+
+def _parsed_or_error(parse, data):
+    try:
+        return parse(data).tolist()
+    except GraphFormatError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lines=_PARSER_LINES)
+def test_parser_blocks_agree_with_line_scan(block, lines):
+    data = b"".join(lead + gap.join(tokens) + end for lead, tokens, gap, end in lines)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_PARSE_BLOCK", block)
+        got = _parsed_or_error(_parse_pairs, data)
+    assert got == _parsed_or_error(_parse_pairs_slow, data)
 
 
 def test_load_inline_comment_rejected():
