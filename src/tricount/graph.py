@@ -6,11 +6,11 @@ drops self-loops, collapses parallel edges, symmetrizes direction, and
 remaps the source ids densely to ``[0, n)`` in order of first
 appearance, in a few passes: numpy's text parser reads the input in
 blocks of whole lines, each checked byte by byte first (a line scan
-takes input that fails the check, and reports its errors); one sort of
-the ids gives the remap; one sort of the edge keys of both directions
-gives the sorted neighbor lists. Edge membership is one lookup in a
-hash set of the canonical edge keys, which a graph builds on its first
-membership query.
+reads each block that fails the check, and reports its errors); one
+sort of the ids gives the remap; one sort of the edge keys of both
+directions gives the sorted neighbor lists. Edge membership is one
+lookup in a hash set of the canonical edge keys, which a graph builds
+on its first membership query.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ import numpy as np
 _EMPTY = np.uint64(2**64 - 1)
 # Fibonacci hashing: a key's home slot is the top bits of key * _GOLDEN.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# Most edges a graph may have. With n < 2**32 an edge's position and a
+# vertex id pack into one uint64 (``exact._packed_order`` relies on it).
+_MAX_EDGES = 2**32
 
 
 class GraphFormatError(ValueError):
@@ -43,8 +46,8 @@ class Graph:
     """Undirected simple graph in compressed adjacency form.
 
     Attributes:
-        n: number of vertices (dense internal ids 0..n-1).
-        m: number of undirected edges after cleaning.
+        n: number of vertices (dense internal ids 0..n-1), below 2**32.
+        m: number of undirected edges after cleaning, at most 2**32.
         offsets: per-vertex index into ``neighbors``, length n+1.
         neighbors: concatenated sorted neighbor lists, length 2m.
         original_ids: internal id -> id used in the source file.
@@ -223,10 +226,12 @@ def load_edge_list(source: str | Path | BinaryIO) -> Graph:
     every other line must hold exactly two ids, each a run of ASCII digits.
     Self-loops are dropped, parallel/reverse duplicates collapse to one
     undirected edge, and source ids are remapped densely to ``[0, n)``
-    in order of first appearance.
+    in order of first appearance. The graph may have fewer than 2**32
+    vertices and at most 2**32 edges.
 
     Raises:
-        GraphFormatError: malformed line (with its 1-based line number).
+        GraphFormatError: malformed line (with its 1-based line number),
+            or a graph over the vertex or edge limit.
         EmptyGraphError: no edges survive cleaning.
     """
     if isinstance(source, (str, Path)):
@@ -240,8 +245,12 @@ def load_edge_list(source: str | Path | BinaryIO) -> Graph:
     if ids.size == 0:
         raise EmptyGraphError("edge list contains no edges")
     original_ids = _remap(ids)
+    if original_ids.shape[0] >= 2**32:
+        raise GraphFormatError("more than 2**32 distinct vertex ids")
     key = _canonical_keys(ids, original_ids.shape[0])
     del ids
+    if key.shape[0] > _MAX_EDGES:
+        raise GraphFormatError(f"more than {_MAX_EDGES} distinct edges")
     return _build(key, original_ids)
 
 
@@ -255,26 +264,32 @@ def _parse_pairs(data: bytes) -> np.ndarray:
     # into one array sized for two ids per line. A block that fails the
     # checks of _checked_block, or whose values do not match its digit
     # runs one to one and stay below 10**18 (numpy's parser saturates at
-    # 2**63 - 1), sends the input to the line scan: the only path that
+    # 2**63 - 1), is read by the line scan instead: the only path that
     # reports errors, and the only one that reads ids of 10**18 and up.
+    # Ids of 2**63 and up turn the output uint64.
     lines = np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1
     out = np.empty(2 * lines, dtype=np.int64)
     size = start = 0
+    line, counted = 1, 0  # the line number at byte ``counted``
     while start < len(data):
         end = data.find(b"\n", start + _PARSE_BLOCK - 1)
         end = len(data) if end == -1 else end + 1
-        checked = _checked_block(data[start:end])
-        start = end
+        block, begin, start = data[start:end], start, end
+        checked = _checked_block(block)
         if checked is None:
-            return _parse_pairs_slow(data)
-        block, count = checked
-        if count == 0:
+            values = None
+        elif checked[1] == 0:
             continue  # np.fromstring reads a blank block as [0]
-        values = np.fromstring(block, dtype=np.int64, sep=" ")
-        if values.size != count or values.max() >= 10**18:
-            return _parse_pairs_slow(data)
-        out[size:size + count] = values
-        size += count
+        else:
+            values = np.fromstring(checked[0], dtype=np.int64, sep=" ")
+        if values is None or values.size != checked[1] or values.max() >= 10**18:
+            line += data.count(b"\n", counted, begin)
+            counted = begin
+            values = _parse_pairs_slow(block, line).reshape(-1)
+            if values.dtype == np.uint64:
+                out = out.view(np.uint64)  # the ids so far are below 2**63
+        out[size:size + values.size] = values
+        size += values.size
     return out[:size].reshape(-1, 2)
 
 
@@ -313,10 +328,12 @@ def _checked_block(block: bytes) -> tuple[bytes, int] | None:
     return block, int(per_line.sum())
 
 
-def _parse_pairs_slow(data: bytes) -> np.ndarray:
+def _parse_pairs_slow(data: bytes, first_line: int = 1) -> np.ndarray:
+    """The line scan: every id pair of ``data``, int64, or uint64 if an id
+    is 2**63 or above. Errors name lines from ``first_line`` on."""
     us: list[int] = []
     vs: list[int] = []
-    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+    for lineno, raw in enumerate(data.split(b"\n"), start=first_line):
         line = raw.strip()
         if not line:
             continue
@@ -413,8 +430,6 @@ def _remap(ids: np.ndarray) -> np.ndarray:
     original_ids = sorted_ids[starts[appearance]]
     del sorted_ids
     n = int(original_ids.shape[0])
-    if n >= 2**32:
-        raise GraphFormatError("more than 2**32 distinct vertex ids")
     rank = np.empty(n, dtype=np.int64)
     rank[appearance] = np.arange(n)
     del appearance

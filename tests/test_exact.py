@@ -1,11 +1,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tricount import (brute_force_triangles, compute_metrics,
                       count_triangles_exact, exact, wedge_count)
 from tricount.exact import METRICS_CSV_HEADER
+from tricount.graph import edge_key
 from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
                      graph_from_edges, path_edges, star_edges)
 from oracles import (edge_triangle_counts, phi_by_triangle_enumeration,
@@ -89,6 +93,72 @@ def test_non_edge_filter_changes_no_count(monkeypatch, slots, edges):
     monkeypatch.setattr(exact, "_filter_slots", slots)
     monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
     _assert_oracle_counts(edges)
+
+
+def _assert_orientation_is_the_argsort(edges):
+    # The orientation by rank under the (degree, id) order, built here
+    # from a lexsort. Sorting the tails alone must give the permutation
+    # that an argsort of the (tail, head) keys gives.
+    g = graph_from_edges(edges)
+    eu, ev = g.edge_arrays
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[np.lexsort((np.arange(g.n), g.degrees))] = np.arange(g.n)
+    up = rank[eu] < rank[ev]
+    tail, head = np.where(up, eu, ev), np.where(up, ev, eu)
+    want = np.argsort(edge_key(tail, head, g.n))
+    canon, out_head, out_off = exact._out_edges(g)
+    assert canon.tolist() == want.tolist()
+    assert out_head.tolist() == head[want].tolist()
+    assert np.diff(out_off).tolist() == np.bincount(tail, minlength=g.n).tolist()
+
+
+@pytest.mark.parametrize("edges", _BLOCK_GRAPHS)
+def test_orientation_sort_is_the_argsort_on_block_graphs(edges):
+    _assert_orientation_is_the_argsort(edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(base=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=40),
+       leaves=st.lists(st.integers(0, 40), max_size=30))
+@example(base=[(4, 9)], leaves=[])  # one edge: positions take no bits
+@example(base=complete_edges(5), leaves=[])  # every degree tied
+def test_orientation_sort_is_the_argsort(base, leaves):
+    # The hub 99 appears after every vertex of ``base``, so it takes a
+    # higher id than all of them; its leaves above 12 are new vertices.
+    edges = base + [(99, leaf) for leaf in leaves]
+    if all(u == v for u, v in edges):
+        return
+    _assert_orientation_is_the_argsort(edges)
+
+
+def test_block_order_of_keys_too_wide_to_pack_whole():
+    # Edge keys at the vertex limit and the positions of a full block
+    # need more than 64 bits, so the sort drops the keys' low bits; every
+    # position must still come back exactly once, in key order but for
+    # those bits.
+    n = 2**32 - 1
+    key_bits = (n * n - 1).bit_length()
+    drop = key_bits + (exact._WEDGE_BLOCK - 1).bit_length() - 64
+    assert drop > 0
+    # Keys that differ in the dropped bits alone, next to the largest key
+    # and on both sides of 2**63, and keys spread over the whole range.
+    rng = np.random.default_rng(12)
+    near = rng.integers(0, 1 << (drop + 4), size=exact._WEDGE_BLOCK, dtype=np.uint64)
+    query = np.concatenate([np.uint64(n * n - 1) - near[:20000],
+                            np.uint64(2**63) + near[20000:30000],
+                            np.uint64(2**63) - near[30000:40000]])
+    query = np.concatenate([query, rng.integers(
+        0, n * n, size=exact._WEDGE_BLOCK - query.size, dtype=np.uint64)])
+    rng.shuffle(query)
+    order = exact._packed_order(query, key_bits)
+    assert order.dtype == np.int64
+    assert np.array_equal(np.sort(order), np.arange(query.size))
+    high = query[order] >> np.uint64(drop)
+    assert (high[1:] >= high[:-1]).all()
+    # Below the limit the whole key fits: the order is the stable argsort.
+    small = query % np.uint64(1000**2)
+    assert np.array_equal(exact._packed_order(small, (1000**2 - 1).bit_length()),
+                          np.argsort(small, kind="stable"))
 
 
 def test_wedge_count_examples(k3, k4, five_tri):

@@ -96,7 +96,7 @@ def test_load_non_digit_ids_rejected(text):
 def test_comment_lines_keep_the_fast_path(monkeypatch):
     # A header such as "# gen_graph.py, 2010-04-01" must not send a
     # million-line file to the line scan, which is ~10x slower.
-    def line_scan(data):
+    def line_scan(data, first_line=1):
         raise AssertionError("took the line scan")
 
     monkeypatch.setattr(graph, "_parse_pairs_slow", line_scan)
@@ -106,7 +106,7 @@ def test_comment_lines_keep_the_fast_path(monkeypatch):
         _parse_pairs(b"# a+b\n0 1\n+1 2\n")
 
 
-def _no_line_scan(data):
+def _no_line_scan(data, first_line=1):
     raise AssertionError("took the line scan")
 
 
@@ -144,6 +144,37 @@ def test_parser_bad_line_in_the_last_block_reports_its_line(monkeypatch, last, m
     monkeypatch.setattr(graph, "_PARSE_BLOCK", 8)
     with pytest.raises(GraphFormatError, match=message):
         _parse_pairs(b"0 1\n" * 20 + b"# note\n" + last)
+
+
+def test_parser_reads_a_big_id_block_alone_by_line_scan(monkeypatch):
+    # One id of 10**18 or more sent the whole input to the line scan,
+    # ~20x slower on a million-edge file; now only its block goes there,
+    # and its line numbers run on from the blocks before it.
+    scanned = []
+
+    def line_scan(data, first_line=1):
+        scanned.append((data, first_line))
+        return _parse_pairs_slow(data, first_line)
+
+    monkeypatch.setattr(graph, "_parse_pairs_slow", line_scan)
+    monkeypatch.setattr(graph, "_PARSE_BLOCK", 4)  # a block per line here
+    big = b"%d 2\n" % (2**64 - 1)
+    data = b"0 1\n" * 20 + b"# note\n" + big
+    pairs = _parse_pairs(data)
+    assert scanned == [(big, 22)]
+    assert pairs.dtype == np.uint64
+    assert pairs.tolist() == _parse_pairs_slow(data).tolist()
+    scanned.clear()
+    with pytest.raises(GraphFormatError, match="line 23: expected two"):
+        _parse_pairs(b"0 1\n" + big + b"0 1\n" * 20 + b"5\n")
+    assert [line for _, line in scanned] == [2, 23]
+
+
+def test_load_rejects_more_edges_than_the_limit(monkeypatch):
+    monkeypatch.setattr(graph, "_MAX_EDGES", 3)
+    assert graph_from_edges(complete_edges(3) + [(1, 0), (2, 2)]).m == 3
+    with pytest.raises(GraphFormatError, match="more than 3 distinct edges"):
+        graph_from_edges(complete_edges(3) + [(0, 3)])
 
 
 def test_load_ids_longer_than_int_converts():
