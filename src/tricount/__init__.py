@@ -1,10 +1,9 @@
 """Triangle counting for large sparse graphs.
 
-Exact counting (forward algorithm plus a brute-force oracle), three
-sampling estimators over a reproducible random-source contract, the
-closed-form RSE theory for each, sample-size inversion, and an
-empirical trial harness. See the ``tricount`` CLI for the command-line
-surface.
+Exact counting (the forward algorithm), three sampling estimators over
+a reproducible random-source contract, the closed-form RSE theory for
+each, sample-size inversion, and an empirical trial harness. See the
+``tricount`` CLI for the command-line surface.
 """
 
 from .analysis import (RseDomainError, RseReport, RseRow, SampleSizeRequest,
@@ -13,11 +12,10 @@ from .analysis import (RseDomainError, RseReport, RseRow, SampleSizeRequest,
                        rse_tau_approx, rse_tau_exact, sample_size_for_rse,
                        theory_rse)
 from .estimators import (EstimateResult, NoWedgesError, SamplingPlan,
-                         WedgeSampler, build_wedge_sampler,
-                         count_closed_wedges, es_estimate, ews_estimate,
-                         ews_wedge_increment, wedge_is_closed, ws_estimate)
-from .exact import (EdgeTriangleCounts, GraphMetrics, brute_force_triangles,
-                    compute_metrics, count_triangles_exact, wedge_count)
+                         WedgeSampler, build_wedge_sampler, es_estimate,
+                         ews_estimate, ws_estimate)
+from .exact import (EdgeTriangleCounts, GraphMetrics, compute_metrics,
+                    count_triangles_exact, wedge_count)
 from .graph import (EmptyGraphError, Graph, GraphFormatError, has_edge_many,
                     load_edge_list)
 from .rng import RandomSource, mix_seed
@@ -29,11 +27,10 @@ __all__ = [
     "Graph", "GraphFormatError", "GraphMetrics", "NoWedgesError",
     "RandomSource", "RseDomainError", "RseReport", "RseRow",
     "SampleSizeRequest", "SamplingPlan", "WedgeSampler",
-    "brute_force_triangles", "build_wedge_sampler",
-    "compute_metrics", "count_closed_wedges",
-    "count_triangles_exact", "empirical_rse", "es_estimate", "ews_estimate",
-    "ews_wedge_increment", "has_edge_many", "load_edge_list", "mix_seed",
+    "build_wedge_sampler", "compute_metrics", "count_triangles_exact",
+    "empirical_rse", "es_estimate", "ews_estimate", "has_edge_many",
+    "load_edge_list", "mix_seed",
     "rse_omega_approx", "rse_omega_exact", "rse_rho_approx", "rse_rho_exact",
     "rse_sweep", "rse_tau_approx", "rse_tau_exact", "sample_size_for_rse",
-    "theory_rse", "wedge_count", "wedge_is_closed", "ws_estimate",
+    "theory_rse", "wedge_count", "ws_estimate",
 ]

@@ -20,8 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .exact import GraphMetrics, compute_metrics, csv_cell
 from .graph import Graph
-from .estimators import (LEVELS, SamplingPlan, _check_level, _check_p,
-                         _run_trials)
+from .estimators import LEVELS, SamplingPlan, check_level, check_p, run_trials
 from .rng import RandomSource, mix_seed
 
 
@@ -82,7 +81,7 @@ def rse_rho_approx(p: float, delta: float, shared_pairs: float) -> float:
 
 
 def _check_p_delta(p: float, delta: float):
-    _check_p(p)
+    check_p(p)
     if delta <= 0:
         raise RseDomainError("triangle count must be positive")
 
@@ -177,7 +176,7 @@ def theory_rse(method: str, metrics: GraphMetrics, p: float | None = None,
                k: int | None = None) -> tuple[float, float]:
     """(exact, approximate) closed-form RSE for one configuration: at
     ``p`` for ews and es, at ``k`` for ws."""
-    _check_level(method, p, k)
+    check_level(method, p, k)
     delta = metrics.triangle_count
     if method == "ews":
         return (rse_tau_exact(p, delta, metrics.shared_edge_pairs, metrics.phi),
@@ -208,7 +207,7 @@ def empirical_rse(g: Graph, plan: SamplingPlan, metrics: GraphMetrics) -> RseRow
     if delta <= 0:
         raise RseDomainError("empirical RSE undefined for triangle-free graphs")
     base = RandomSource(plan.seed)
-    _, sampled, estimates = _run_trials(
+    _, sampled, estimates = run_trials(
         g, plan.method, plan.level, (base.derive(i) for i in range(plan.runs)))
 
     mu = math.fsum(estimates) / plan.runs
@@ -232,7 +231,7 @@ def rse_sweep(g: Graph, methods: list[str], ps: list[float], runs: int,
     if not ps:
         raise ValueError("need at least one sampling probability")
     for p in ps:
-        _check_p(p)  # before ceil(p * m), which overflows at p = inf
+        check_p(p)  # before ceil(p * m), which overflows at p = inf
     plans = [SamplingPlan(method=method, p=p,
                           k=math.ceil(p * g.m) if LEVELS.get(method) == "k" else None,
                           seed=mix_seed(seed, idx), runs=runs)

@@ -18,7 +18,7 @@ from pathlib import Path
 from .analysis import (RseDomainError, SampleSizeRequest, rse_sweep,
                        sample_size_for_rse)
 from .estimators import (LEVELS, METHODS, NoWedgesError, SamplingPlan,
-                         _check_p, estimate)
+                         check_p, estimate)
 from .exact import METRICS_CSV_HEADER, GraphMetrics, compute_metrics, csv_cell
 from .graph import EmptyGraphError, GraphFormatError, load_edge_list
 from .rng import RandomSource
@@ -135,7 +135,7 @@ def _run_rse_sweep(args) -> str:
     methods = args.method or list(METHODS)
     try:
         for p in args.p:
-            _check_p(p)
+            check_p(p)
     except ValueError as exc:
         raise ValueError(f"--p: {exc}") from None
     if args.runs < 2:

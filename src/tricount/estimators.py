@@ -45,7 +45,7 @@ class NoWedgesError(ValueError):
     """Wedge sampling requires at least one wedge in the graph."""
 
 
-def _check_p(p: float):
+def check_p(p: float):
     """The one rule for an edge probability: 0 < p <= 1."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"sampling probability p must be in (0, 1], got {p}")
@@ -232,10 +232,10 @@ def _ws_finish(g: Graph, k: int, rngs, draws, sampler) -> np.ndarray:
 
 
 _METHODS = {
-    "ews": _Method(level="p", check=_check_p, prepare=lambda g: None,
+    "ews": _Method(level="p", check=check_p, prepare=lambda g: None,
                    draw=_edge_draw, finish=_ews_finish,
                    scale=lambda tau, p, _: tau / (3.0 * p)),
-    "es": _Method(level="p", check=_check_p, prepare=lambda g: None,
+    "es": _Method(level="p", check=check_p, prepare=lambda g: None,
                   draw=_edge_draw, finish=_es_finish,
                   scale=lambda closed, p, _: closed / (3.0 * p * p)),
     "ws": _Method(level="k", check=_check_k,
@@ -248,7 +248,7 @@ METHODS = tuple(_METHODS)
 LEVELS = {name: spec.level for name, spec in _METHODS.items()}
 
 
-def _check_level(method: str, p: float | None, k: int | None):
+def check_level(method: str, p: float | None, k: int | None):
     """Reject an unknown method, or a missing or invalid level: ``p``
     for ews and es, ``k`` for ws."""
     if method not in _METHODS:
@@ -260,7 +260,7 @@ def _check_level(method: str, p: float | None, k: int | None):
     spec.check(level)
 
 
-def _run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource],
+def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource],
                 sampler: WedgeSampler | None = None
                 ) -> tuple[list[int], list[int], list[float]]:
     """Raw statistic, sampled count and estimate of one trial per source.
@@ -312,9 +312,9 @@ class SamplingPlan:
     runs: int = 1
 
     def __post_init__(self):
-        _check_level(self.method, self.p, self.k)
+        check_level(self.method, self.p, self.k)
         if self.p is not None:  # a ws plan's nominal p too
-            _check_p(self.p)
+            check_p(self.p)
         if LEVELS[self.method] == "p" and self.k is not None:
             raise ValueError(f"{self.method} does not take k")
         if self.runs < 1:
@@ -359,25 +359,10 @@ def estimate(g: Graph, method: str, level, rng: RandomSource,
              sampler: WedgeSampler | None = None) -> EstimateResult:
     """One trial of ``method`` at ``level`` (``p``, or ``k`` for ws)."""
     start = time.perf_counter()
-    (raw,), (sampled,), (est,) = _run_trials(g, method, level, [rng], sampler)
+    (raw,), (sampled,), (est,) = run_trials(g, method, level, [rng], sampler)
     return EstimateResult(method=method, p_or_k=float(level), seed=rng.seed,
                           raw_statistic=raw, entities_sampled=sampled,
                           estimate=est, elapsed=time.perf_counter() - start)
-
-
-def ews_wedge_increment(g: Graph, u: int, v: int, w: int) -> int:
-    """Contribution of one sampled edge (u, v) with phase-two draw ``w``.
-
-    ``w`` must be a neighbor of the edge's lower-degree endpoint other
-    than the opposite endpoint. Returns degree(hinge) - 1 when the
-    wedge closes, else 0. This is the scalar reference for the
-    vectorized path inside :func:`ews_estimate`.
-    """
-    hinge, other, dh = _hinge_split(g, np.array([u]), np.array([v]))
-    h, o = int(hinge[0]), int(other[0])
-    if w == o or not g.has_edge(h, w):
-        raise ValueError(f"{w} is not an eligible wedge draw for edge ({u}, {v})")
-    return int(dh[0]) - 1 if g.has_edge(o, w) else 0
 
 
 def ews_estimate(g: Graph, p: float, rng: RandomSource) -> EstimateResult:
@@ -390,20 +375,6 @@ def ews_estimate(g: Graph, p: float, rng: RandomSource) -> EstimateResult:
     statistic is unbiased for 3p times the triangle count.
     """
     return estimate(g, "ews", p, rng)
-
-
-def count_closed_wedges(g: Graph, edges: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """Wedge census of an explicit edge subset.
-
-    Every unordered pair of given edges sharing a vertex is one wedge,
-    counted at its shared (hinge) vertex. Returns ``(closed, total)``
-    where a wedge is closed when its endpoints are adjacent in ``g``.
-    """
-    pairs = list(edges)
-    eu = np.array([e[0] for e in pairs], dtype=np.int64)
-    ev = np.array([e[1] for e in pairs], dtype=np.int64)
-    closed, total = _closed_wedges(g, eu, ev, np.zeros(eu.size, dtype=np.int64), 1)
-    return int(closed[0]), total
 
 
 def es_estimate(g: Graph, p: float, rng: RandomSource) -> EstimateResult:
@@ -434,13 +405,6 @@ def build_wedge_sampler(g: Graph) -> WedgeSampler:
         raise NoWedgesError("graph has no wedges")
     cumulative.flags.writeable = False
     return WedgeSampler(cumulative=cumulative, total=total)
-
-
-def wedge_is_closed(g: Graph, hinge: int, a: int, b: int) -> bool:
-    """Whether the wedge a-hinge-b is closed (its endpoints adjacent)."""
-    if a == b or not (g.has_edge(hinge, a) and g.has_edge(hinge, b)):
-        raise ValueError(f"({a}, {hinge}, {b}) is not a wedge")
-    return g.has_edge(a, b)
 
 
 def ws_estimate(g: Graph, k: int, rng: RandomSource,

@@ -229,23 +229,6 @@ def _packed_order(key: np.ndarray, key_bits: int) -> np.ndarray:
     return packed.view(np.int64)
 
 
-def brute_force_triangles(g: Graph) -> int:
-    """Cubic triangle count over all vertex triples, for small graphs.
-
-    Builds a dense boolean adjacency matrix purely through
-    ``has_edge`` queries, then counts closed triples. Independent of
-    the forward algorithm; used as a testing oracle.
-    """
-    n = g.n
-    mat = np.zeros((n, n), dtype=np.int64)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if g.has_edge(u, v):
-                mat[u, v] = mat[v, u] = 1
-    closed_ordered = int(np.einsum("ij,jk,ki->", mat, mat, mat))
-    return closed_ordered // 6
-
-
 def wedge_count(g: Graph) -> int:
     """Number of wedges: sum over vertices of d(d-1)/2."""
     d = g.degrees.astype(np.int64)

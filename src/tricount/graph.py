@@ -62,27 +62,12 @@ class Graph:
     neighbors: np.ndarray
     original_ids: np.ndarray
 
-    def degree(self, u: int) -> int:
-        return int(self.offsets[u + 1] - self.offsets[u])
-
     @cached_property
     def degrees(self) -> np.ndarray:
         """Degree of every vertex (length n), computed once; read-only."""
         deg = np.diff(self.offsets)
         deg.flags.writeable = False
         return deg
-
-    def neighbors_of(self, v: int) -> np.ndarray:
-        """Sorted neighbor list of ``v`` (read-only view)."""
-        return self.neighbors[self.offsets[v]:self.offsets[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Edge membership via binary search in the shorter neighbor list."""
-        if self.degree(u) > self.degree(v):
-            u, v = v, u
-        lst = self.neighbors_of(u)
-        i = int(np.searchsorted(lst, v))
-        return i < lst.shape[0] and int(lst[i]) == v
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,16 +113,16 @@ def _home_slot(key: np.ndarray, size: int) -> np.ndarray:
 
 
 def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized ``has_edge`` over aligned vertex arrays.
+    """Whether each pair ``(u[i], v[i])`` of aligned vertex arrays is an edge.
 
     Looks each pair's canonical key up in ``g.edge_index``: all queries
     probe their home slot at once, then the ones still open probe the
     next slot, and so on; a query stops at a hit or at an empty slot.
     At load factor 1/4 about four in five stop at the home slot. Pairs
-    ``u == v`` are never edges.
+    ``u == v`` are never edges. Scalars are queries of one pair.
     """
-    u = np.asarray(u)
-    v = np.asarray(v)
+    u = np.atleast_1d(u)
+    v = np.atleast_1d(v)
     if u.size == 0:
         return np.zeros(0, dtype=bool)
     table = g.edge_index
@@ -167,55 +152,15 @@ def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def neighbor_rank(g: Graph, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Position of ``w`` within the sorted neighbor list of ``v``.
 
-    Every (v, w) pair must be an edge; positions are 0-based.
+    Every (v, w) pair must be an edge; positions are 0-based. Nothing in
+    the package calls it: it stays because ``tribench/tracer.py`` binds
+    it by name.
     """
     v = np.asarray(v)
-    w = np.asarray(w)
-    start = g.offsets[v]
-    pos = _lower_bound(g.neighbors, start.copy(), g.offsets[v + 1], w)
-    pos -= start
-    return pos
-
-
-def _lower_bound(nbr: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 x: np.ndarray) -> np.ndarray:
-    """Per query, the first position in the sorted run ``nbr[lo:hi]``
-    holding a value not below ``x``, or ``hi`` if there is none.
-
-    ``lo`` and ``hi`` (int64) are scratch: both are overwritten, and the
-    positions are returned in ``lo``'s array. A branchless binary search
-    over all queries at once: each round halves every open range. Once
-    at most half of the queries in the working arrays are open, the open
-    ones are gathered into smaller arrays, with their original
-    positions, so a query costs work only in the rounds it still needs;
-    the working positions are scattered back at each later compaction
-    and at the end.
-    """
-    pos = lo
-    where = None  # positions in ``pos`` of the working arrays; None: all
-    while True:
-        open_ = lo < hi
-        count = np.count_nonzero(open_)
-        if count == 0:
-            break
-        if 2 * count <= open_.size:
-            keep = np.flatnonzero(open_)
-            if where is None:
-                where = keep
-            else:
-                pos[where] = lo
-                where = where[keep]
-            lo, hi, x = lo[keep], hi[keep], x[keep]
-            continue
-        mid = lo + hi
-        mid >>= 1
-        less = nbr.take(mid, mode="clip") < x
-        less &= open_  # queries closed since the last compaction stay put
-        np.copyto(hi, mid, where=~less)
-        mid += 1
-        np.copyto(lo, mid, where=less)
-    if where is not None:
-        pos[where] = lo
+    src = np.repeat(np.arange(g.n), g.degrees)
+    pos = np.searchsorted(edge_key(src, g.neighbors, g.n),
+                          edge_key(v, np.asarray(w), g.n))
+    pos -= g.offsets[v]
     return pos
 
 

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from tricount import RandomSource, compute_metrics
-from tricount.estimators import _run_trials
+from tricount.estimators import run_trials
 from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
-                     graph_from_edges, path_edges, star_edges)
+                     graph_from_edges, hubs_and_path_edges, path_edges,
+                     star_edges)
 
 # The reference graph for the statistical checks: Erdos-Renyi with 300
 # vertices and edge probability 0.05, pinned seed.
@@ -44,12 +45,7 @@ def five_tri():
 
 @pytest.fixture(scope="session")
 def hubs_and_path():
-    """Hubs 0 and 1, adjacent, share 3,000 leaves; a path runs along the
-    leaves and on through a tail that ends in a pendant."""
-    leaves = range(2, 3_002)
-    edges = [(0, 1)] + [(h, v) for v in leaves for h in (0, 1)]
-    edges += [(v, v + 1) for v in range(2, 3_010)]
-    return graph_from_edges(edges)
+    return graph_from_edges(hubs_and_path_edges())
 
 
 @pytest.fixture(scope="session")
@@ -76,7 +72,7 @@ def er300_runs20k(er300, er300_metrics):
     for method, (kind, level) in configs.items():
         base = RandomSource(UNBIASEDNESS_SEEDS[method])
         start = time.perf_counter()
-        raws, _, estimates = _run_trials(
+        raws, _, estimates = run_trials(
             g, method, level, (base.derive(i) for i in range(UNBIASEDNESS_RUNS)))
         out[method] = {"estimates": np.array(estimates),
                        "raws": np.array(raws, dtype=np.float64),

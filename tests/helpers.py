@@ -1,11 +1,13 @@
-"""Shared graph builders for the test suite."""
+"""Shared graph builders for the test suite, and the library's own path
+through forced sampling outcomes."""
 
 import io
 from itertools import combinations
 
 import numpy as np
 
-from tricount import Graph, load_edge_list
+from tricount import Graph, has_edge_many, load_edge_list
+from tricount.estimators import _closed_wedges, _hinge_split
 
 
 def graph_text(edges) -> str:
@@ -35,6 +37,14 @@ def star_edges(leaves):
 def circulant_edges(n, width):
     """n vertices, each linked to the next ``width`` (mod n): m = n*width."""
     return [(i, (i + d) % n) for i in range(n) for d in range(1, width + 1)]
+
+
+def hubs_and_path_edges():
+    """Hubs 0 and 1, adjacent, share 3,000 leaves; a path runs along the
+    leaves and on through a tail that ends in a pendant."""
+    leaves = range(2, 3_002)
+    edges = [(0, 1)] + [(h, v) for v in leaves for h in (0, 1)]
+    return edges + [(v, v + 1) for v in range(2, 3_010)]
 
 
 def er_edges(n, prob, seed):
@@ -80,3 +90,39 @@ def powerlaw_edges(seed, n, raw, m):
     assert keys.size >= m
     pick = np.sort(rng.permutation(keys.size)[:m])
     return keys[pick] // n, keys[pick] % n
+
+
+def _columns(rows, width):
+    """The columns of ``width``-tuples, as int64 arrays."""
+    return np.array(rows, dtype=np.int64).reshape(-1, width).T
+
+
+def forced_ews_tau(g: Graph, draws) -> int:
+    """The ews raw statistic of forced draws ``[((u, v), w), ...]`` in
+    internal ids, by the library's hinge split and closure probe. Raises
+    ValueError if a ``w`` is not a neighbor of its edge's hinge other
+    than the edge's other end."""
+    eu, ev = _columns([e for e, _ in draws], 2)
+    w = np.array([w for _, w in draws], dtype=np.int64)
+    hinge, other, dh = _hinge_split(g, eu, ev)
+    if not (has_edge_many(g, hinge, w) & (w != other)).all():
+        raise ValueError("a draw is not an eligible wedge end")
+    return int(np.where(has_edge_many(g, other, w), dh - 1, 0).sum())
+
+
+def forced_ws_omega(g: Graph, wedges) -> int:
+    """Closed wedges among forced ws draws ``[(hinge, a, b), ...]`` in
+    internal ids, by the library's closure probe. Raises ValueError if
+    one is not a wedge."""
+    h, a, b = _columns(wedges, 3)
+    if not (has_edge_many(g, h, a) & has_edge_many(g, h, b) & (a != b)).all():
+        raise ValueError("a draw is not a wedge")
+    return int(has_edge_many(g, a, b).sum())
+
+
+def forced_es_census(g: Graph, sample) -> tuple[int, int]:
+    """``(closed, total)`` wedges of a forced es edge sample in internal
+    ids, by the library's wedge census."""
+    eu, ev = _columns(sample, 2)
+    closed, total = _closed_wedges(g, eu, ev, np.zeros(eu.size, dtype=np.int64), 1)
+    return int(closed[0]), total

@@ -1,8 +1,10 @@
 """Independent reference computations the library is checked against.
 
-Everything here works from raw edge lists with plain Python data
-structures, on purpose: these paths share no code with the CSR
-implementation they verify.
+Everything here works from raw edge lists, in the ids of the list, with
+plain Python data structures, on purpose: these paths share no code with
+the CSR implementation they verify. They cover triangle counts, T(e),
+phi, the ews moments and single ews increments, wedge closure, the
+closed-wedge census of an edge sample, and edge membership.
 """
 
 from fractions import Fraction
@@ -20,6 +22,47 @@ def adjacency(edges):
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
     return adj
+
+
+def hinge(adj, u, v):
+    """The hinge of edge (u, v) and its other end: the lower-degree
+    endpoint, ties to the smaller id."""
+    return (v, u) if (len(adj[v]), v) < (len(adj[u]), u) else (u, v)
+
+
+def has_edges(edges, pairs):
+    """Whether each (u, v) of ``pairs`` is an edge."""
+    adj = adjacency(edges)
+    return [v in adj.get(u, ()) for u, v in pairs]
+
+
+def ews_increment(edges, u, v, w):
+    """ews contribution of sampled edge (u, v) with phase-two draw ``w``:
+    degree(hinge) - 1 if the wedge at the hinge closes, else 0. ``w``
+    must be a neighbor of the hinge other than the edge's other end."""
+    adj = adjacency(edges)
+    h, o = hinge(adj, u, v)
+    if w == o or w not in adj[h]:
+        raise ValueError(f"{w} is not an eligible wedge draw for edge ({u}, {v})")
+    return len(adj[h]) - 1 if w in adj[o] else 0
+
+
+def wedge_closed(edges, h, a, b):
+    """Whether the wedge a-h-b is closed (its endpoints adjacent)."""
+    adj = adjacency(edges)
+    if a == b or a not in adj[h] or b not in adj[h]:
+        raise ValueError(f"({a}, {h}, {b}) is not a wedge")
+    return b in adj[a]
+
+
+def closed_wedge_census(edges, sample):
+    """``(closed, total)`` over the wedges of an edge sample: each pair of
+    sampled edges sharing a vertex, closed when its other ends are
+    adjacent in the graph."""
+    adj = adjacency(edges)
+    ends = [set(e) ^ set(f) for e, f in combinations(clean_edges(sample), 2)
+            if len(set(e) ^ set(f)) == 2]
+    return sum(b in adj[a] for a, b in map(sorted, ends)), len(ends)
 
 
 def triangles_by_triples(edges):
@@ -64,7 +107,7 @@ def ews_moments_exhaustive(edges, p):
     mean = Fraction(0)
     var = Fraction(0)
     for u, v in clean_edges(edges):
-        h, o = (v, u) if (deg[v], v) < (deg[u], u) else (u, v)
+        h, o = hinge(adj, u, v)
         dh = deg[h]
         if dh == 1:
             continue

@@ -11,14 +11,16 @@ import time
 import pytest
 
 from tricount import (GraphMetrics, RandomSource, SamplingPlan,
-                      SampleSizeRequest, brute_force_triangles,
-                      build_wedge_sampler, count_closed_wedges,
+                      SampleSizeRequest, build_wedge_sampler,
                       count_triangles_exact, empirical_rse, es_estimate,
-                      ews_estimate, ews_wedge_increment, load_edge_list,
-                      rse_omega_approx, rse_tau_approx, sample_size_for_rse,
-                      wedge_is_closed, ws_estimate)
-from helpers import (complete_edges, er_edges, graph_from_edges, graph_text,
-                     internal_id, path_edges, powerlaw_edges, star_edges)
+                      ews_estimate, load_edge_list, rse_omega_approx,
+                      rse_tau_approx, sample_size_for_rse, ws_estimate)
+from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
+                     forced_es_census, forced_ews_tau, forced_ws_omega,
+                     graph_from_edges, graph_text, internal_id, path_edges,
+                     powerlaw_edges, star_edges)
+from oracles import (closed_wedge_census, ews_increment, triangles_by_triples,
+                     wedge_closed)
 
 
 def _criterion(num, name, failures):
@@ -37,7 +39,7 @@ def test_criterion_1_exact_oracle_equivalence():
                         ("star", star_edges(6)), ("path", path_edges(7))]:
         g = graph_from_edges(edges)
         fast, _ = count_triangles_exact(g)
-        if fast != brute_force_triangles(g):
+        if fast != len(triangles_by_triples(edges)):
             failures.append(f"mismatch on {name}")
     densities = [0.04, 0.1, 0.2, 0.4, 0.7]
     compared = 0
@@ -50,7 +52,7 @@ def test_criterion_1_exact_oracle_equivalence():
             continue
         g = graph_from_edges(edges)
         fast, per_edge = count_triangles_exact(g)
-        slow = brute_force_triangles(g)
+        slow = len(triangles_by_triples(edges))
         if fast != slow:
             failures.append(f"seed {seed}: forward {fast} != brute {slow}")
         if int(per_edge.counts.sum()) != 3 * fast:
@@ -189,24 +191,28 @@ def test_criterion_6_forced_outcome_examples(five_tri):
     g = five_tri
     i = lambda orig: internal_id(g, orig)
 
-    tau = sum(ews_wedge_increment(g, i(u), i(v), i(w))
-              for (u, v), w in [((2, 5), 4), ((1, 4), 3), ((7, 8), 1)])
+    # Each statistic comes from the library's own code, and must equal
+    # the edge-list oracles' figure.
+    draws = [((2, 5), 4), ((1, 4), 3), ((7, 8), 1)]
+    tau = forced_ews_tau(g, [((i(u), i(v)), i(w)) for (u, v), w in draws])
+    want = sum(ews_increment(FIVE_TRIANGLE_EDGES, u, v, w) for (u, v), w in draws)
     p = 3 / 16
-    if tau != 3 or tau / (3 * p) != 16 / 3:
-        failures.append(f"ews example: tau={tau}, est={tau / (3 * p)}")
+    if tau != 3 or tau != want or tau / (3 * p) != 16 / 3:
+        failures.append(f"ews example: tau={tau}, oracle {want}, est={tau / (3 * p)}")
 
     sampler = build_wedge_sampler(g)
-    omega = sum(wedge_is_closed(g, i(h), i(a), i(b))
-                for h, a, b in [(4, 1, 5), (2, 1, 7), (1, 11, 3)])
-    if omega != 1 or omega * sampler.total / (3 * 3) != 56 / 9:
-        failures.append(f"ws example: omega={omega}")
+    wedges = [(4, 1, 5), (2, 1, 7), (1, 11, 3)]
+    omega = forced_ws_omega(g, [(i(h), i(a), i(b)) for h, a, b in wedges])
+    want = sum(wedge_closed(FIVE_TRIANGLE_EDGES, h, a, b) for h, a, b in wedges)
+    if omega != 1 or omega != want or omega * sampler.total / (3 * 3) != 56 / 9:
+        failures.append(f"ws example: omega={omega}, oracle {want}")
 
-    sample = [(i(u), i(v)) for u, v in
-              [(2, 5), (2, 6), (1, 2), (1, 4), (3, 4), (7, 8)]]
-    closed, _ = count_closed_wedges(g, sample)
+    sample = [(2, 5), (2, 6), (1, 2), (1, 4), (3, 4), (7, 8)]
+    closed, total = forced_es_census(g, [(i(u), i(v)) for u, v in sample])
+    want = closed_wedge_census(FIVE_TRIANGLE_EDGES, sample)
     p2 = 3 / 8
-    if closed != 3 or closed / (3 * p2 * p2) != 64 / 9:
-        failures.append(f"es example: closed={closed}")
+    if closed != 3 or (closed, total) != want or closed / (3 * p2 * p2) != 64 / 9:
+        failures.append(f"es example: closed={closed}, total={total}, oracle {want}")
     _criterion(6, "forced-outcome worked examples", failures)
 
 

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from tricount import (NoWedgesError, RandomSource, SamplingPlan,
-                      build_wedge_sampler, compute_metrics, count_closed_wedges,
+                      build_wedge_sampler, compute_metrics,
                       count_triangles_exact, empirical_rse, es_estimate, ews_estimate,
-                      ews_wedge_increment, wedge_is_closed, ws_estimate)
+                      ws_estimate)
 from tricount import estimators
-from tricount.estimators import _run_trials
+from tricount.estimators import run_trials
 from helpers import (FIVE_TRIANGLE_EDGES, circulant_edges, complete_edges,
-                     er_edges, graph_from_edges, internal_id, path_edges,
-                     star_edges)
+                     er_edges, forced_es_census, forced_ews_tau, forced_ws_omega,
+                     graph_from_edges, hubs_and_path_edges, internal_id,
+                     path_edges, star_edges)
+from oracles import (adjacency, clean_edges, closed_wedge_census, ews_increment,
+                     hinge, wedge_closed)
 
 
 def test_plan_validation():
@@ -82,15 +85,38 @@ def test_ews_estimate_support(er300):
 def test_ews_wedge_increment_on_known_graph(five_tri):
     g = five_tri
     i = lambda orig: internal_id(g, orig)
-    # open wedge at the degree-3 endpoint of (2, 5)
-    assert ews_wedge_increment(g, i(2), i(5), i(4)) == 0
-    # closed wedges from the worked example
-    assert ews_wedge_increment(g, i(1), i(4), i(3)) == 2
-    assert ews_wedge_increment(g, i(7), i(8), i(1)) == 1
-    with pytest.raises(ValueError):
-        ews_wedge_increment(g, i(1), i(4), i(9))  # not a neighbor of hinge 4
-    with pytest.raises(ValueError):
-        ews_wedge_increment(g, i(1), i(4), i(1))  # excluded opposite endpoint
+    # an open wedge at the degree-3 endpoint of (2, 5), then closed
+    # wedges from the worked example
+    for (u, v), w, want in [((2, 5), 4, 0), ((1, 4), 3, 2), ((7, 8), 1, 1)]:
+        assert forced_ews_tau(g, [((i(u), i(v)), i(w))]) == want
+        assert ews_increment(FIVE_TRIANGLE_EDGES, u, v, w) == want
+    # 9 is not a neighbor of hinge 4; 1 is the excluded opposite endpoint
+    for w in (9, 1):
+        with pytest.raises(ValueError):
+            forced_ews_tau(g, [((i(1), i(4)), i(w))])
+        with pytest.raises(ValueError):
+            ews_increment(FIVE_TRIANGLE_EDGES, 1, 4, w)
+
+
+@pytest.mark.parametrize("edges", [complete_edges(4), circulant_edges(12, 2),
+                                   FIVE_TRIANGLE_EDGES, hubs_and_path_edges()],
+                         ids=["k4", "circulant", "five_tri", "hubs_and_path"])
+def test_hinge_split_follows_the_hinge_rule(edges):
+    # The lower-degree endpoint, ties to the smaller internal id, from the
+    # degrees of the edge list; each edge is given in both orientations.
+    g = graph_from_edges(edges)
+    internal = {int(orig): i for i, orig in enumerate(g.original_ids)}
+    pairs = [(internal[u], internal[v]) for u, v in clean_edges(edges)]
+    pairs += [(v, u) for u, v in pairs]
+    adj = adjacency(pairs)
+    want = []
+    for u, v in pairs:
+        h, o = hinge(adj, u, v)
+        want.append((h, o, len(adj[h])))
+    eu = np.array([u for u, _ in pairs])
+    ev = np.array([v for _, v in pairs])
+    got = estimators._hinge_split(g, eu, ev)
+    assert list(zip(*(a.tolist() for a in got))) == want
 
 
 @pytest.mark.parametrize("which", ["five_tri", "k5", "hubs_and_path"])
@@ -103,7 +129,8 @@ def test_phase_two_skip_is_exact(request, which):
     hinge, other, dh = estimators._hinge_split(g, eu, ev)
     want = []
     for a, b in zip(hinge.tolist(), other.tolist()):
-        want += [w for w in g.neighbors_of(a).tolist() if w != b]
+        want += [w for w in g.neighbors[g.offsets[a]:g.offsets[a + 1]].tolist()
+                 if w != b]
     draws = dh - 1
     j = np.arange(draws.sum()) - np.repeat(np.cumsum(draws) - draws, draws)
     got = estimators._wedge_end(g, np.repeat(hinge, draws),
@@ -116,8 +143,9 @@ def test_forced_outcome_ews_example(five_tri):
     g = five_tri
     i = lambda orig: internal_id(g, orig)
     draws = [((2, 5), 4), ((1, 4), 3), ((7, 8), 1)]
-    tau = sum(ews_wedge_increment(g, i(u), i(v), i(w)) for (u, v), w in draws)
+    tau = forced_ews_tau(g, [((i(u), i(v)), i(w)) for (u, v), w in draws])
     assert tau == 3
+    assert sum(ews_increment(FIVE_TRIANGLE_EDGES, u, v, w) for (u, v), w in draws) == tau
     p = 3 / 16
     assert tau / (3 * p) == 16 / 3
 
@@ -128,8 +156,9 @@ def test_forced_outcome_ws_example(five_tri):
     sampler = build_wedge_sampler(g)
     assert sampler.total == 56
     wedges = [(4, 1, 5), (2, 1, 7), (1, 11, 3)]  # (hinge, end, end)
-    omega = sum(wedge_is_closed(g, i(h), i(a), i(b)) for h, a, b in wedges)
+    omega = forced_ws_omega(g, [(i(h), i(a), i(b)) for h, a, b in wedges])
     assert omega == 1
+    assert sum(wedge_closed(FIVE_TRIANGLE_EDGES, h, a, b) for h, a, b in wedges) == omega
     k = 3
     assert omega * sampler.total / (3 * k) == 56 / 9
 
@@ -137,11 +166,11 @@ def test_forced_outcome_ws_example(five_tri):
 def test_forced_outcome_es_example(five_tri):
     g = five_tri
     i = lambda orig: internal_id(g, orig)
-    sample = [(i(u), i(v)) for u, v in
-              [(2, 5), (2, 6), (1, 2), (1, 4), (3, 4), (7, 8)]]
-    closed, total = count_closed_wedges(g, sample)
+    sample = [(2, 5), (2, 6), (1, 2), (1, 4), (3, 4), (7, 8)]
+    closed, total = forced_es_census(g, [(i(u), i(v)) for u, v in sample])
     assert closed == 3
     assert total == 5  # three wedges hinge at 2, one at 1, one at 4
+    assert closed_wedge_census(FIVE_TRIANGLE_EDGES, sample) == (closed, total)
     p = 3 / 8
     assert closed / (3 * p * p) == 64 / 9
 
@@ -156,11 +185,13 @@ def test_es_p1_recovers_exact_count(edges):
 
 
 def test_count_closed_wedges_manual(k4):
-    # two edges sharing vertex 0; the closing edge always exists in K4
-    assert count_closed_wedges(k4, [(0, 1), (0, 2)]) == (1, 1)
-    # disjoint edges form no wedge
-    assert count_closed_wedges(k4, [(0, 1), (2, 3)]) == (0, 0)
-    assert count_closed_wedges(k4, []) == (0, 0)
+    # K4's internal ids are its edge list's ids.
+    cases = [([(0, 1), (0, 2)], (1, 1)),  # the closing edge exists in K4
+             ([(0, 1), (2, 3)], (0, 0)),  # disjoint edges form no wedge
+             ([], (0, 0))]
+    for sample, want in cases:
+        assert forced_es_census(k4, sample) == want
+        assert closed_wedge_census(complete_edges(4), sample) == want
 
 
 def test_wedge_sampler_tables(k3, star4, path3):
@@ -199,12 +230,18 @@ def test_ws_estimate_support(er300):
 
 
 def test_wedge_is_closed_validates(k4, path3):
-    assert wedge_is_closed(k4, 0, 1, 2)
-    assert not wedge_is_closed(path3, 1, 0, 2)
-    with pytest.raises(ValueError):
-        wedge_is_closed(k4, 0, 1, 1)
-    with pytest.raises(ValueError):
-        wedge_is_closed(path3, 0, 1, 2)  # 2 is not adjacent to hinge 0
+    # Both graphs' internal ids are their edge lists' ids.
+    k4_list, path_list = complete_edges(4), path_edges(2)
+    assert forced_ws_omega(k4, [(0, 1, 2)]) == 1
+    assert wedge_closed(k4_list, 0, 1, 2)
+    assert forced_ws_omega(path3, [(1, 0, 2)]) == 0
+    assert not wedge_closed(path_list, 1, 0, 2)
+    # a repeated end; an end (2) not adjacent to the hinge (0)
+    for g, edges, wedge in [(k4, k4_list, (0, 1, 1)), (path3, path_list, (0, 1, 2))]:
+        with pytest.raises(ValueError):
+            forced_ws_omega(g, [wedge])
+        with pytest.raises(ValueError):
+            wedge_closed(edges, *wedge)
 
 
 @pytest.mark.parametrize("method", ["ews", "es", "ws"])
@@ -302,7 +339,7 @@ def _batch_cases():
 
 def _trials(g, method, level, runs=40, seed=5):
     base = RandomSource(seed)
-    return _run_trials(g, method, level, [base.derive(i) for i in range(runs)])
+    return run_trials(g, method, level, [base.derive(i) for i in range(runs)])
 
 
 @pytest.mark.parametrize("budget", [1, 7])

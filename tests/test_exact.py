@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tricount import (brute_force_triangles, compute_metrics,
-                      count_triangles_exact, exact, wedge_count)
+from tricount import compute_metrics, count_triangles_exact, exact, wedge_count
 from tricount.exact import METRICS_CSV_HEADER
 from tricount.graph import edge_key
 from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
@@ -34,12 +33,6 @@ def test_five_triangle_example_graph(five_tri):
     assert wedge_count(five_tri) == 56
 
 
-def test_brute_force_examples(k3, k4, star4):
-    assert brute_force_triangles(k4) == 4
-    assert brute_force_triangles(k3) == 1
-    assert brute_force_triangles(star4) == 0
-
-
 @pytest.mark.parametrize("seed,density", [(1, 0.05), (2, 0.15), (3, 0.35),
                                           (4, 0.6), (5, 0.9)])
 def test_forward_matches_brute_force(seed, density):
@@ -48,7 +41,6 @@ def test_forward_matches_brute_force(seed, density):
         pytest.skip("empty draw")
     g = graph_from_edges(edges)
     delta, per_edge = count_triangles_exact(g)
-    assert delta == brute_force_triangles(g)
     assert delta == len(triangles_by_triples(edges))
     assert int(per_edge.counts.sum()) == 3 * delta
 

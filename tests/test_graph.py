@@ -1,6 +1,7 @@
 import io
 import itertools
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 from tricount import (EmptyGraphError, GraphFormatError, compute_metrics,
                       has_edge_many, load_edge_list)
 from tricount import exact, graph
-from tricount.graph import (_lower_bound, _parse_pairs, _parse_pairs_slow,
-                            _run_pairs, edge_key, neighbor_rank)
+from tricount.graph import (_parse_pairs, _parse_pairs_slow, _run_pairs,
+                            edge_key, neighbor_rank)
 from helpers import (complete_edges, er_edges, graph_from_edges, graph_from_text,
-                     graph_text, path_edges, powerlaw_edges, star_edges)
-from oracles import clean_edges
+                     graph_text, hubs_and_path_edges, path_edges, powerlaw_edges,
+                     star_edges)
+from oracles import clean_edges, has_edges
 
 
 def test_load_triangle():
@@ -259,18 +261,19 @@ def test_load_only_self_loops_rejected():
 
 
 def test_has_edge_trivial_cases():
-    tri = graph_from_edges(complete_edges(3))
-    assert tri.has_edge(0, 2)
-    assert not tri.has_edge(0, 0)
-    path = graph_from_edges(path_edges(2))
-    assert not path.has_edge(0, 2)
+    # Internal ids are the edge lists' ids here.
+    for edges, (u, v), want in [(complete_edges(3), (0, 2), True),
+                                (complete_edges(3), (0, 0), False),
+                                (path_edges(2), (0, 2), False)]:
+        g = graph_from_edges(edges)
+        assert has_edge_many(g, u, v).tolist() == has_edges(edges, [(u, v)]) == [want]
 
 
 def test_degree_examples():
     k4 = graph_from_edges(complete_edges(4))
-    assert all(k4.degree(v) == 3 for v in range(4))
+    assert k4.degrees.tolist() == [3] * 4
     star = graph_from_edges(star_edges(4))
-    assert star.degree(0) == 4
+    assert star.degrees[0] == 4
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -285,19 +288,20 @@ def test_membership_matches_dense_oracle(seed):
     for u, v in cleaned:
         dense[u, v] = dense[v, u] = True
     # ids: all of 0..n-1 appearing in edges, remapped by first appearance
-    back = {i: int(orig) for i, orig in enumerate(g.original_ids)}
-    for u in range(g.n):
-        for v in range(g.n):
-            assert g.has_edge(u, v) == dense[back[u], back[v]]
-            assert g.has_edge(u, v) == g.has_edge(v, u)
+    us, vs = np.divmod(np.arange(g.n * g.n), g.n)
+    got = has_edge_many(g, us, vs)
+    back = g.original_ids
+    assert got.tolist() == dense[back[us], back[vs]].tolist()
+    assert np.array_equal(got.reshape(g.n, g.n), got.reshape(g.n, g.n).T)
 
 
 def test_every_input_edge_survives():
     edges = er_edges(40, 0.2, seed=5)
     g = graph_from_edges(edges)
     back = {int(orig): i for i, orig in enumerate(g.original_ids)}
-    for u, v in clean_edges(edges):
-        assert g.has_edge(back[u], back[v])
+    cleaned = clean_edges(edges)
+    got = has_edge_many(g, [back[u] for u, _ in cleaned], [back[v] for _, v in cleaned])
+    assert got.tolist() == has_edges(edges, cleaned) == [True] * len(cleaned)
 
 
 @pytest.mark.parametrize("edges", [complete_edges(6), er_edges(50, 0.1, 3)])
@@ -323,18 +327,36 @@ def test_offsets_invariants():
     assert g.offsets[-1] == 2 * g.m
     assert (np.diff(g.offsets) >= 0).all()
     for v in range(g.n):
-        nbrs = g.neighbors_of(v)
+        nbrs = g.neighbors[g.offsets[v]:g.offsets[v + 1]]
         assert (np.diff(nbrs) > 0).all()  # strictly ascending, no dups
 
 
 def test_has_edge_many_matches_scalar():
-    g = graph_from_edges(er_edges(60, 0.08, 17))
+    edges = er_edges(60, 0.08, 17)
+    g = graph_from_edges(edges)
     rng = np.random.default_rng(0)
     us = rng.integers(0, g.n, 500)
     vs = rng.integers(0, g.n, 500)
     bulk = has_edge_many(g, us, vs)
-    for u, v, got in zip(us, vs, bulk):
-        assert got == g.has_edge(int(u), int(v))
+    ids = g.original_ids
+    assert bulk.tolist() == has_edges(edges, zip(ids[us].tolist(), ids[vs].tolist()))
+    for u, v, got in zip(us.tolist(), vs.tolist(), bulk.tolist()):
+        assert has_edge_many(g, u, v).tolist() == [got]
+
+
+def test_has_edge_many_scalar_queries():
+    # K5 and a path: the queries whose home slot holds another key probe
+    # on, which a 0-d result cannot record.
+    edges = complete_edges(5) + [(i, i + 1) for i in range(5, 60)]
+    g = graph_from_edges(edges)
+    ids = g.original_ids.tolist()
+    pairs = [(u, v) for u in range(g.n) for v in range(g.n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [has_edge_many(g, u, v) for u, v in pairs]
+    assert all(r.shape == (1,) for r in got)
+    want = has_edges(edges, [(ids[u], ids[v]) for u, v in pairs])
+    assert [bool(r[0]) for r in got] == want
 
 
 def test_degrees_are_cached_and_read_only():
@@ -347,47 +369,17 @@ def test_degrees_are_cached_and_read_only():
         deg[0] = 7
 
 
-# Run lengths mix short runs (1-4 search rounds) with runs of up to
-# 3,000 (12 rounds), so the open set is compacted at several rounds.
-_RUN_LENGTHS = st.lists(st.one_of(st.integers(0, 8), st.integers(9, 3_000)),
-                        max_size=12)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(lengths=_RUN_LENGTHS, seed=st.integers(0, 2**32 - 1),
-       nbr_dtype=st.sampled_from([np.int32, np.int64]),
-       x_dtype=st.sampled_from([np.int32, np.int64]))
-@example(lengths=[], seed=0, nbr_dtype=np.int32, x_dtype=np.int64)
-@example(lengths=[1, 3_000, 0, 2, 2_048], seed=1, nbr_dtype=np.int32,
-         x_dtype=np.int32)
-def test_lower_bound_matches_searchsorted(lengths, seed, nbr_dtype, x_dtype):
-    rng = np.random.default_rng(seed)
-    runs = [np.sort(rng.integers(0, 2 * n + 1, n)) for n in lengths]
-    nbr = np.concatenate(runs + [np.zeros(0, dtype=np.int64)]).astype(nbr_dtype)
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    run_of, xs = [], []
-    for r, vals in enumerate(runs):
-        # below, above, at and between the run's values
-        q = [-1, 2 * vals.size + 1, *rng.integers(-1, 2 * vals.size + 2, 4)]
-        if vals.size:
-            q += [vals[0] - 1, vals[-1] + 1, *rng.choice(vals, 3)]
-        run_of += [r] * len(q)
-        xs += q
-    order = rng.permutation(len(xs))
-    run_of = np.array(run_of, dtype=np.int64)[order]
-    x = np.array(xs, dtype=x_dtype)[order]
-    lo, hi = offsets[run_of], offsets[run_of + 1]
-    want = [int(np.searchsorted(nbr[a:b], q)) + a
-            for a, b, q in zip(lo.tolist(), hi.tolist(), x.tolist())]
-    got = _lower_bound(nbr, lo.copy(), hi.copy(), x)
-    assert got.tolist() == want
+def _powerlaw10k_edges():
+    u, v = powerlaw_edges(8675309, n=3_000, raw=14_000, m=10_000)
+    return list(zip(u.tolist(), v.tolist()))
 
 
 @pytest.fixture(scope="module")
 def powerlaw10k():
-    u, v = powerlaw_edges(8675309, n=3_000, raw=14_000, m=10_000)
-    return graph_from_edges(zip(u.tolist(), v.tolist()))
+    return graph_from_edges(_powerlaw10k_edges())
+
+
+_EDGES = {"hubs_and_path": hubs_and_path_edges, "powerlaw10k": _powerlaw10k_edges}
 
 
 @pytest.mark.parametrize("which", ["hubs_and_path", "powerlaw10k"])
@@ -407,7 +399,9 @@ def test_has_edge_many_mixed_search_depths(request, which):
     order = rng.permutation(us.size)
     us, vs = us[order], vs[order]
     bulk = has_edge_many(g, us, vs)
-    assert bulk.tolist() == [g.has_edge(u, v) for u, v in zip(us.tolist(), vs.tolist())]
+    ids = g.original_ids
+    assert bulk.tolist() == has_edges(_EDGES[which](),
+                                      zip(ids[us].tolist(), ids[vs].tolist()))
 
 
 @pytest.mark.parametrize("which", ["hubs_and_path", "powerlaw10k"])
@@ -419,7 +413,7 @@ def test_neighbor_rank_matches_searchsorted(request, which, dtype):
     w = np.concatenate([ev, eu]).astype(dtype)
     order = np.random.default_rng(4).permutation(v.size)
     v, w = v[order], w[order]
-    want = [int(np.searchsorted(g.neighbors_of(a), b))
+    want = [int(np.searchsorted(g.neighbors[g.offsets[a]:g.offsets[a + 1]], b))
             for a, b in zip(v.tolist(), w.tolist())]
     assert neighbor_rank(g, v, w).tolist() == want
 
