@@ -52,8 +52,14 @@ def check_p(p: float):
 
 
 def _check_k(k: int):
-    """The one rule for a wedge-sample count: an integer k >= 1."""
-    if not (float(k).is_integer() and k >= 1):
+    """The one rule for a wedge-sample count: an integer k >= 1 that a
+    float can hold."""
+    try:
+        whole = float(k).is_integer()
+    except OverflowError:
+        raise ValueError("wedge-sample count k must fit a float "
+                         "(at most ~1.8e308)") from None
+    if not (whole and k >= 1):
         raise ValueError(f"wedge-sample count k must be an integer >= 1, got {k}")
 
 

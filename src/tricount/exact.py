@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _home_slot, _run_pairs, edge_key
+from .graph import Graph, _home_slot, _packed_order, _run_pairs, edge_key
 
 # Out-edge pairs checked per block of ``count_triangles_exact``. Each
 # pair costs ~47 bytes of temporaries (tracemalloc, the peak difference
@@ -207,26 +207,6 @@ def _out_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     out_off = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=g.n), out=out_off[1:])
     return canon, head, out_off
-
-
-def _packed_order(key: np.ndarray, key_bits: int) -> np.ndarray:
-    """The positions (int64) of ``key``, integers below ``2**key_bits``,
-    stably sorted by key, but for the key's low ``drop`` bits.
-
-    One ``np.sort`` of ``(key >> drop) << w | position``, w the bit width
-    of the largest position, then the positions masked back out. ``drop``
-    is what the key and the position need beyond 64 bits: 0 for vertex
-    ids (n < 2**32, m <= 2**32), and 0 for a block's edge keys unless
-    n > 2**24 at blocks of 2**16 pairs.
-    """
-    width = (key.size - 1).bit_length()
-    packed = key.astype(np.uint64)
-    packed >>= np.uint64(max(0, key_bits + width - 64))
-    packed <<= np.uint64(width)
-    packed |= np.arange(key.size, dtype=np.uint64)
-    packed.sort()
-    packed &= np.uint64((1 << width) - 1)
-    return packed.view(np.int64)
 
 
 def wedge_count(g: Graph) -> int:

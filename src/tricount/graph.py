@@ -7,10 +7,13 @@ remaps the source ids densely to ``[0, n)`` in order of first
 appearance, in a few passes: numpy's text parser reads the input in
 blocks of whole lines, each checked byte by byte first (a line scan
 reads each block that fails the check, and reports its errors); one
-sort of the ids gives the remap; one sort of the edge keys of both
-directions gives the sorted neighbor lists. Edge membership is one
-lookup in a hash set of the canonical edge keys, which a graph builds
-on its first membership query.
+stable sort of the ids, each packed with its position into one uint64,
+gives the remap (a stable argsort instead when an id and a position
+need more than 64 bits together, as ids of 2**43 and up do at a
+million edges); one sort of the edge keys of both directions gives the
+sorted neighbor lists. Edge membership is one lookup in a hash set of
+the canonical edge keys, which a graph builds on its first membership
+query.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ _EMPTY = np.uint64(2**64 - 1)
 # Fibonacci hashing: a key's home slot is the top bits of key * _GOLDEN.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 # Most edges a graph may have. With n < 2**32 an edge's position and a
-# vertex id pack into one uint64 (``exact._packed_order`` relies on it).
+# vertex id pack into one uint64 (the exact oracle's packed sorts rely
+# on it).
 _MAX_EDGES = 2**32
 
 
@@ -325,6 +329,40 @@ def _sorted_unique_mask(x: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _packed_order(key: np.ndarray, key_bits: int) -> np.ndarray:
+    """The positions (int64) of ``key``, integers below ``2**key_bits``,
+    stably sorted by key, but for the key's low ``drop`` bits.
+
+    One ``np.sort`` of ``(key >> drop) << w | position``, w the bit width
+    of the largest position, then the positions masked back out. ``drop``
+    is what the key and the position need beyond 64 bits: 0 for vertex
+    ids in the exact oracle (n < 2**32, m <= 2**32), 0 for a block's edge
+    keys unless n > 2**24 at blocks of 2**16 pairs, and 0 in the remap,
+    which calls it through ``_stable_order``.
+    """
+    width = (key.size - 1).bit_length()
+    packed = key.astype(np.uint64)
+    packed >>= np.uint64(max(0, key_bits + width - 64))
+    packed <<= np.uint64(width)
+    packed |= np.arange(key.size, dtype=np.uint64)
+    packed.sort()
+    packed &= np.uint64((1 << width) - 1)
+    return packed.view(np.int64)
+
+
+def _stable_order(key: np.ndarray, key_bits: int) -> np.ndarray:
+    """The positions (int64) of ``key``, integers below ``2**key_bits``,
+    stably sorted by the whole key.
+
+    ``_packed_order`` when a key and a position fit in 64 bits together,
+    so it drops no bits; otherwise (at 2**21 keys, keys of 2**43 and up)
+    a stable ``np.argsort``.
+    """
+    if key_bits + (key.size - 1).bit_length() <= 64:
+        return _packed_order(key, key_bits)
+    return np.argsort(key, kind="stable")
+
+
 def _run_pairs(offsets: np.ndarray, block: int):
     """Every pair of positions ``a < b`` in the same run, in (a, b) order.
 
@@ -364,15 +402,18 @@ def _remap(ids: np.ndarray) -> np.ndarray:
     """Overwrite the 1-D ``ids`` with dense ids in ``[0, n)``, numbered in
     order of first appearance, and return the source id of each.
 
-    Sorts the ids once; each distinct id's first position is the
-    smallest position in its run of the sort, which need not come first
-    in the run, as the sort is not stable.
+    Sorts the ids once by ``_stable_order``: one packed ``np.sort`` of
+    each id above its position, or a stable argsort when an id and a
+    position need more than 64 bits together (at 2**21 ids, ids of
+    2**43 and up). The sort is stable, so each run of equal ids starts
+    at that id's first position; the n first positions are put in
+    appearance order by the same helper.
     """
-    order = np.argsort(ids)
-    sorted_ids = ids[order]
+    order = _stable_order(ids, int(ids.max()).bit_length())
+    sorted_ids = ids.take(order)
     starts = np.flatnonzero(_sorted_unique_mask(sorted_ids))
-    appearance = np.argsort(np.minimum.reduceat(order, starts))
-    original_ids = sorted_ids[starts[appearance]]
+    appearance = _stable_order(order.take(starts), (ids.size - 1).bit_length())
+    original_ids = sorted_ids.take(starts.take(appearance))
     del sorted_ids
     n = int(original_ids.shape[0])
     rank = np.empty(n, dtype=np.int64)

@@ -128,6 +128,16 @@ def test_estimate_invalid_p_exits_2(capsys, k4_file):
     assert exc.value.code == 2
 
 
+def test_estimate_huge_k_exits_2(capsys, k4_file):
+    # A k past the float range is an invalid --k like any other, not an
+    # OverflowError with a traceback.
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--graph", k4_file, "--method", "ws", "--k", str(10**400)])
+    assert exc.value.code == 2
+    assert "tricount: error: --k: wedge-sample count k must fit a float" in \
+        capsys.readouterr().err
+
+
 def test_estimate_ws_without_wedges_fails_cleanly(capsys, tmp_path):
     f = tmp_path / "matching.txt"
     f.write_text("0 1\n2 3\n")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tricount import compute_metrics, count_triangles_exact, exact, wedge_count
 from tricount.exact import METRICS_CSV_HEADER
-from tricount.graph import edge_key
+from tricount.graph import _packed_order, edge_key
 from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
                      graph_from_edges, path_edges, star_edges)
 from oracles import (edge_triangle_counts, phi_by_triangle_enumeration,
@@ -142,14 +142,14 @@ def test_block_order_of_keys_too_wide_to_pack_whole():
     query = np.concatenate([query, rng.integers(
         0, n * n, size=exact._WEDGE_BLOCK - query.size, dtype=np.uint64)])
     rng.shuffle(query)
-    order = exact._packed_order(query, key_bits)
+    order = _packed_order(query, key_bits)
     assert order.dtype == np.int64
     assert np.array_equal(np.sort(order), np.arange(query.size))
     high = query[order] >> np.uint64(drop)
     assert (high[1:] >= high[:-1]).all()
     # Below the limit the whole key fits: the order is the stable argsort.
     small = query % np.uint64(1000**2)
-    assert np.array_equal(exact._packed_order(small, (1000**2 - 1).bit_length()),
+    assert np.array_equal(_packed_order(small, (1000**2 - 1).bit_length()),
                           np.argsort(small, kind="stable"))
 
 

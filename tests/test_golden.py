@@ -24,12 +24,13 @@ def _digest(arr: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _powerlaw_text() -> str:
+def _powerlaw_text(shift: int = 0) -> str:
     """A criterion-8 graph at 10k edges, written in a scrambled order.
 
     Rows are shuffled, endpoints flipped at random, ids spread out, and
     duplicates, reversed duplicates and self-loops added, so the
     first-appearance remap and the deduplication both have work to do.
+    Every id is then raised by ``shift``.
     """
     u, v = powerlaw_edges(8675309, n=3_000, raw=14_000, m=10_000)
     rng = np.random.default_rng(5)
@@ -41,7 +42,7 @@ def _powerlaw_text() -> str:
     b = np.concatenate([b, a[dup], loops])
     order = rng.permutation(a.size)
     a, b = a[order] * 7 + 3, b[order] * 7 + 3
-    return graph_text(zip(a.tolist(), b.tolist()))
+    return graph_text((x + shift, y + shift) for x, y in zip(a.tolist(), b.tolist()))
 
 
 # graph -> (offsets, neighbors, original_ids, T(e)) digests, (n, m), (Δ, λ, φ, K)
@@ -80,6 +81,16 @@ def test_golden_csr_and_oracle(graphs, name):
            (g.n, g.m),
            (met.triangle_count, met.wedge_count, met.phi, met.shared_edge_pairs))
     assert got == GOLDEN[name]
+
+
+def test_golden_csr_of_ids_too_wide_to_pack(graphs):
+    # Ids of 2**62 and up do not fit in 64 bits with a position, so the
+    # remap takes its stable argsort; the graph must not change.
+    g = graph_from_text(_powerlaw_text(shift=2**62))
+    offsets, neighbors, original_ids, _ = GOLDEN["powerlaw10k"][0]
+    assert (_digest(g.offsets), _digest(g.neighbors)) == (offsets, neighbors)
+    assert _digest(g.original_ids - 2**62) == original_ids
+    assert np.array_equal(g.original_ids - 2**62, graphs["powerlaw10k"].original_ids)
 
 
 # Single estimates: graph -> method -> (level, {seed: (estimate, raw, sampled)})

@@ -42,14 +42,56 @@ def test_load_comments_blank_lines_and_tabs():
 
 
 def test_load_remaps_by_first_appearance_far_apart():
-    # The remap's sort is not stable, so an id's first position need not
-    # come first among its equal ids in the sort.
+    # The remap's packed sort is stable, so each id's first position
+    # comes first among its equal ids; ids this small never take the
+    # stable argsort, which runs only when an id and a position need
+    # more than 64 bits together.
     rng = np.random.default_rng(7)
     edges = (rng.integers(0, 40, size=(3_000, 2)) * 1_000 + 5).tolist()
     g = graph_from_edges(edges)
     assert g.original_ids.tolist() == list(dict.fromkeys(itertools.chain(*edges)))
     eu, ev = (g.original_ids[x].tolist() for x in g.edge_arrays)
     assert sorted(map(tuple, map(sorted, zip(eu, ev)))) == clean_edges(edges)
+
+
+# Vertex ids on both sides of the remap's packed-sort limit: small ones;
+# ones of 2**59 to 2**61, which pack with a position into 64 bits or not
+# depending on how many ids the list holds; and ones of 10**18 and up,
+# which the line scan reads (as uint64 from 2**63 on).
+_REMAP_IDS = st.one_of(st.integers(0, 40), st.integers(2**59, 2**61),
+                       st.integers(10**18, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pool=st.lists(_REMAP_IDS, min_size=2, max_size=10, unique=True),
+       data=st.data())
+def test_load_remaps_wide_ids_by_first_appearance(pool, data):
+    ends = st.sampled_from(pool)
+    edges = data.draw(st.lists(st.tuples(ends, ends), min_size=1, max_size=12))
+    if not clean_edges(edges):
+        with pytest.raises(EmptyGraphError):
+            graph_from_edges(edges)
+        return
+    g = graph_from_edges(edges)
+    assert g.original_ids.tolist() == list(dict.fromkeys(itertools.chain(*edges)))
+    eu, ev = (g.original_ids[x].tolist() for x in g.edge_arrays)
+    assert sorted(map(tuple, map(sorted, zip(eu, ev)))) == clean_edges(edges)
+
+
+@pytest.mark.parametrize("top, argsorts", [(2**60 - 1, 0), (2**60, 1)])
+def test_remap_argsorts_only_ids_too_wide_to_pack(monkeypatch, top, argsorts):
+    # Positions of 16 ids take 4 bits, so ids of up to 60 bits pack with
+    # them; the 5 first positions (4 bits) always pack with theirs.
+    ids = np.array([top, 3, top - 1, 3, 9, top, top - 1, 0] * 2, dtype=np.int64)
+    first = list(dict.fromkeys(ids.tolist()))
+    dense = [first.index(i) for i in ids.tolist()]
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort",
+                        lambda *a, **kw: calls.append(kw) or argsort(*a, **kw))
+    assert graph._remap(ids).tolist() == first
+    assert ids.tolist() == dense
+    assert calls == [{"kind": "stable"}] * argsorts
 
 
 def test_load_releases_its_parse_temporaries(tmp_path):
