@@ -17,11 +17,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import Iterator
+
+import numpy as np
 
 from .exact import GraphMetrics, compute_metrics, csv_cell
 from .graph import Graph
 from .estimators import LEVELS, SamplingPlan, check_level, check_p, run_trials
 from .rng import RandomSource, mix_seed
+
+
+# Trial sources a sweep row derives per vectorized pass; a row holds at
+# most this many not yet handed to the trial engine.
+_SEED_BLOCK = 1024
 
 
 class RseDomainError(ValueError):
@@ -190,30 +198,43 @@ def theory_rse(method: str, metrics: GraphMetrics, p: float | None = None,
             rse_omega_approx(p_eff, metrics.m, c))
 
 
+def _row_theory(plan: SamplingPlan, metrics: GraphMetrics) -> tuple[float, float]:
+    """A row's closed-form (exact, approximate) RSE; raises if the row
+    has none, so it can be checked before any trial runs."""
+    if metrics.triangle_count <= 0:
+        raise RseDomainError("empirical RSE undefined for triangle-free graphs")
+    return theory_rse(plan.method, metrics, p=plan.p, k=plan.k)
+
+
+def _trial_sources(seed: int, runs: int) -> Iterator[RandomSource]:
+    """``RandomSource(seed).derive(j)`` for j < runs, derived
+    ``_SEED_BLOCK`` at a time as the trial engine takes them."""
+    base = RandomSource(seed)
+    for start in range(0, runs, _SEED_BLOCK):
+        yield from base.derive(np.arange(start, min(start + _SEED_BLOCK, runs)))
+
+
 def empirical_rse(g: Graph, plan: SamplingPlan, metrics: GraphMetrics) -> RseRow:
     """Run ``plan.runs`` independent seeded trials and compare to theory.
 
     Trial ``i`` draws from ``RandomSource(plan.seed).derive(i)``, so any
     single trial can be reproduced in isolation and trials are
-    order-independent. The trials run as batches on the estimators'
-    trial engine: draws stay per trial, the graph work runs once per
-    batch, and memory is bounded by the batch budget, not by
-    ``plan.runs`` times the sample size. The sum of squared deviations
-    uses compensated accumulation (math.fsum).
+    order-independent. The sources are derived a block at a time and
+    the trials run as batches on the estimators' trial engine: draws
+    stay per trial, the graph work runs once per batch, and memory is
+    bounded by the block and batch sizes, not by ``plan.runs`` times the
+    sample size. The sum of squared deviations uses compensated
+    accumulation (math.fsum).
     """
     if plan.runs < 2:
         raise ValueError("empirical RSE needs at least 2 runs")
-    delta = metrics.triangle_count
-    if delta <= 0:
-        raise RseDomainError("empirical RSE undefined for triangle-free graphs")
-    base = RandomSource(plan.seed)
+    exact, approx = _row_theory(plan, metrics)
     _, sampled, estimates = run_trials(
-        g, plan.method, plan.level, (base.derive(i) for i in range(plan.runs)))
+        g, plan.method, plan.level, _trial_sources(plan.seed, plan.runs))
 
     mu = math.fsum(estimates) / plan.runs
     mean_sq = math.fsum((e - mu) ** 2 for e in estimates) / plan.runs
-    emp = math.sqrt(mean_sq) / delta
-    exact, approx = theory_rse(plan.method, metrics, p=plan.p, k=plan.k)
+    emp = math.sqrt(mean_sq) / metrics.triangle_count
     return RseRow(method=plan.method, p=plan.p, k=plan.k,
                   sampled=sum(sampled) / plan.runs, empirical_rse=emp,
                   exact_rse=exact, approx_rse=approx, mean_estimate=mu,
@@ -226,7 +247,8 @@ def rse_sweep(g: Graph, methods: list[str], ps: list[float], runs: int,
 
     For ws the wedge-sample count is ceil(p * m). Row ``i`` (in method-
     major order) uses base seed ``mix_seed(seed, i)``. Every (method, p)
-    is checked before the first row runs.
+    is checked, and so is its theory against the graph's metrics, before
+    the first row runs.
     """
     if not ps:
         raise ValueError("need at least one sampling probability")
@@ -238,4 +260,6 @@ def rse_sweep(g: Graph, methods: list[str], ps: list[float], runs: int,
              for idx, (method, p) in enumerate(itertools.product(methods, ps))]
     if metrics is None:
         metrics = compute_metrics(g)
+    for plan in plans:
+        _row_theory(plan, metrics)
     return RseReport(rows=tuple(empirical_rse(g, plan, metrics) for plan in plans))

@@ -92,6 +92,9 @@ def main(argv: list[str] | None = None) -> int:
             ValueError, OSError) as exc:
         print(f"tricount: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"tricount: error: out of memory: {exc}", file=sys.stderr)
+        return 1
     _emit(text, args.output)
     return 0
 

@@ -39,6 +39,8 @@ _BATCH = 1 << 16
 # O(_CHUNK + pm) memory rather than 8m bytes. PCG64 gives the same
 # stream whether the reals are drawn at once or in pieces.
 _CHUNK = 1 << 16
+# A ws trial draws k wedge positions into one array.
+_K_MAX = int(np.iinfo(np.intp).max)
 
 
 class NoWedgesError(ValueError):
@@ -53,7 +55,7 @@ def check_p(p: float):
 
 def _check_k(k: int):
     """The one rule for a wedge-sample count: an integer k >= 1 that a
-    float can hold."""
+    float can hold and that can size an array of draws."""
     try:
         whole = float(k).is_integer()
     except OverflowError:
@@ -61,6 +63,9 @@ def _check_k(k: int):
                          "(at most ~1.8e308)") from None
     if not (whole and k >= 1):
         raise ValueError(f"wedge-sample count k must be an integer >= 1, got {k}")
+    if k > _K_MAX:
+        raise ValueError(f"wedge-sample count k must be at most {_K_MAX}, "
+                         f"the largest array size, got {k}")
 
 
 @dataclass(frozen=True)

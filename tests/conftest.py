@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from tricount import RandomSource, compute_metrics
+from tricount import compute_metrics
+from tricount.analysis import _trial_sources
 from tricount.estimators import run_trials
 from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
                      graph_from_edges, hubs_and_path_edges, path_edges,
@@ -70,10 +71,10 @@ def er300_runs20k(er300, er300_metrics):
     configs = {"ews": ("p", 0.1), "es": ("p", 0.2), "ws": ("k", k_ws)}
     out = {}
     for method, (kind, level) in configs.items():
-        base = RandomSource(UNBIASEDNESS_SEEDS[method])
         start = time.perf_counter()
         raws, _, estimates = run_trials(
-            g, method, level, (base.derive(i) for i in range(UNBIASEDNESS_RUNS)))
+            g, method, level,
+            _trial_sources(UNBIASEDNESS_SEEDS[method], UNBIASEDNESS_RUNS))
         out[method] = {"estimates": np.array(estimates),
                        "raws": np.array(raws, dtype=np.float64),
                        "kind": kind, "level": level,

@@ -268,6 +268,41 @@ def test_rse_sweep_checks_every_row_before_the_first(monkeypatch):
     assert rows == []  # a bad late row costs no computed row
 
 
+def test_rse_sweep_checks_row_theory_before_any_trial(monkeypatch):
+    # m = 13 and 3 wedges: ws at p = 0.5 asks k = 7 wedges, past the
+    # exact form's domain; it is the last of four rows.
+    g = graph_from_edges([(0, 1), (1, 2), (0, 2)]
+                         + [(10 + 2 * i, 11 + 2 * i) for i in range(10)])
+    calls = []
+    run_trials = analysis.run_trials
+    monkeypatch.setattr(analysis, "run_trials",
+                        lambda *args: calls.append(1) or run_trials(*args))
+    with pytest.raises(RseDomainError, match=r"need 1 < k <= wedge count"):
+        rse_sweep(g, ["ews", "ws"], [0.1, 0.5], runs=1000, seed=42)
+    # triangle-free: the empirical-RSE message, before any trial
+    with pytest.raises(RseDomainError, match="triangle-free"):
+        rse_sweep(graph_from_edges(complete_edges(2) + [(1, 2)]), ["ews"], [0.5],
+                  runs=10, seed=0)
+    assert calls == []
+    rse_sweep(g, ["ews", "ws"], [0.1], runs=10, seed=42)
+    assert len(calls) == 2
+
+
+def test_rows_derive_trial_sources_a_block_at_a_time(monkeypatch):
+    blocks = []
+    derive = analysis.RandomSource.derive
+    monkeypatch.setattr(analysis.RandomSource, "derive",
+                        lambda self, idx: blocks.append(idx.size) or derive(self, idx))
+    sources = analysis._trial_sources(9, 10**12)
+    first = next(sources)
+    assert blocks == [analysis._SEED_BLOCK]
+    assert first.seed == mix_seed(9, 0)
+    blocks.clear()
+    seeds = [s.seed for s in analysis._trial_sources(9, 2 * analysis._SEED_BLOCK + 3)]
+    assert blocks == [analysis._SEED_BLOCK, analysis._SEED_BLOCK, 3]
+    assert seeds == [mix_seed(9, j) for j in range(len(seeds))]
+
+
 def test_theory_rse_dispatch(er300_metrics):
     ex, ap = theory_rse("ws", er300_metrics, k=200)
     assert 0 < ex <= ap

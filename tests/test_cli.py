@@ -138,6 +138,24 @@ def test_estimate_huge_k_exits_2(capsys, k4_file):
         capsys.readouterr().err
 
 
+def test_estimate_k_past_the_largest_array_exits_2(capsys, k4_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--graph", k4_file, "--method", "ws", "--k", str(10**30)])
+    assert exc.value.code == 2
+    assert (f"tricount: error: --k: wedge-sample count k must be at most "
+            f"{sys.maxsize}, the largest array size, got {10**30}") in \
+        capsys.readouterr().err
+
+
+def test_estimate_k_too_large_to_allocate_exits_1(capsys, k4_file):
+    # 10**18 draws is a valid k that no host can hold: a reported error,
+    # not a traceback.
+    code, out, err = run_cli(capsys, ["estimate", "--graph", k4_file,
+                                      "--method", "ws", "--k", str(10**18)])
+    assert code == 1 and out == ""
+    assert err.startswith("tricount: error: out of memory:")
+
+
 def test_estimate_ws_without_wedges_fails_cleanly(capsys, tmp_path):
     f = tmp_path / "matching.txt"
     f.write_text("0 1\n2 3\n")
@@ -256,6 +274,17 @@ def test_module_entry_point(triangle_file):
                            "--graph", triangle_file],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+    assert proc.stdout.startswith("n,m,delta")
+
+
+def test_stats_leaves_numpy_random_unloaded(triangle_file):
+    # numpy loads numpy.random (~5 MB resident) on first use; stats draws
+    # nothing, so it should not pay for it.
+    code = ("import sys; from tricount.cli import main; "
+            f"main(['stats', '--graph', {triangle_file!r}]); "
+            "sys.exit('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n,m,delta")
 
 

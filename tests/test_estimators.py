@@ -338,8 +338,7 @@ def _batch_cases():
 
 
 def _trials(g, method, level, runs=40, seed=5):
-    base = RandomSource(seed)
-    return run_trials(g, method, level, [base.derive(i) for i in range(runs)])
+    return run_trials(g, method, level, RandomSource(seed).derive(np.arange(runs)))
 
 
 @pytest.mark.parametrize("budget", [1, 7])

@@ -1,6 +1,10 @@
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tricount import RandomSource, mix_seed
+from tricount.rng import _sources, splitmix64
 
 
 def test_same_seed_same_stream():
@@ -46,3 +50,56 @@ def test_derived_streams_look_independent():
     xs = np.array([base.derive(i).uniform_reals(1)[0] for i in range(2000)])
     assert abs(xs.mean() - 0.5) < 0.03
     assert 0.05 < xs.var() < 0.12  # uniform variance is 1/12
+
+
+def test_mix_seed_keeps_its_values():
+    # splitmix64 of state 0 is the generator's published first output.
+    assert splitmix64(0) == 0xE220A8397B1DCDAF
+    pinned = {(0, 0): 12035550249420947055, (42, 1): 9129838320742759465,
+              (2**64 - 1, 7): 12225420764836534112,
+              (123, 2**64 - 1): 16138042052757723383,
+              (1 << 40, 12345): 7448650083225930224,
+              (5, -1): 3846658174030194800}
+    for (seed, i), want in pinned.items():
+        assert mix_seed(seed, i) == want
+        assert mix_seed(seed, np.array([i]).astype(np.uint64)).tolist() == [want]
+
+
+_SPECIAL_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=16))
+@example(seeds=_SPECIAL_SEEDS)
+def test_row_path_seeds_as_numpy_does(seeds):
+    # The row path repeats numpy's SeedSequence hashing; if numpy ever
+    # seeds PCG64 differently, the states part here.
+    rows = _sources(np.array(seeds, dtype=np.uint64))
+    for seed, row in zip(seeds, rows):
+        assert row.seed == seed
+        assert row._gen.bit_generator.state == np.random.PCG64(seed).state
+        lone = RandomSource(seed)
+        assert np.array_equal(row.uniform_reals(4), lone.uniform_reals(4))
+        assert np.array_equal(row.uniform_indices(1000, size=4),
+                              lone.uniform_indices(1000, size=4))
+
+
+def test_derive_array_equals_derive_each():
+    for seed, idx in [(42, np.arange(300)), (2**64 - 1, np.arange(5, 9)),
+                      (7, np.array([3, 0, 3, 2**40], dtype=np.uint64)),
+                      (9, np.zeros(0, dtype=np.int64))]:
+        base = RandomSource(seed)
+        rows = base.derive(idx)
+        lone = [base.derive(i) for i in idx.tolist()]
+        assert [r.seed for r in rows] == [c.seed for c in lone]
+        for r, c in zip(rows, lone):
+            assert np.array_equal(r.uniform_reals(3), c.uniform_reals(3))
+            assert np.array_equal(r.uniform_indices(50, size=3),
+                                  c.uniform_indices(50, size=3))
+
+
+def test_derive_rejects_non_integer_or_nested_arrays():
+    base = RandomSource(0)
+    for bad in (np.zeros(3), np.zeros((2, 2), dtype=np.int64), np.array(["1"])):
+        with pytest.raises(TypeError, match="1-D integer array"):
+            base.derive(bad)
