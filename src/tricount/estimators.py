@@ -16,6 +16,11 @@ All three run on one trial engine. Each trial draws only from its own
 :class:`RandomSource`, the same draws in the same order whether it runs
 alone or among thousands; the graph work (hinge split, neighbor
 lookups, closure probes) runs once over a batch of trials' samples.
+Phase two makes one draw call per trial: ews draws its wedge ends, ws
+its two neighbor picks (``_draw_each``). ws finds its hinges by one
+search over the batch's wedge positions in ascending order, and es
+groups the batch's edge ends by one exact sort of their (trial,
+vertex) keys.
 """
 
 from __future__ import annotations
@@ -26,14 +31,17 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import Graph, _run_pairs, _sorted_unique_mask, has_edge_many
+from .graph import (Graph, _packed_order, _run_pairs, _sorted_unique_mask,
+                    _stable_order, has_edge_many)
 from .rng import RandomSource
 
 # Sampled entities (edges for ews and es, wedges for ws) a batch of
 # trials gathers before its graph work runs. The graph work holds
 # ~60-80 bytes of temporaries per entity, so a batch stays a few MB
-# however many trials a sweep row runs. es probes its wedge pairs in
-# blocks of _BATCH // 2, as it holds the batch's edge ends meanwhile.
+# however many trials a sweep row runs; its per-trial part is one
+# phase-two draw call, and its sorts (ws hinges, es ends) are one per
+# batch. es probes its wedge pairs in blocks of _BATCH // 2, as it holds
+# the batch's edge ends and their trials meanwhile.
 _BATCH = 1 << 16
 # Phase one draws its uniform reals this many at a time, so a draw holds
 # O(_CHUNK + pm) memory rather than 8m bytes. PCG64 gives the same
@@ -112,14 +120,22 @@ def _concat(draws: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return values, bounds
 
 
-def _draw_each(rngs: list[RandomSource], high: np.ndarray,
+def _draw_each(rngs: list[RandomSource], highs: np.ndarray,
                bounds: np.ndarray) -> np.ndarray:
-    """``uniform_indices(high[run])`` from each trial's own source, end to
-    end; trials with an empty run draw nothing."""
-    parts = [rng.uniform_indices(high[a:b])
-             for rng, a, b in zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist())
-             if b > a]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    """Uniform draws below ``highs``, one row of highs per phase-two draw
+    of an entity, each trial's runs from its own source.
+
+    A trial makes one ``uniform_indices`` call on its runs of every row,
+    end to end (row 0's run, then row 1's, ...); numpy's array-bounded
+    draws keep their stream, 32-bit buffer included, across calls
+    (``tests/test_rng.py`` pins this), so this is the stream of one call
+    per row. Trials with an empty run draw nothing.
+    """
+    out = np.empty(highs.shape, dtype=np.int64)
+    for rng, a, b in zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist()):
+        if b > a:
+            out[:, a:b] = rng.uniform_indices(highs[:, a:b].ravel()).reshape(-1, b - a)
+    return out
 
 
 def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -165,7 +181,7 @@ def _ews_finish(g: Graph, p: float, rngs, draws, sampler) -> np.ndarray:
     hinge, other, dh = hinge[ok], other[ok], dh[ok]
     del ok, kept
     dh -= 1
-    w = _wedge_end(g, hinge, other, _draw_each(rngs, dh, bounds))
+    w = _wedge_end(g, hinge, other, _draw_each(rngs, dh[np.newaxis], bounds)[0])
     del hinge
     closed = has_edge_many(g, other, w)
     return _run_sums(np.where(closed, dh, 0), bounds)
@@ -177,9 +193,12 @@ def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray, trial: np.ndarray,
     wedge total over all trials.
 
     Every unordered pair of a trial's edges sharing a vertex is one
-    wedge at that hinge. Edge ends are sorted by (trial, hinge); an end
-    then pairs with each later end of its run, and the pairs are probed
-    ``_BATCH // 2`` at a time.
+    wedge at that hinge. Edge ends are sorted by their whole (trial,
+    hinge) key (``_stable_order``: a packed sort drops low key bits when
+    a key and a position need more than 64 bits, which would merge
+    runs); an end then pairs with each later end of its run, the pairs
+    are probed ``_BATCH // 2`` at a time, and each hit counts for its
+    first end's trial.
     """
     closed = np.zeros(trials, dtype=np.int64)
     if eu.size == 0:
@@ -189,23 +208,24 @@ def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray, trial: np.ndarray,
     del trial
     key *= n
     key += np.concatenate([eu, ev])
-    order = np.argsort(key)
-    key = key[order]
-    other = np.concatenate([ev, eu])[order]
+    order = _stable_order(key, (trials * n - 1).bit_length())
+    key = key.take(order)
+    other = np.concatenate([ev, eu]).take(order)
     del eu, ev, order
-    # Trial t owns ends first[t] .. first[t+1]-1.
-    first = np.searchsorted(key, np.arange(trials + 1) * n)
     pairs = _run_pairs(np.append(np.flatnonzero(_sorted_unique_mask(key)), other.size),
                        max(_BATCH // 2, 1))
+    # Each end's trial, held through the probes in the narrowest signed
+    # type that holds one.
+    key //= n
+    trial = key.astype(np.min_scalar_type(-trials))
     del key
     total = 0
     for a, b in pairs:
         total += a.size
-        b = other[b]
-        hit = a[has_edge_many(g, other[a], b)]
+        b = other.take(b)
+        hit = a[has_edge_many(g, other.take(a), b)]
         del a, b  # before the next block is built
-        closed += np.bincount(np.searchsorted(first, hit, side="right") - 1,
-                              minlength=trials)
+        closed += np.bincount(trial.take(hit), minlength=trials)
     return closed, total
 
 
@@ -223,15 +243,30 @@ def _ws_draw(g: Graph, k: int, rng: RandomSource, sampler) -> np.ndarray:
     return rng.uniform_indices(sampler.total, size=int(k))
 
 
+def _hinges(sampler: WedgeSampler, t: np.ndarray) -> np.ndarray:
+    """The hinge of each wedge position ``t``: the first vertex whose
+    cumulative wedge count exceeds it.
+
+    The search runs over the positions in ascending order, which keeps
+    its branches predictable, then scatters back. The order may ignore
+    low bits of ``t`` (``_packed_order``), as the search is exact in any
+    order.
+    """
+    order = _packed_order(t, (sampler.total - 1).bit_length())
+    hinge = np.empty_like(order)
+    hinge[order] = np.searchsorted(sampler.cumulative, t.take(order), side="right")
+    return hinge
+
+
 def _ws_finish(g: Graph, k: int, rngs, draws, sampler) -> np.ndarray:
     t, bounds = _concat(draws)
-    hinge = np.searchsorted(sampler.cumulative, t, side="right")
+    hinge = _hinges(sampler, t)
     del t
-    d = g.degrees[hinge]
-    i = _draw_each(rngs, d, bounds)
-    d -= 1
-    j = _draw_each(rngs, d, bounds)
-    del d
+    highs = np.empty((2, hinge.size), dtype=np.int64)
+    g.degrees.take(hinge, out=highs[0])
+    np.subtract(highs[0], 1, out=highs[1])
+    i, j = _draw_each(rngs, highs, bounds)
+    del highs
     j += j >= i
     base = g.offsets[hinge]
     del hinge

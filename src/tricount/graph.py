@@ -329,6 +329,10 @@ def _sorted_unique_mask(x: np.ndarray) -> np.ndarray:
     return mask
 
 
+# Bits in the word a packed sort sorts: a key's kept bits and a position.
+_WORD_BITS = 64
+
+
 def _packed_order(key: np.ndarray, key_bits: int) -> np.ndarray:
     """The positions (int64) of ``key``, integers below ``2**key_bits``,
     stably sorted by key, but for the key's low ``drop`` bits.
@@ -337,12 +341,14 @@ def _packed_order(key: np.ndarray, key_bits: int) -> np.ndarray:
     of the largest position, then the positions masked back out. ``drop``
     is what the key and the position need beyond 64 bits: 0 for vertex
     ids in the exact oracle (n < 2**32, m <= 2**32), 0 for a block's edge
-    keys unless n > 2**24 at blocks of 2**16 pairs, and 0 in the remap,
-    which calls it through ``_stable_order``.
+    keys unless n > 2**24 at blocks of 2**16 pairs, 0 for ws's wedge
+    positions while the wedge total times a batch's draws is below
+    2**64, and 0 in the remap and in es's grouping, which call it
+    through ``_stable_order``.
     """
     width = (key.size - 1).bit_length()
     packed = key.astype(np.uint64)
-    packed >>= np.uint64(max(0, key_bits + width - 64))
+    packed >>= np.uint64(max(0, key_bits + width - _WORD_BITS))
     packed <<= np.uint64(width)
     packed |= np.arange(key.size, dtype=np.uint64)
     packed.sort()
@@ -358,7 +364,7 @@ def _stable_order(key: np.ndarray, key_bits: int) -> np.ndarray:
     so it drops no bits; otherwise (at 2**21 keys, keys of 2**43 and up)
     a stable ``np.argsort``.
     """
-    if key_bits + (key.size - 1).bit_length() <= 64:
+    if key_bits + (key.size - 1).bit_length() <= _WORD_BITS:
         return _packed_order(key, key_bits)
     return np.argsort(key, kind="stable")
 

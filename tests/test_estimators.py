@@ -7,7 +7,7 @@ from tricount import (NoWedgesError, RandomSource, SamplingPlan,
                       build_wedge_sampler, compute_metrics,
                       count_triangles_exact, empirical_rse, es_estimate, ews_estimate,
                       ws_estimate)
-from tricount import estimators
+from tricount import estimators, graph
 from tricount.estimators import run_trials
 from helpers import (FIVE_TRIANGLE_EDGES, circulant_edges, complete_edges,
                      er_edges, forced_es_census, forced_ews_tau, forced_ws_omega,
@@ -378,3 +378,59 @@ def test_zero_edge_trials_sample_nothing(five_tri):
     raw, sampled, est = _trials(five_tri, "ews", 0.05, runs=60)
     assert 0 in sampled and any(sampled)
     assert all(r == 0 and e == 0.0 for r, s, e in zip(raw, sampled, est) if s == 0)
+
+
+# --------------------------------------------------------------------------
+# The trial engine's orders and draw calls.
+
+@pytest.mark.parametrize("word_bits", [64, 20, 12])
+def test_sorted_hinge_search_is_the_plain_search(monkeypatch, word_bits):
+    # Zero-wedge vertices repeat cumulative values: five_tri's leaves sit
+    # between hubs and path3 starts on a leaf. A narrower sort word makes
+    # the order drop low bits of the positions (2 on five_tri at 12 bits),
+    # which the search must not notice.
+    samplers = [build_wedge_sampler(graph_from_edges(edges))
+                for edges in (FIVE_TRIANGLE_EDGES, path_edges(2), er_edges(60, 0.15, 2))]
+    monkeypatch.setattr(graph, "_WORD_BITS", word_bits)
+    for sampler in samplers:
+        c = sampler.cumulative
+        t = np.concatenate([c - 1, c, np.arange(sampler.total)])
+        t = t[(t >= 0) & (t < sampler.total)]
+        t = np.random.default_rng(0).permutation(np.repeat(t, 3))
+        assert np.array_equal(estimators._hinges(sampler, t),
+                              np.searchsorted(c, t, side="right"))
+
+
+def test_es_groups_ends_by_the_whole_key(monkeypatch):
+    # With a 20-bit sort word, this batch's (trial, vertex) keys and end
+    # positions are too wide to pack whole, as they are at n near 2**32
+    # on a 64-bit word. The grouping must then take the exact order: a
+    # packed sort would drop low key bits and merge the runs of
+    # different vertices.
+    g = graph_from_edges(er_edges(60, 0.15, 2))
+    runs = 40
+    want = _trials(g, "es", 0.3, runs=runs)
+    ends = 2 * sum(want[1])
+    assert (runs * g.n - 1).bit_length() + (ends - 1).bit_length() > 20
+    monkeypatch.setattr(graph, "_WORD_BITS", 20)
+    assert _trials(g, "es", 0.3, runs=runs) == want
+
+
+def test_phase_two_draws_once_per_trial(monkeypatch):
+    # ws draws a trial's i and j in one call, ews its wedge ends in one:
+    # a return to a call per draw array fails here.
+    calls = []
+    real = RandomSource.uniform_indices
+
+    def counted(self, n, size=None):
+        calls.append("two" if np.ndim(n) else "one")
+        return real(self, n, size)
+
+    monkeypatch.setattr(RandomSource, "uniform_indices", counted)
+    g = graph_from_edges(complete_edges(8))  # no pendant hinges
+    runs = 30
+    _trials(g, "ws", 40, runs=runs)
+    assert calls.count("one") == runs and calls.count("two") == runs
+    calls.clear()
+    _, sampled, _ = _trials(g, "ews", 0.3, runs=runs)
+    assert all(sampled) and calls == ["two"] * runs

@@ -103,3 +103,43 @@ def test_derive_rejects_non_integer_or_nested_arrays():
     for bad in (np.zeros(3), np.zeros((2, 2), dtype=np.int64), np.array(["1"])):
         with pytest.raises(TypeError, match="1-D integer array"):
             base.derive(bad)
+
+
+# Highs at the edges of numpy's paths: 2**32 draws one raw uint32 and
+# 2**32 + 1 is the first 64-bit range; below that, draws are buffered
+# 32-bit ones that can leave half a uint64 in the generator.
+_EDGE_HIGHS = [2, 3, 2**31 + 1, 2**32, 2**32 + 1, 2**32 + 2, 2**62]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       highs=st.lists(st.one_of(st.integers(2, 2**32), st.integers(2**32 + 1, 2**63 - 1),
+                                st.sampled_from(_EDGE_HIGHS)),
+                      min_size=1, max_size=9),
+       before=st.integers(0, 3))
+@example(seed=0, highs=[7, 9, 11], before=1)  # odd, 32-bit, after a draw
+@example(seed=1, highs=[7, 9], before=0)  # even, 32-bit
+@example(seed=2, highs=[2**40, 5, 2**33 + 1], before=1)  # mixed, odd
+@example(seed=3, highs=_EDGE_HIGHS, before=3)
+def test_one_call_on_joined_highs_is_two_calls(seed, highs, before):
+    # ws phase two draws a trial's i (below d) and j (below d - 1) in one
+    # call on the joined highs. That is the stream of two calls only if
+    # numpy's array-bounded draws keep the generator's 32-bit buffer
+    # across calls; if numpy ever changes that, the streams part here.
+    high = np.array(highs, dtype=np.int64)
+    joined, apart = RandomSource(seed), RandomSource(seed)
+    for src in (joined, apart):
+        src.uniform_indices(np.full(before, 5))
+    got = joined.uniform_indices(np.concatenate([high, high - 1]))
+    want = np.concatenate([apart.uniform_indices(high), apart.uniform_indices(high - 1)])
+    assert np.array_equal(got, want)
+    # has_uint32 and uinteger, the 32-bit buffer, are in the state.
+    assert joined._gen.bit_generator.state == apart._gen.bit_generator.state
+
+
+def test_joined_draws_can_leave_half_a_word_buffered():
+    # The case the test above must cover: an odd count of buffered
+    # 32-bit draws leaves the generator holding half a uint64.
+    src = RandomSource(0)
+    src.uniform_indices(np.array([7, 9, 11]))
+    assert src._gen.bit_generator.state["has_uint32"] == 1
