@@ -442,14 +442,12 @@ class WedgeSampler:
 
 
 def build_wedge_sampler(g: Graph) -> WedgeSampler:
-    """Cumulative per-vertex wedge counts; raises if the graph has no wedges."""
-    d = g.degrees.astype(np.int64)
-    w = d * (d - 1) // 2
-    cumulative = np.cumsum(w)
+    """The graph's cumulative per-vertex wedge counts (``g.wedge_prefix``,
+    built once per graph); raises if the graph has no wedges."""
+    cumulative = g.wedge_prefix
     total = int(cumulative[-1]) if cumulative.size else 0
     if total == 0:
         raise NoWedgesError("graph has no wedges")
-    cumulative.flags.writeable = False
     return WedgeSampler(cumulative=cumulative, total=total)
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _home_slot, _packed_order, _run_pairs, edge_key
+from .graph import (Graph, _home_slot, _index_slots, _packed_order, _run_pairs,
+                    edge_key)
 
 # Out-edge pairs checked per block of ``count_triangles_exact``. Each
 # pair costs ~47 bytes of temporaries (tracemalloc, the peak difference
@@ -28,10 +29,10 @@ _WEDGE_BLOCK = 1 << 16
 
 def _filter_slots(m: int) -> int:
     """Slots of ``count_triangles_exact``'s non-edge filter: 8 to 16 per
-    edge, twice as many as ``Graph.edge_index`` has. On the million-edge
-    power-law graph 19% of the pairs pass it; half the slots pass 28%
-    and took longer end to end."""
-    return 1 << (m.bit_length() + 3)
+    edge, twice the home slots of ``Graph.edge_index``. On the
+    million-edge power-law graph 19% of the pairs pass it; half the
+    slots pass 28% and took longer end to end."""
+    return 2 * _index_slots(m)
 
 
 METRICS_CSV_HEADER = "n,m,delta,lambda,C,tri_per_edge,phi_over_3delta,K_over_delta"

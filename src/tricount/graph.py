@@ -11,9 +11,10 @@ stable sort of the ids, each packed with its position into one uint64,
 gives the remap (a stable argsort instead when an id and a position
 need more than 64 bits together, as ids of 2**43 and up do at a
 million edges); one sort of the edge keys of both directions gives the
-sorted neighbor lists. Edge membership is one lookup in a hash set of
-the canonical edge keys, which a graph builds on its first membership
-query.
+sorted neighbor lists, and the canonical edge arrays come from the same
+pass. Edge membership is one lookup in an ordered hash set of the
+canonical edge keys, which a graph builds on its first membership query
+with one sort.
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ import numpy as np
 # Empty slot of an edge index. No edge key can take this value, since
 # keys are below n**2 and the loader requires n < 2**32.
 _EMPTY = np.uint64(2**64 - 1)
-# Fibonacci hashing: a key's home slot is the top bits of key * _GOLDEN.
+# Fibonacci hashing: a key's hash is key * _GOLDEN mod 2**64, and its
+# home slot the top bits of the hash. The constant is odd, so hashing is
+# a bijection: hash * _GOLDEN_INVERSE gives the key back.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN_INVERSE = np.uint64(pow(0x9E3779B97F4A7C15, -1, 2**64))
 # Most edges a graph may have. With n < 2**32 an edge's position and a
 # vertex id pack into one uint64 (the exact oracle's packed sorts rely
 # on it).
@@ -75,45 +79,78 @@ class Graph:
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical edge list as two aligned arrays (u < v), sorted by (u, v).
+        """Canonical edge list as two aligned arrays (u < v), sorted by (u, v),
+        in the dtype of ``neighbors``; read-only.
 
         This is the iteration order used by edge sampling, so results
-        are reproducible for a fixed seed.
+        are reproducible for a fixed seed. The loader seeds it; a graph
+        built otherwise derives it from the CSR on first use.
         """
         src = np.repeat(np.arange(self.n, dtype=self.neighbors.dtype), self.degrees)
         keep = src < self.neighbors
-        return src[keep], self.neighbors[keep]
+        eu, ev = src[keep], self.neighbors[keep]
+        eu.flags.writeable = ev.flags.writeable = False
+        return eu, ev
+
+    @cached_property
+    def wedge_prefix(self) -> np.ndarray:
+        """Cumulative wedge counts (int64, length n): entry v is the number
+        of wedges hinged at vertices 0..v, d(d - 1)/2 each. Computed once;
+        read-only."""
+        d = self.degrees.astype(np.int64)
+        d *= d - 1
+        d //= 2
+        np.cumsum(d, out=d)
+        d.flags.writeable = False
+        return d
 
     @cached_property
     def edge_index(self) -> np.ndarray:
-        """Hash set of the canonical edge keys ``edge_key(u, v, n)``, u < v.
+        """Ordered hash set of the canonical edge keys ``edge_key(u, v, n)``,
+        u < v, in a uint64 table; empty slots hold ``2**64 - 1``.
 
-        Open addressing with linear probing that wraps at the end, in a
-        uint64 table of ``2**(m.bit_length() + 2)`` slots (load factor
-        at most 1/4); empty slots hold ``2**64 - 1``. Built on first
-        use, in vectorized rounds: each round, one writer wins each
-        empty slot and the keys not placed move one slot on. Read-only.
+        Open addressing with linear probing over ``_index_slots(m)`` home
+        slots (load factor at most 1/4). Keys sit in ascending order of
+        their hash, so the homes never decrease along the table. Instead
+        of wrapping around, the last chain runs on into a short tail, and
+        the table ends with one empty slot. Built on first use, with one
+        sort: the i-th smallest hash goes to slot ``i + max(home_j - j)``
+        over ``j <= i``, the first free slot at or after its home.
+        Read-only.
         """
-        table = np.full(1 << (self.m.bit_length() + 2), _EMPTY, dtype=np.uint64)
-        key = edge_key(*self.edge_arrays, self.n)
-        slot = _home_slot(key, table.size)
-        while key.size:
-            free = table[slot] == _EMPTY
-            table[slot[free]] = key[free]
-            left = table[slot] != key
-            key, slot = key[left], slot[left]
-            slot += 1
-            slot &= table.size - 1
+        slots = _index_slots(self.m)
+        h = edge_key(*self.edge_arrays, self.n)
+        h *= _GOLDEN
+        h.sort()
+        slot = _home_of_hash(h, slots)
+        step = np.arange(self.m)
+        slot -= step
+        np.maximum.accumulate(slot, out=slot)
+        slot += step
+        del step
+        table = np.full(max(slots, int(slot[-1]) + 1) + 1, _EMPTY, dtype=np.uint64)
+        h *= _GOLDEN_INVERSE
+        table[slot] = h
         table.flags.writeable = False
         return table
 
 
+def _index_slots(m: int) -> int:
+    """Home slots of the edge index of a graph of ``m`` edges: 4 to 8 per
+    edge, a power of two."""
+    return 1 << (m.bit_length() + 2)
+
+
+def _home_of_hash(h: np.ndarray, size: int, out=None) -> np.ndarray:
+    """Home slot (int64) of each hash ``key * _GOLDEN`` among ``size``
+    slots, a power of two: the hash's top bits."""
+    return np.right_shift(h, np.uint64(65 - size.bit_length()), out=out).view(np.int64)
+
+
 def _home_slot(key: np.ndarray, size: int) -> np.ndarray:
-    """Home slot (int64) of each key in an edge index of ``size`` slots,
-    a power of two."""
-    slot = key * _GOLDEN
-    slot >>= np.uint64(65 - size.bit_length())
-    return slot.view(np.int64)
+    """Home slot (int64) of each key among ``size`` slots, a power of two."""
+    h = key * _GOLDEN
+    return _home_of_hash(h, size, out=h)
 
 
 def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -121,34 +158,47 @@ def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Looks each pair's canonical key up in ``g.edge_index``: all queries
     probe their home slot at once, then the ones still open probe the
-    next slot, and so on; a query stops at a hit or at an empty slot.
-    At load factor 1/4 about four in five stop at the home slot. Pairs
-    ``u == v`` are never edges. Scalars are queries of one pair.
+    next slot, and so on. The table holds the keys in order of their
+    hash, so a query stops at its key, at an empty slot, or at the first
+    key whose hash exceeds its own. At load factor 1/4 about six in seven
+    stop at the home slot (86% of the closure probes of powerlaw-estimate
+    rounds on the million-edge power-law graph; 76% stop there without
+    the order). Pairs ``u == v`` are never edges. Scalars are queries of
+    one pair.
+
+    Raises:
+        ValueError: a vertex id outside ``[0, n)``.
     """
     u = np.atleast_1d(u)
     v = np.atleast_1d(v)
     if u.size == 0:
         return np.zeros(0, dtype=bool)
-    table = g.edge_index
-    key = edge_key(np.minimum(u, v), np.maximum(u, v), g.n)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
     del u, v
-    home = _home_slot(key, table.size)
+    if lo.min() < 0 or hi.max() >= g.n:
+        raise ValueError(f"vertex ids must be in [0, {g.n})")
+    table = g.edge_index
+    hq = edge_key(lo, hi, g.n)
+    del lo, hi
+    hq *= _GOLDEN
+    home = _home_of_hash(hq, _index_slots(g.m))
     held = table.take(home)
-    found = held == key
     open_ = held != _EMPTY
-    open_ ^= found  # hits hold a key: left are the slots holding another
-    where = np.flatnonzero(open_)  # the queries still open
+    held *= _GOLDEN
+    found = held == hq  # never at an empty slot: no key is 2**64 - 1
+    open_ &= held < hq  # a lower hash: the query's key may lie further on
+    where = np.flatnonzero(open_)
     step = 0
     while where.size:
         step += 1
         slot = home.take(where)
         slot += step
-        slot &= table.size - 1
         held = table.take(slot)
-        hit = held == key.take(where)
-        found[where[hit]] = True
         open_ = held != _EMPTY
-        open_ ^= hit
+        held *= _GOLDEN
+        want = hq.take(where)
+        found[where[held == want]] = True
+        open_ &= held < want
         where = where[open_]
     return found
 
@@ -459,13 +509,16 @@ def _build(key: np.ndarray, original_ids: np.ndarray) -> Graph:
     idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     neighbors = both.astype(idx_dtype)
     del both
-    # Ids are below 2**32, so the int64 views read the same values.
-    degrees = np.bincount(eu.view(np.int64), minlength=n)
-    degrees += np.bincount(ev.view(np.int64), minlength=n)
+    eu, ev = eu.astype(idx_dtype), ev.astype(idx_dtype)
+    degrees = np.bincount(eu, minlength=n)
+    degrees += np.bincount(ev, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
 
-    for arr in (offsets, neighbors, original_ids):
+    for arr in (offsets, neighbors, original_ids, eu, ev):
         arr.flags.writeable = False
-    return Graph(n=n, m=m, offsets=offsets, neighbors=neighbors,
-                 original_ids=original_ids)
+    g = Graph(n=n, m=m, offsets=offsets, neighbors=neighbors,
+              original_ids=original_ids)
+    # The keys' pairs are the canonical edge list, in its order.
+    g.__dict__["edge_arrays"] = eu, ev
+    return g

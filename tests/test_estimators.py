@@ -210,6 +210,31 @@ def test_wedge_sampler_requires_wedges():
         ws_estimate(matching, 5, RandomSource(0))
 
 
+def test_wedge_prefix_is_built_once_per_graph(monkeypatch):
+    g = graph_from_edges(er_edges(40, 0.2, 5))
+    assert "wedge_prefix" not in vars(g)
+    seen = []
+    hinges = estimators._hinges
+    monkeypatch.setattr(estimators, "_hinges",
+                        lambda sampler, t: seen.append(sampler.cumulative) or hinges(sampler, t))
+    ws_estimate(g, 50, RandomSource(1))
+    prefix = vars(g)["wedge_prefix"]
+    d = g.degrees.astype(np.int64)
+    assert prefix.dtype == np.int64
+    assert prefix.tolist() == np.cumsum(d * (d - 1) // 2).tolist()
+    assert not prefix.flags.writeable
+    with pytest.raises(ValueError):
+        prefix[0] = 7
+    ws_estimate(g, 50, RandomSource(2))
+    assert len(seen) == 2 and all(c is prefix for c in seen)
+    assert build_wedge_sampler(g).cumulative is prefix
+    matching = graph_from_edges([(0, 1), (2, 3)])
+    for _ in range(2):  # the second call reads the cached prefix
+        with pytest.raises(NoWedgesError):
+            ws_estimate(matching, 5, RandomSource(0))
+    assert vars(matching)["wedge_prefix"].tolist() == [0, 0, 0, 0]
+
+
 @pytest.mark.parametrize("k", [1, 5, 10])
 @pytest.mark.parametrize("seed", [0, 17])
 def test_ws_k3_always_exact(k3, k, seed):

@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import tracemalloc
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 from tricount import (EmptyGraphError, GraphFormatError, compute_metrics,
                       has_edge_many, load_edge_list)
 from tricount import exact, graph
-from tricount.graph import (_parse_pairs, _parse_pairs_slow, _run_pairs,
+from tricount.graph import (Graph, _parse_pairs, _parse_pairs_slow, _run_pairs,
                             edge_key, neighbor_rank)
 from helpers import (complete_edges, er_edges, graph_from_edges, graph_from_text,
                      graph_text, hubs_and_path_edges, path_edges, powerlaw_edges,
                      star_edges)
 from oracles import clean_edges, has_edges
+from test_golden import _powerlaw_text
 
 
 def test_load_triangle():
@@ -461,33 +463,48 @@ def test_neighbor_rank_matches_searchsorted(request, which, dtype):
 
 
 def _home_slot_ref(key: int, size: int) -> int:
-    """Home slot of ``key`` in an edge index of ``size`` slots, from the
-    documented formula in Python integers."""
+    """Home slot of ``key`` in an edge index of ``size`` home slots, from
+    the documented formula in Python integers."""
     bits = size.bit_length() - 1
     return (key * 0x9E3779B97F4A7C15 % 2**64) >> (64 - bits)
 
 
-def test_edge_index_probe_chain_wraps_around():
-    # A path over 0..199 fixes the internal ids (first appearance), so the
-    # keys of extra chords are known before loading; m stays in
-    # [128, 256), so the table has 2**10 slots.
-    n, size = 200, 1 << 10
-    path = [(i, i + 1) for i in range(n - 1)]
+# Internal ids of a path over 0..199 are its own ids (first appearance),
+# so the keys of extra chords are known before loading; with 56 chords
+# or fewer m stays in [128, 256), so the index has 2**10 home slots.
+_PATH_N, _PATH_SLOTS = 200, 1 << 10
+_PATH = [(i, i + 1) for i in range(_PATH_N - 1)]
+
+
+def _chords_by_home(n: int, size: int) -> dict:
+    """Every chord of the path over 0..n-1, listed by its home slot."""
     by_home = {}
     for u in range(n):
         for v in range(u + 2, n):
             by_home.setdefault(_home_slot_ref(u * n + v, size), []).append((u, v))
-    last, first = by_home[size - 1], by_home[0]
+    return by_home
+
+
+_CHORDS_BY_HOME = _chords_by_home(_PATH_N, _PATH_SLOTS)
+# Chords homed at the last two home slots, then at the first.
+_CHORD_POOL = (_CHORDS_BY_HOME[_PATH_SLOTS - 1] + _CHORDS_BY_HOME[_PATH_SLOTS - 2]
+               + _CHORDS_BY_HOME[0])
+
+
+def test_edge_index_last_chain_runs_into_the_tail():
+    n, size = _PATH_N, _PATH_SLOTS
+    last, first = _CHORDS_BY_HOME[size - 1], _CHORDS_BY_HOME[0]
     assert len(last) >= 6 and len(first) >= 4
-    g = graph_from_edges(path + last[:3] + first[:2])
+    g = graph_from_edges(_PATH + last[:3] + first[:2])
     assert (g.n, g.m) == (n, n + 4)
     assert g.original_ids.tolist() == list(range(n))
     table = g.edge_index
-    assert table.size == size
     slot_of = {int(k): s for s, k in enumerate(table.tolist()) if k != 2**64 - 1}
-    # One slot past the last is the first: at least two of the three keys
-    # homed at the last slot sit at the start of the table.
-    assert sum(slot_of[u * n + v] < 8 for u, v in last[:3]) >= 2
+    # Nothing wraps around: the three keys homed at the last slot fill it
+    # and the two tail slots after it, and one empty slot ends the table.
+    assert sorted(slot_of[u * n + v] for u, v in last[:3]) == [size - 1, size, size + 1]
+    assert table.size == size + 3 and table[-1] == 2**64 - 1
+    assert all(slot_of[u * n + v] < 8 for u, v in first[:2])
     # Absent keys whose home slot another key holds walk the same chain.
     absent = last[3:6] + first[2:4]
     assert all(table[_home_slot_ref(u * n + v, size)] != 2**64 - 1 for u, v in absent)
@@ -498,6 +515,54 @@ def test_edge_index_probe_chain_wraps_around():
     vs = np.concatenate([ev, eu, av, au])
     want = [True] * (2 * g.m) + [False] * (2 * len(absent))
     assert has_edge_many(g, us, vs).tolist() == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(chosen=st.sets(st.integers(0, len(_CHORD_POOL) - 1), max_size=56),
+       seed=st.integers(0, 2**32 - 1))
+@example(chosen=set(range(len(_CHORDS_BY_HOME[_PATH_SLOTS - 1]))), seed=0)
+def test_edge_index_is_ordered_and_agrees_with_a_set(chosen, seed):
+    n, size = _PATH_N, _PATH_SLOTS
+    chords = [_CHORD_POOL[i] for i in sorted(chosen)]
+    g = graph_from_edges(_PATH + chords)
+    table = g.edge_index
+    assert table.size > size and table[-1] == 2**64 - 1
+    slots = np.flatnonzero(table != 2**64 - 1).tolist()
+    keys = table[slots].tolist()
+    homes = [_home_slot_ref(k, size) for k in keys]
+    assert homes == sorted(homes)  # homes never decrease along a chain
+    hashes = [k * 0x9E3779B97F4A7C15 % 2**64 for k in keys]
+    assert hashes == sorted(hashes)
+    occupied = set(slots)
+    assert all(occupied.issuperset(range(h, s)) for h, s in zip(homes, slots))
+    present = set(_PATH) | set(chords)
+    rng = np.random.default_rng(seed)
+    pairs = (_PATH + _CHORD_POOL
+             + list(zip(rng.integers(0, n, 200).tolist(), rng.integers(0, n, 200).tolist())))
+    us = np.array([u for u, _ in pairs] + [v for _, v in pairs])
+    vs = np.array([v for _, v in pairs] + [u for u, _ in pairs])
+    want = [(min(u, v), max(u, v)) in present for u, v in zip(us.tolist(), vs.tolist())]
+    assert has_edge_many(g, us, vs).tolist() == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+@example(keys=[0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1])
+def test_golden_inverse_round_trips_every_uint64(keys):
+    assert int(graph._GOLDEN) * int(graph._GOLDEN_INVERSE) % 2**64 == 1
+    key = np.array(keys, dtype=np.uint64)
+    h = key * graph._GOLDEN
+    assert h.tolist() == [k * 0x9E3779B97F4A7C15 % 2**64 for k in keys]
+    assert (h * graph._GOLDEN_INVERSE).tolist() == keys
+
+
+def test_has_edge_many_rejects_ids_outside_the_graph():
+    g = graph_from_edges(er_edges(40, 0.2, 5))
+    # (-1, n - 1) has the key of an empty slot, which once probed on
+    # forever; (0, n + 5) has the key of the pair (1, 5).
+    for u, v in [(-1, g.n - 1), ([0], [g.n + 5]), (np.array([3, 2]), np.array([4, -2]))]:
+        with pytest.raises(ValueError, match="vertex ids"):
+            has_edge_many(g, u, v)
 
 
 def test_has_edge_many_self_pairs_and_empty_queries(five_tri):
@@ -511,7 +576,8 @@ def test_edge_index_is_cached_and_read_only():
     g = graph_from_edges(er_edges(40, 0.2, 5))
     table = g.edge_index
     assert table is g.edge_index
-    assert table.dtype == np.uint64 and table.size == 1 << (g.m.bit_length() + 2)
+    assert table.dtype == np.uint64 and table.size > 1 << (g.m.bit_length() + 2)
+    assert table[-1] == 2**64 - 1
     assert sorted(table[table != 2**64 - 1].tolist()) == \
         edge_key(*g.edge_arrays, g.n).tolist()
     assert not table.flags.writeable
@@ -534,6 +600,19 @@ def test_edge_arrays_are_canonical_and_sorted():
     assert (eu < ev).all()
     keys = eu.astype(np.int64) * g.n + ev.astype(np.int64)
     assert (np.diff(keys) > 0).all()
+
+
+@pytest.mark.parametrize("which", ["er300", "scrambled_powerlaw10k"])
+def test_loaded_edge_arrays_are_the_derived_ones(request, which):
+    g = (request.getfixturevalue(which) if which == "er300"
+         else graph_from_text(_powerlaw_text()))
+    assert "edge_arrays" in vars(g)  # seeded by the loader
+    assert isinstance(Graph.__dict__["edge_arrays"], functools.cached_property)
+    seeded, derived = g.edge_arrays, Graph.edge_arrays.func(g)
+    for a, b in zip(seeded, derived):
+        assert a.dtype == b.dtype == g.neighbors.dtype
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable and not b.flags.writeable
 
 
 def test_edge_key_round_trips_and_orders_at_the_vertex_limit():
