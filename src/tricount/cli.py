@@ -173,6 +173,9 @@ def _parse_inline_metrics(text: str) -> GraphMetrics:
                 f"--metrics: {field} must be finite and >= 0, got {token.strip()}")
         values.append(x)
     n, m, delta, wedges, phi, shared = values
+    if 3.0 * delta > wedges:  # each triangle closes three wedges
+        raise ValueError(f"--metrics: delta must be <= lambda/3, got delta "
+                         f"{parts[2].strip()} and lambda {parts[3].strip()}")
     c = 3.0 * delta / wedges if wedges > 0 else 0.0
     return GraphMetrics(n=int(n), m=int(m), triangle_count=delta,
                         wedge_count=wedges, clustering_coefficient=c,
@@ -187,18 +190,9 @@ def _run_sample_size(args, parser) -> str:
     else:
         metrics = compute_metrics(load_edge_list(args.graph))
     request = SampleSizeRequest(target_rse=args.rse, metrics=metrics)
-    sizes: dict[str, int | None] = {}
-    for method in ("ews", "ws", "es"):
-        try:
-            sizes[method] = sample_size_for_rse(request, method)
-        except RseDomainError as exc:
-            if method != "ws":
-                raise
-            print(f"tricount: ws unavailable: {exc}", file=sys.stderr)
-            sizes[method] = None
-    ratio = (sizes["ws"] / sizes["ews"]) if sizes["ws"] is not None else None
-    obj = {"target_rse": args.rse, "ews": sizes["ews"], "ws": sizes["ws"],
-           "es": sizes["es"], "ws_over_ews": ratio}
+    sizes = {method: sample_size_for_rse(request, method)
+             for method in ("ews", "ws", "es")}
+    obj = {"target_rse": args.rse, **sizes, "ws_over_ews": sizes["ws"] / sizes["ews"]}
     if args.format == "json":
         return _to_json(obj)
     row = ",".join(csv_cell(v) for v in obj.values())

@@ -106,15 +106,18 @@ def csv_cell(x) -> str:
 
 @dataclass(frozen=True)
 class EdgeTriangleCounts:
-    """T(e) for every canonical edge, aligned with ``Graph.edge_arrays``."""
+    """T(e) and the smaller endpoint degree of every canonical edge,
+    aligned with ``Graph.edge_arrays``."""
 
     u: np.ndarray
     v: np.ndarray
     counts: np.ndarray
+    min_degree: np.ndarray
 
 
 def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
-    """Exact triangle count and per-edge T(e).
+    """Exact triangle count and per-edge T(e), with each edge's smaller
+    endpoint degree, which the orientation below reads anyway.
 
     The forward algorithm in array form. Each edge is oriented from
     lower to higher rank under the (degree, id) total order, so a
@@ -145,7 +148,7 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     buys locality.
     """
     n, m = g.n, g.m
-    canon, head, out_off = _out_edges(g)
+    canon, head, out_off, min_degree = _out_edges(g)
 
     # Every edge marks its home slot, so the filter drops only non-edges.
     eu, ev = g.edge_arrays
@@ -155,8 +158,9 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     held[_home_slot(ekey, size)] = True
 
     # A tail's heads ascend, so out-edges a < b of one tail close on
-    # the canonical edge head[a]--head[b].
-    t_counts = np.zeros(m, dtype=np.int64)
+    # the canonical edge head[a]--head[b]. T(e) is allocated at the first
+    # tally, so it takes no room during the blocks before it.
+    t_counts = None
     pending: list[np.ndarray] = []
     npending = 0
     delta = 0
@@ -179,27 +183,47 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
         # Tally in batches of about m edge hits: one bincount per block
         # would cost O(m) each, one at the end O(triangles) memory.
         if npending >= m:
-            t_counts += np.bincount(np.concatenate(pending), minlength=m)
+            t_counts = _tally(t_counts, pending, m)
             pending, npending = [], 0
-    if pending:
-        t_counts += np.bincount(np.concatenate(pending), minlength=m)
+    t_counts = _tally(t_counts, pending, m)
     t_counts.flags.writeable = False
-    return delta, EdgeTriangleCounts(u=eu, v=ev, counts=t_counts)
+    return delta, EdgeTriangleCounts(u=eu, v=ev, counts=t_counts,
+                                     min_degree=min_degree)
 
 
-def _out_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tally(t_counts: np.ndarray | None, pending: list[np.ndarray],
+           m: int) -> np.ndarray:
+    """``t_counts`` (None: all zeros) plus the count of each of the ``m``
+    edge positions in the arrays of ``pending``."""
+    hits = np.bincount(np.concatenate([np.zeros(0, dtype=np.int64), *pending]),
+                       minlength=m)
+    if t_counts is None:
+        return hits
+    t_counts += hits
+    return t_counts
+
+
+def _out_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The edges oriented tail->head, from lower to higher rank, as
-    out-edge lists sorted by (tail, head): ``(canon, head, out_off)``.
+    out-edge lists sorted by (tail, head), and the tail's degree of each
+    canonical edge: ``(canon, head, out_off, min_degree)``.
 
     ``canon`` maps each oriented edge to its position in
     ``edge_arrays``, and tail t's out-edges are ``out_off[t]`` to
-    ``out_off[t+1] - 1``.
+    ``out_off[t+1] - 1``. The tail is the endpoint of smaller degree;
+    ``min_degree`` is read-only, in the dtype of ``edge_arrays``.
     """
     # Since eu < ev, the (degree, id) order puts eu first exactly when
     # deg[eu] <= deg[ev].
     deg = g.degrees
     eu, ev = g.edge_arrays
-    up = deg.take(eu) <= deg.take(ev)
+    du, dv = deg.take(eu), deg.take(ev)
+    up = du <= dv
+    np.minimum(du, dv, out=du)
+    del dv
+    min_degree = du.astype(eu.dtype)  # a degree is below n
+    del du
+    min_degree.flags.writeable = False
     tail = np.where(up, eu, ev)
     head = np.where(up, ev, eu)
     del up
@@ -207,24 +231,20 @@ def _out_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     head = head.take(canon)
     out_off = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=g.n), out=out_off[1:])
-    return canon, head, out_off
+    return canon, head, out_off, min_degree
 
 
 def wedge_count(g: Graph) -> int:
     """Number of wedges: sum over vertices of d(d-1)/2."""
-    d = g.degrees.astype(np.int64)
-    return int((d * (d - 1) // 2).sum())
+    return int(g.wedge_prefix[-1])
 
 
 def compute_metrics(g: Graph) -> GraphMetrics:
     """Assemble all exact metrics of a graph in one pass."""
     delta, per_edge = count_triangles_exact(g)
     wedges = wedge_count(g)
-    deg = g.degrees
-    min_deg = np.minimum(deg.take(per_edge.u), deg.take(per_edge.v))
-    min_deg -= 1
     t = per_edge.counts
-    phi = int(np.dot(t, min_deg))
+    phi = int(np.dot(t, per_edge.min_degree)) - 3 * delta  # sum(t) == 3 delta
     shared = int(np.dot(t, t - 1)) // 2  # each t*(t-1) is even
     c = 3.0 * delta / wedges if wedges > 0 else 0.0
     return GraphMetrics(n=g.n, m=g.m, triangle_count=delta,

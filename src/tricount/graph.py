@@ -6,15 +6,17 @@ drops self-loops, collapses parallel edges, symmetrizes direction, and
 remaps the source ids densely to ``[0, n)`` in order of first
 appearance, in a few passes: numpy's text parser reads the input in
 blocks of whole lines, each checked byte by byte first (a line scan
-reads each block that fails the check, and reports its errors); one
-stable sort of the ids, each packed with its position into one uint64,
-gives the remap (a stable argsort instead when an id and a position
-need more than 64 bits together, as ids of 2**43 and up do at a
-million edges); one sort of the edge keys of both directions gives the
-sorted neighbor lists, and the canonical edge arrays come from the same
-pass. Edge membership is one lookup in an ordered hash set of the
-canonical edge keys, which a graph builds on its first membership query
-with one sort.
+reads each block that fails the check, and reports its errors); the
+remap of dense ids, whose largest is below the number of ids read,
+goes through a direct-address table of first positions, and that of
+wider or sparser ids through one stable sort of the ids, each packed
+with its position into one uint64 (a stable argsort instead when an id
+and a position need more than 64 bits together, as ids of 2**43 and up
+do at a million edges); one sort of the edge keys of both directions
+gives the sorted neighbor lists, and the canonical edge arrays come
+from the same pass. Edge membership is one lookup in an ordered hash
+set of the canonical edge keys, which a graph builds on its first
+membership query with one sort.
 """
 
 from __future__ import annotations
@@ -458,14 +460,38 @@ def _remap(ids: np.ndarray) -> np.ndarray:
     """Overwrite the 1-D ``ids`` with dense ids in ``[0, n)``, numbered in
     order of first appearance, and return the source id of each.
 
-    Sorts the ids once by ``_stable_order``: one packed ``np.sort`` of
-    each id above its position, or a stable argsort when an id and a
-    position need more than 64 bits together (at 2**21 ids, ids of
-    2**43 and up). The sort is stable, so each run of equal ids starts
-    at that id's first position; the n first positions are put in
-    appearance order by the same helper.
+    Dense ids, whose largest is below ``ids.size`` (SNAP's, for one),
+    take a direct-address table of ``max id + 1`` entries, so no table
+    outgrows ``ids``: ``np.minimum.at`` writes each id's first position
+    into it, the n distinct first positions sorted give the appearance
+    order, and the table, overwritten with each present id's dense id,
+    rewrites ``ids`` by one gather. ``np.minimum.at`` is exact on every
+    supported numpy, but fast only from numpy 1.25 on.
+
+    Wider or sparser ids are sorted once by ``_stable_order``: one
+    packed ``np.sort`` of each id above its position, or a stable
+    argsort when an id and a position need more than 64 bits together
+    (at 2**21 ids, ids of 2**43 and up). The sort is stable, so each run
+    of equal ids starts at that id's first position; the n first
+    positions are put in appearance order by the same helper.
+
+    Both paths give the same dense ids and the same ``original_ids``,
+    in the dtype of ``ids``.
     """
-    order = _stable_order(ids, int(ids.max()).bit_length())
+    top = int(ids.max()) + 1
+    if top <= ids.size:
+        table = np.full(top, ids.size, dtype=np.int64)
+        np.minimum.at(table, ids, np.arange(ids.size))
+        first = table[table < ids.size]
+        first.sort()
+        original_ids = ids.take(first)
+        del first
+        table[original_ids] = np.arange(original_ids.shape[0])
+        # Every id indexes the table, so "clip" never clips; it spares
+        # the copy that the default mode makes of an ``out`` array.
+        table.take(ids, out=ids, mode="clip")
+        return original_ids
+    order = _stable_order(ids, (top - 1).bit_length())
     sorted_ids = ids.take(order)
     starts = np.flatnonzero(_sorted_unique_mask(sorted_ids))
     appearance = _stable_order(order.take(starts), (ids.size - 1).bit_length())

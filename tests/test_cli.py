@@ -241,15 +241,21 @@ def test_sample_size_loose_target_floors_at_one(capsys):
     assert all(1 <= payload[k] <= 3 for k in ("ews", "ws", "es"))
 
 
-def test_sample_size_ws_unavailable_not_fatal(capsys):
-    # no wedges reported: ws cell is empty, the others still computed
+def test_sample_size_rejects_delta_above_lambda_third(capsys):
+    # Each triangle closes three wedges, so no graph has delta > lambda/3;
+    # this input reports triangles but no wedges.
     code, out, err = run_cli(capsys, ["sample-size", "--metrics",
                                       "10,10,5,0,30,5", "--rse", "0.1"])
+    assert code == 1
+    assert out == ""
+    assert "--metrics: delta must be <= lambda/3, got delta 5 and lambda 0" in err
+
+
+def test_sample_size_accepts_delta_of_lambda_third(capsys):
+    code, out, _ = run_cli(capsys, ["sample-size", "--metrics", "10,10,5,15,30,5",
+                                    "--rse", "0.1", "--format", "json"])
     assert code == 0
-    row = out.strip().split("\n")[1].split(",")
-    assert row[1] != "" and row[3] != ""
-    assert row[2] == "" and row[4] == ""
-    assert "ws unavailable" in err
+    assert json.loads(out)["ws"] == 1  # C = 1: every wedge closed
 
 
 def test_sample_size_requires_exactly_one_source(capsys, k4_file):
@@ -299,7 +305,8 @@ def test_estimate_json_raw_is_an_integer(capsys, k4_file):
 
 @pytest.mark.parametrize("metrics, field", [("1,1,nan,1,1,1", "delta"),
                                             ("1,1,1,inf,1,1", "lambda"),
-                                            ("1,1,1,3,1,-5", "K")])
+                                            ("1,1,1,3,1,-5", "K"),
+                                            ("1,1,1,2.9,1,1", "delta")])
 def test_sample_size_rejects_bad_inline_metrics(capsys, metrics, field):
     code, out, err = run_cli(capsys, ["sample-size", "--metrics", metrics,
                                       "--rse", "0.1"])

@@ -98,10 +98,12 @@ def _assert_orientation_is_the_argsort(edges):
     up = rank[eu] < rank[ev]
     tail, head = np.where(up, eu, ev), np.where(up, ev, eu)
     want = np.argsort(edge_key(tail, head, g.n))
-    canon, out_head, out_off = exact._out_edges(g)
+    canon, out_head, out_off, min_degree = exact._out_edges(g)
     assert canon.tolist() == want.tolist()
     assert out_head.tolist() == head[want].tolist()
     assert np.diff(out_off).tolist() == np.bincount(tail, minlength=g.n).tolist()
+    assert min_degree.tolist() == g.degrees[tail].tolist()
+    assert min_degree.dtype == eu.dtype
 
 
 @pytest.mark.parametrize("edges", _BLOCK_GRAPHS)

@@ -96,6 +96,62 @@ def test_remap_argsorts_only_ids_too_wide_to_pack(monkeypatch, top, argsorts):
     assert calls == [{"kind": "stable"}] * argsorts
 
 
+class _UfuncSpy:
+    """Stands in for a ufunc and counts the calls of its ``at``."""
+
+    def __init__(self, ufunc):
+        self.ufunc, self.at_calls = ufunc, 0
+
+    def __call__(self, *args, **kwargs):
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+    def at(self, *args):
+        self.at_calls += 1
+        return self.ufunc.at(*args)
+
+
+@pytest.mark.parametrize("top, tables", [(8, 1), (9, 0)])
+def test_remap_tables_only_ids_below_their_count(monkeypatch, top, tables):
+    # 8 ids: a largest id of 7 (max id + 1 == ids.size) takes the
+    # direct-address table, a largest id of 8 the packed sort.
+    ids = np.array([top - 1, 3, 0, 3, 5, top - 1, 2, 0], dtype=np.int64)
+    first = list(dict.fromkeys(ids.tolist()))
+    dense = [first.index(i) for i in ids.tolist()]
+    spy = _UfuncSpy(np.minimum)
+    monkeypatch.setattr(np, "minimum", spy)
+    original_ids = graph._remap(ids)
+    assert original_ids.tolist() == first and original_ids.dtype == np.int64
+    assert ids.tolist() == dense
+    assert spy.at_calls == tables
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_remap_paths_build_the_same_graph(monkeypatch, relabel):
+    # One edge list loaded as is (dense ids: the table) and with every id
+    # plus 2**40 (the packed sort), with its labels as generated and
+    # permuted.
+    u, v = powerlaw_edges(8675309, n=3_000, raw=14_000, m=10_000)
+    if relabel:
+        perm = np.random.default_rng(5).permutation(3_000)
+        u, v = perm[u], perm[v]
+    shift = 2**40
+    spy = _UfuncSpy(np.minimum)
+    monkeypatch.setattr(np, "minimum", spy)
+    dense = graph_from_edges(zip(u.tolist(), v.tolist()))
+    assert spy.at_calls == 1
+    wide = graph_from_edges(zip((u + shift).tolist(), (v + shift).tolist()))
+    assert spy.at_calls == 1
+    assert np.array_equal(dense.offsets, wide.offsets)
+    assert np.array_equal(dense.neighbors, wide.neighbors)
+    for a, b in zip(dense.edge_arrays, wide.edge_arrays):
+        assert np.array_equal(a, b)
+    assert dense.original_ids.dtype == wide.original_ids.dtype == np.int64
+    assert (wide.original_ids - dense.original_ids == shift).all()
+
+
 def test_load_releases_its_parse_temporaries(tmp_path):
     # The input bytes and the parsed pairs are dropped before the CSR
     # build. The peak reads ~7.3 bytes per input byte here; holding the
