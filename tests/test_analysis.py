@@ -310,3 +310,17 @@ def test_theory_rse_dispatch(er300_metrics):
         theory_rse("bogus", er300_metrics, p=0.1)
     with pytest.raises(ValueError, match="ews requires p"):
         theory_rse("ews", er300_metrics)
+
+
+def test_theory_rse_is_the_named_closed_forms(er300_metrics):
+    met = er300_metrics
+    d, k_, phi = met.triangle_count, met.shared_edge_pairs, met.phi
+    c, p_ws = met.clustering_coefficient, 200 / met.m
+    for p in (0.05, 0.3, 1.0):
+        assert theory_rse("ews", met, p=p) == (rse_tau_exact(p, d, k_, phi),
+                                               rse_tau_approx(p, d, phi))
+        assert theory_rse("es", met, p=p) == (rse_rho_exact(p, d, k_),
+                                              rse_rho_approx(p, d, k_))
+    assert theory_rse("ws", met, k=200) == (
+        rse_omega_exact(p_ws, met.m, c, met.wedge_count),
+        rse_omega_approx(p_ws, met.m, c))

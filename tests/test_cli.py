@@ -224,6 +224,17 @@ def test_sample_size_inline_web_google(capsys):
     assert payload["ws_over_ews"] == pytest.approx(4.49, rel=0.02)
 
 
+@pytest.mark.parametrize("rse, row", [
+    ("0.05", "0.05,1524,6847,16558,4.492782152230971"),
+    ("0.01", "0.01,38085,171160,161848,4.49415780491007")])
+def test_sample_size_rows_are_pinned(capsys, rse, row):
+    code, out, _ = run_cli(capsys, [
+        "sample-size", "--metrics",
+        "875000,4322000,13391000,727771739,1422124200,621342400", "--rse", rse])
+    assert code == 0
+    assert out == f"target_rse,ews,ws,es,ws_over_ews\n{row}\n"
+
+
 def test_sample_size_from_graph(capsys, k4_file):
     code, out, _ = run_cli(capsys, ["sample-size", "--graph", k4_file,
                                     "--rse", "0.5"])
