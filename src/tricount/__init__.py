@@ -6,14 +6,13 @@ each, sample-size inversion, and an empirical trial harness. See the
 ``tricount`` CLI for the command-line surface.
 """
 
-from .analysis import (RseDomainError, RseReport, RseRow, SampleSizeRequest,
-                       empirical_rse, rse_omega_approx, rse_omega_exact,
-                       rse_rho_approx, rse_rho_exact, rse_sweep,
-                       rse_tau_approx, rse_tau_exact, sample_size_for_rse,
-                       theory_rse)
-from .estimators import (EstimateResult, NoWedgesError, SamplingPlan,
-                         WedgeSampler, build_wedge_sampler, es_estimate,
-                         ews_estimate, ws_estimate)
+from .analysis import (RseReport, RseRow, SampleSizeRequest, empirical_rse,
+                       rse_sweep, sample_size_for_rse, theory_rse)
+from .estimators import (EstimateResult, NoWedgesError, RseDomainError,
+                         SamplingPlan, WedgeSampler, build_wedge_sampler,
+                         es_estimate, ews_estimate, rse_omega_approx,
+                         rse_omega_exact, rse_rho_approx, rse_rho_exact,
+                         rse_tau_approx, rse_tau_exact, ws_estimate)
 from .exact import (EdgeTriangleCounts, GraphMetrics, compute_metrics,
                     count_triangles_exact, wedge_count)
 from .graph import (EmptyGraphError, Graph, GraphFormatError, has_edge_many,

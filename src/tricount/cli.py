@@ -15,10 +15,9 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import (RseDomainError, SampleSizeRequest, rse_sweep,
-                       sample_size_for_rse)
-from .estimators import (LEVELS, METHODS, NoWedgesError, SamplingPlan,
-                         check_p, estimate)
+from .analysis import SampleSizeRequest, rse_sweep, sample_size_for_rse
+from .estimators import (LEVELS, METHODS, NoWedgesError, RseDomainError,
+                         SamplingPlan, check_p, estimate)
 from .exact import METRICS_CSV_HEADER, GraphMetrics, compute_metrics, csv_cell
 from .graph import EmptyGraphError, GraphFormatError, load_edge_list
 from .rng import RandomSource

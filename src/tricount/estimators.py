@@ -25,6 +25,7 @@ vertex) keys.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -86,7 +87,9 @@ class _Method:
     ``draw`` makes a trial's first draw; ``finish`` takes a batch's
     first draws, does the graph work, including each trial's later
     draws, and returns the raw statistic per trial; ``scale`` turns one
-    raw statistic into the estimate.
+    raw statistic into the estimate. ``theory(metrics, level)`` is the
+    (exact, approximate) closed-form RSE, and ``size(metrics, r2)`` the
+    entities (edges, or wedges for ws) whose approximate RSE is sqrt(r2).
     """
 
     level: str
@@ -95,6 +98,8 @@ class _Method:
     draw: Callable
     finish: Callable
     scale: Callable
+    theory: Callable
+    size: Callable
 
 
 def _edge_draw(g: Graph, p: float, rng: RandomSource, sampler) -> np.ndarray:
@@ -277,33 +282,144 @@ def _ws_finish(g: Graph, k: int, rngs, draws, sampler) -> np.ndarray:
     return _run_sums(closed, bounds)
 
 
+class RseDomainError(ValueError):
+    """Inputs outside the domain of a closed-form RSE expression."""
+
+
+def check_delta(delta: float):
+    """RSE is relative to the triangle count, so it needs one."""
+    if delta <= 0:
+        raise RseDomainError("triangle count must be positive: RSE is "
+                             "undefined for triangle-free graphs")
+
+
+def _check_p_delta(p: float, delta: float):
+    check_p(p)
+    check_delta(delta)
+
+
+def _check_clustering(c: float):
+    if c <= 0.0:
+        raise RseDomainError("clustering coefficient must be positive")
+    if c > 1.0:
+        raise RseDomainError(f"clustering coefficient {c} exceeds 1")
+
+
+def rse_tau_exact(p: float, delta: float, shared_pairs: float, phi: float) -> float:
+    """Exact RSE of the ews raw statistic: sqrt(p*phi - p^2(3D + 2K)) / (3pD)."""
+    _check_p_delta(p, delta)
+    radicand = p * phi - p * p * (3.0 * delta + 2.0 * shared_pairs)
+    if radicand < 0:
+        if radicand > -1e-9 * max(p * phi, 1.0):  # exact-zero variance cases
+            radicand = 0.0
+        else:
+            raise RseDomainError("negative variance: inconsistent metrics")
+    return math.sqrt(radicand) / (3.0 * p * delta)
+
+
+def rse_tau_approx(p: float, delta: float, phi: float) -> float:
+    """Approximate ews RSE: sqrt(phi / (9 p D^2)); drops the negative term."""
+    _check_p_delta(p, delta)
+    return math.sqrt(phi / (9.0 * p * delta * delta))
+
+
+def rse_omega_exact(p: float, m: float, clustering: float, wedges: float) -> float:
+    """Exact RSE of the ws closed-wedge count for k = pm draws without
+    replacement: sqrt((1-C)/(pmC) * (1 - (pm-1)/(L-1)))."""
+    _check_clustering(clustering)
+    k = p * m
+    if k < 1:
+        raise RseDomainError("exact form requires p*m >= 1")
+    if wedges <= 1 or k > wedges:
+        raise RseDomainError("need 1 < k <= wedge count")
+    radicand = (1.0 - clustering) / (k * clustering) * (1.0 - (k - 1.0) / (wedges - 1.0))
+    return math.sqrt(radicand)
+
+
+def rse_omega_approx(p: float, m: float, clustering: float) -> float:
+    """Approximate ws RSE: sqrt((1-C) / (pmC))."""
+    _check_clustering(clustering)
+    return math.sqrt((1.0 - clustering) / (p * m * clustering))
+
+
+def rse_rho_exact(p: float, delta: float, shared_pairs: float) -> float:
+    """Exact RSE of the es closed-wedge count:
+    sqrt(3D(p^2-p^4) + 8K(p^3-p^4)) / (3 p^2 D)."""
+    _check_p_delta(p, delta)
+    variance = 3.0 * delta * (p**2 - p**4) + 8.0 * shared_pairs * (p**3 - p**4)
+    return math.sqrt(variance) / (3.0 * p * p * delta)
+
+
+def rse_rho_approx(p: float, delta: float, shared_pairs: float) -> float:
+    """Approximate es RSE: sqrt(1/(3 p^2 D) + 8K/(9 p D^2))."""
+    _check_p_delta(p, delta)
+    return math.sqrt(1.0 / (3.0 * p * p * delta)
+                     + 8.0 * shared_pairs / (9.0 * p * delta * delta))
+
+
+def _es_size(met, r2: float) -> float:
+    # r^2 = x^2/(3D) + x * 8K/(9D^2) with x = 1/p; positive root.
+    delta = met.triangle_count
+    a = 1.0 / (3.0 * delta)
+    b = 8.0 * met.shared_edge_pairs / (9.0 * delta * delta)
+    x = (-b + math.sqrt(b * b + 4.0 * a * r2)) / (2.0 * a)
+    return met.m / x
+
+
+def _ws_size(met, r2: float) -> float:
+    c = met.clustering_coefficient
+    _check_clustering(c)
+    return (1.0 - c) / (r2 * c)
+
+
 _METHODS = {
     "ews": _Method(level="p", check=check_p, prepare=lambda g: None,
                    draw=_edge_draw, finish=_ews_finish,
-                   scale=lambda tau, p, _: tau / (3.0 * p)),
+                   scale=lambda tau, p, _: tau / (3.0 * p),
+                   theory=lambda met, p: (
+                       rse_tau_exact(p, met.triangle_count, met.shared_edge_pairs,
+                                     met.phi),
+                       rse_tau_approx(p, met.triangle_count, met.phi)),
+                   size=lambda met, r2: met.m * met.phi / (
+                       9.0 * r2 * met.triangle_count * met.triangle_count)),
     "es": _Method(level="p", check=check_p, prepare=lambda g: None,
                   draw=_edge_draw, finish=_es_finish,
-                  scale=lambda closed, p, _: closed / (3.0 * p * p)),
+                  scale=lambda closed, p, _: closed / (3.0 * p * p),
+                  theory=lambda met, p: (
+                      rse_rho_exact(p, met.triangle_count, met.shared_edge_pairs),
+                      rse_rho_approx(p, met.triangle_count, met.shared_edge_pairs)),
+                  size=_es_size),
     "ws": _Method(level="k", check=_check_k,
                   prepare=lambda g: build_wedge_sampler(g),
                   draw=_ws_draw, finish=_ws_finish,
-                  scale=lambda omega, k, s: omega * s.total / (3.0 * k)),
+                  scale=lambda omega, k, s: omega * s.total / (3.0 * k),
+                  theory=lambda met, k: (
+                      rse_omega_exact(k / met.m, met.m, met.clustering_coefficient,
+                                      met.wedge_count),
+                      rse_omega_approx(k / met.m, met.m, met.clustering_coefficient)),
+                  size=_ws_size),
 }
 METHODS = tuple(_METHODS)
 # Method -> the name of the level it reads: "p" or "k".
 LEVELS = {name: spec.level for name, spec in _METHODS.items()}
 
 
-def check_level(method: str, p: float | None, k: int | None):
-    """Reject an unknown method, or a missing or invalid level: ``p``
-    for ews and es, ``k`` for ws."""
+def method_spec(method: str) -> _Method:
+    """The method's table entry; rejects an unknown method."""
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
-    spec = _METHODS[method]
+    return _METHODS[method]
+
+
+def check_level(method: str, p: float | None, k: int | None):
+    """Reject an unknown method, or a missing or invalid level: ``p``
+    for ews and es, ``k`` for ws. Returns the level."""
+    spec = method_spec(method)
     level = p if spec.level == "p" else k
     if level is None:
         raise ValueError(f"{method} requires {spec.level}")
     spec.check(level)
+    return level
 
 
 def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource],
@@ -316,9 +432,9 @@ def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource],
     Trials are gathered until their samples reach ``_BATCH`` entities,
     then the graph work runs once over the batch, so memory is
     O(_BATCH + one trial's sample) however many trials there are.
+    ``level`` must have passed the method's check.
     """
     spec = _METHODS[method]
-    spec.check(level)
     if sampler is None:
         sampler = spec.prepare(g)
     raw: list[int] = []
@@ -359,8 +475,8 @@ class SamplingPlan:
 
     def __post_init__(self):
         check_level(self.method, self.p, self.k)
-        if self.p is not None:  # a ws plan's nominal p too
-            check_p(self.p)
+        if LEVELS[self.method] == "k" and self.p is not None:
+            check_p(self.p)  # a ws plan's nominal p
         if LEVELS[self.method] == "p" and self.k is not None:
             raise ValueError(f"{self.method} does not take k")
         if self.runs < 1:
@@ -405,6 +521,7 @@ def estimate(g: Graph, method: str, level, rng: RandomSource,
              sampler: WedgeSampler | None = None) -> EstimateResult:
     """One trial of ``method`` at ``level`` (``p``, or ``k`` for ws)."""
     start = time.perf_counter()
+    method_spec(method).check(level)
     (raw,), (sampled,), (est,) = run_trials(g, method, level, [rng], sampler)
     return EstimateResult(method=method, p_or_k=float(level), seed=rng.seed,
                           raw_statistic=raw, entities_sampled=sampled,
