@@ -1,10 +1,8 @@
-"""Closed-form error theory, sample-size inversion, and the trial harness.
+"""Sample-size inversion and the trial harness.
 
-For each estimator the exact relative standard error (standard
-deviation of the raw statistic over its expected value) follows from
-its variance; the approximate forms drop only negative terms inside
-the radical, so ``exact <= approx`` everywhere. Inverting the
-approximations at a target RSE yields required sample sizes.
+``theory_rse`` and ``sample_size_for_rse`` check their inputs once and
+look the method up in the estimators' method table, which holds each
+closed-form RSE (relative standard error) and its inversion.
 
 Empirical RSE over r runs is the root-mean-square deviation of the run
 estimates about their own mean, divided by the exact triangle count.
@@ -23,7 +21,7 @@ import numpy as np
 
 from .exact import GraphMetrics, compute_metrics, csv_cell
 from .graph import Graph
-from .estimators import (_METHODS, LEVELS, SamplingPlan, check_delta,
+from .estimators import (_METHODS, LEVELS, RseDomainError, SamplingPlan, check_delta,
                          check_level, check_p, method_spec, run_trials)
 from .rng import RandomSource, mix_seed
 
@@ -50,10 +48,18 @@ def sample_size_for_rse(request: SampleSizeRequest, method: str) -> int:
 
     Inverts the method's approximate formula: edges for ews/es, wedges
     for ws. Results round up, so the target is guaranteed (never below 1).
+    A size that is not finite, or whose formula divides by a product
+    that underflowed to zero, raises RseDomainError.
     """
     spec = method_spec(method)
     check_delta(request.metrics.triangle_count)
-    size = spec.size(request.metrics, request.target_rse ** 2)
+    try:
+        size = spec.size(request.metrics, request.target_rse ** 2)
+    except ZeroDivisionError:
+        size = math.inf
+    if not math.isfinite(size):
+        raise RseDomainError(f"{method} sample size for target RSE "
+                             f"{request.target_rse} is not finite")
     return max(1, math.ceil(size))
 
 
@@ -149,8 +155,8 @@ def rse_sweep(g: Graph, methods: list[str], ps: list[float], runs: int,
     is checked, and so is its theory against the graph's metrics, before
     the first row runs.
     """
-    if not ps:
-        raise ValueError("need at least one sampling probability")
+    if not methods or not ps:
+        raise ValueError("need at least one method and one sampling probability")
     for p in ps:
         check_p(p)  # before ceil(p * m), which overflows at p = inf
     plans = [SamplingPlan(method=method, p=p,

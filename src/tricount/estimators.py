@@ -21,11 +21,19 @@ its two neighbor picks (``_draw_each``). ws finds its hinges by one
 search over the batch's wedge positions in ascending order, and es
 groups the batch's edge ends by one exact sort of their (trial,
 vertex) keys.
+
+Each method's closed-form relative standard error (RSE: standard
+deviation of the raw statistic over its expected value) sits next to
+its estimator. The exact form follows from the variance; the
+approximate form drops only negative terms inside the radical, so
+``exact <= approx``. ``_METHODS`` holds every per-method decision:
+level, draws, scale, closed-form RSE and its inversion to a sample size.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -479,8 +487,8 @@ class SamplingPlan:
             check_p(self.p)  # a ws plan's nominal p
         if LEVELS[self.method] == "p" and self.k is not None:
             raise ValueError(f"{self.method} does not take k")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        if not (isinstance(self.runs, numbers.Integral) and self.runs >= 1):
+            raise ValueError(f"runs must be an integer >= 1, got {self.runs}")
 
     @property
     def level(self):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tricount import (GraphMetrics, RseDomainError, SamplingPlan,
@@ -110,6 +111,20 @@ def test_sample_size_floors_at_one(k3):
     assert all(1 <= s <= 3 for s in sizes.values())
 
 
+@pytest.mark.parametrize("method, target, delta", [
+    ("ews", 0.1, 1e-200), ("es", 0.1, 1e-200),  # delta * delta underflows to 0
+    ("ws", 1e-200, 1.0)])                        # target ** 2 underflows to 0
+def test_sample_size_past_the_float_range_is_a_domain_error(method, target, delta):
+    met = GraphMetrics(n=10, m=10, triangle_count=delta, wedge_count=3.0,
+                       clustering_coefficient=delta, phi=30.0, shared_edge_pairs=5.0)
+    with pytest.raises(RseDomainError, match="not finite"):
+        sample_size_for_rse(SampleSizeRequest(target_rse=target, metrics=met), method)
+    huge = GraphMetrics(n=10, m=1e300, triangle_count=1.0, wedge_count=3.0,
+                        clustering_coefficient=1.0, phi=1e300, shared_edge_pairs=5.0)
+    with pytest.raises(RseDomainError, match="not finite"):  # m * phi is inf
+        sample_size_for_rse(SampleSizeRequest(target_rse=0.1, metrics=huge), "ews")
+
+
 def test_sample_size_validates():
     with pytest.raises(ValueError):
         SampleSizeRequest(target_rse=0.0, metrics=WEB_GOOGLE)
@@ -191,6 +206,16 @@ def test_empirical_rse_validates(k3, path3):
                       compute_metrics(path3))
 
 
+def test_runs_must_be_an_integer(k3):
+    # a fractional runs count used to pass the plan and fail in range()
+    for bad in (2.5, 3.0, math.inf, math.nan, 0, "5"):
+        with pytest.raises(ValueError, match="runs must be an integer"):
+            SamplingPlan(method="ews", p=0.5, runs=bad)
+    with pytest.raises(ValueError, match="runs must be an integer"):
+        rse_sweep(k3, ["ews"], [0.5], runs=3.5, seed=0)
+    assert SamplingPlan(method="ews", p=0.5, runs=np.int64(3)).runs == 3
+
+
 def test_empirical_rse_tracks_theory():
     edges = er_edges(300, 0.05, 11)
     g = graph_from_edges(edges)
@@ -249,6 +274,8 @@ def test_rse_sweep_csv_and_json(er300, er300_metrics):
 def test_rse_sweep_requires_probabilities(er300, er300_metrics):
     with pytest.raises(ValueError):
         rse_sweep(er300, ["ews"], [], runs=10, seed=0)
+    with pytest.raises(ValueError):
+        rse_sweep(er300, [], [0.5], runs=10, seed=0)
     # ceil(1.5 m) wedges fit in er300, but p = 1.5 is no probability
     with pytest.raises(ValueError, match="p must be"):
         rse_sweep(er300, ["ws"], [1.5], runs=10, seed=0, metrics=er300_metrics)

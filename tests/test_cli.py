@@ -235,6 +235,16 @@ def test_sample_size_rows_are_pinned(capsys, rse, row):
     assert out == f"target_rse,ews,ws,es,ws_over_ews\n{row}\n"
 
 
+@pytest.mark.parametrize("metrics", ["10,10,1e-200,1,30,5", "10,1e300,1,3,1e300,5"])
+def test_sample_size_past_the_float_range_fails_cleanly(capsys, metrics):
+    # delta * delta underflows to 0 / m * phi overflows to inf
+    code, out, err = run_cli(capsys, ["sample-size", "--metrics", metrics,
+                                      "--rse", "0.1"])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("tricount: error:")
+    assert "not finite" in err and "Traceback" not in err
+
+
 def test_sample_size_from_graph(capsys, k4_file):
     code, out, _ = run_cli(capsys, ["sample-size", "--graph", k4_file,
                                     "--rse", "0.5"])
