@@ -21,7 +21,7 @@ import numpy as np
 
 from .exact import GraphMetrics, compute_metrics, csv_cell
 from .graph import Graph
-from .estimators import (_METHODS, LEVELS, RseDomainError, SamplingPlan, check_delta,
+from .estimators import (LEVELS, RseDomainError, SamplingPlan, check_delta,
                          check_level, check_p, method_spec, run_trials)
 from .rng import RandomSource, mix_seed
 
@@ -108,7 +108,7 @@ def theory_rse(method: str, metrics: GraphMetrics, p: float | None = None,
     ``p`` for ews and es, at ``k`` for ws."""
     level = check_level(method, p, k)
     check_delta(metrics.triangle_count)
-    return _METHODS[method].theory(metrics, level)
+    return method_spec(method).theory(metrics, level)
 
 
 def _trial_sources(seed: int, runs: int) -> Iterator[RandomSource]:
