@@ -105,7 +105,8 @@ class RseReport:
 def theory_rse(method: str, metrics: GraphMetrics, p: float | None = None,
                k: int | None = None) -> tuple[float, float]:
     """(exact, approximate) closed-form RSE for one configuration: at
-    ``p`` for ews and es, at ``k`` for ws."""
+    ``p`` for ews and es, at ``k`` for ws. Accepts and rejects the
+    (method, p, k) a ``SamplingPlan`` does (``check_level``)."""
     level = check_level(method, p, k)
     check_delta(metrics.triangle_count)
     return method_spec(method).theory(metrics, level)

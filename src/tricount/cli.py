@@ -16,10 +16,9 @@ import sys
 from pathlib import Path
 
 from .analysis import SampleSizeRequest, rse_sweep, sample_size_for_rse
-from .estimators import (LEVELS, METHODS, NoWedgesError, RseDomainError,
-                         SamplingPlan, check_p, estimate)
+from .estimators import LEVELS, METHODS, SamplingPlan, check_p, estimate
 from .exact import METRICS_CSV_HEADER, GraphMetrics, compute_metrics, csv_cell
-from .graph import EmptyGraphError, GraphFormatError, load_edge_list
+from .graph import load_edge_list
 from .rng import RandomSource
 
 DEFAULT_SEED = 42
@@ -87,14 +86,13 @@ def main(argv: list[str] | None = None) -> int:
             text = _run_rse_sweep(args)
         else:
             text = _run_sample_size(args, parser)
-    except (GraphFormatError, EmptyGraphError, NoWedgesError, RseDomainError,
-            ValueError, OSError) as exc:
+        _emit(text, args.output)
+    except (ValueError, OSError) as exc:
         print(f"tricount: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"tricount: error: out of memory: {exc}", file=sys.stderr)
         return 1
-    _emit(text, args.output)
     return 0
 
 

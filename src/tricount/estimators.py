@@ -401,10 +401,11 @@ _METHODS = {
                   prepare=lambda g: build_wedge_sampler(g),
                   draw=_ws_draw, finish=_ws_finish,
                   scale=lambda omega, k, s: omega * s.total / (3.0 * k),
+                  # p*m is k exactly at p = 1, m = k; (k/m)*m can miss by an ulp.
                   theory=lambda met, k: (
-                      rse_omega_exact(k / met.m, met.m, met.clustering_coefficient,
+                      rse_omega_exact(1.0, k, met.clustering_coefficient,
                                       met.wedge_count),
-                      rse_omega_approx(k / met.m, met.m, met.clustering_coefficient)),
+                      rse_omega_approx(1.0, k, met.clustering_coefficient)),
                   size=_ws_size),
 }
 METHODS = tuple(_METHODS)
@@ -420,19 +421,24 @@ def method_spec(method: str) -> _Method:
 
 
 def check_level(method: str, p: float | None, k: int | None):
-    """Reject an unknown method, or a missing or invalid level: ``p``
-    for ews and es, ``k`` for ws. Returns the level."""
+    """The one home of the level rules. Rejects an unknown method, a
+    missing or invalid level (``p`` for ews and es, ``k`` for ws), a
+    ``k`` given to ews or es, and an invalid nominal ``p`` of a ws
+    configuration. Returns the level."""
     spec = method_spec(method)
     level = p if spec.level == "p" else k
     if level is None:
         raise ValueError(f"{method} requires {spec.level}")
     spec.check(level)
+    if spec.level == "p" and k is not None:
+        raise ValueError(f"{method} does not take k")
+    if spec.level == "k" and p is not None:
+        check_p(p)  # a ws configuration's nominal p
     return level
 
 
-def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource],
-                sampler: WedgeSampler | None = None
-                ) -> tuple[list[int], list[int], list[float]]:
+def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource]
+               ) -> tuple[list[int], list[int], list[float]]:
     """Raw statistic, sampled count and estimate of one trial per source.
 
     Trial i draws only from the i-th source, exactly the draws of a lone
@@ -443,8 +449,7 @@ def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource],
     ``level`` must have passed the method's check.
     """
     spec = _METHODS[method]
-    if sampler is None:
-        sampler = spec.prepare(g)
+    sampler = spec.prepare(g)
     raw: list[int] = []
     sampled: list[int] = []
     batch: list[RandomSource] = []
@@ -483,10 +488,6 @@ class SamplingPlan:
 
     def __post_init__(self):
         check_level(self.method, self.p, self.k)
-        if LEVELS[self.method] == "k" and self.p is not None:
-            check_p(self.p)  # a ws plan's nominal p
-        if LEVELS[self.method] == "p" and self.k is not None:
-            raise ValueError(f"{self.method} does not take k")
         if not (isinstance(self.runs, numbers.Integral) and self.runs >= 1):
             raise ValueError(f"runs must be an integer >= 1, got {self.runs}")
 
@@ -525,12 +526,11 @@ class EstimateResult:
         }
 
 
-def estimate(g: Graph, method: str, level, rng: RandomSource,
-             sampler: WedgeSampler | None = None) -> EstimateResult:
+def estimate(g: Graph, method: str, level, rng: RandomSource) -> EstimateResult:
     """One trial of ``method`` at ``level`` (``p``, or ``k`` for ws)."""
     start = time.perf_counter()
     method_spec(method).check(level)
-    (raw,), (sampled,), (est,) = run_trials(g, method, level, [rng], sampler)
+    (raw,), (sampled,), (est,) = run_trials(g, method, level, [rng])
     return EstimateResult(method=method, p_or_k=float(level), seed=rng.seed,
                           raw_statistic=raw, entities_sampled=sampled,
                           estimate=est, elapsed=time.perf_counter() - start)
@@ -576,8 +576,7 @@ def build_wedge_sampler(g: Graph) -> WedgeSampler:
     return WedgeSampler(cumulative=cumulative, total=total)
 
 
-def ws_estimate(g: Graph, k: int, rng: RandomSource,
-                sampler: WedgeSampler | None = None) -> EstimateResult:
+def ws_estimate(g: Graph, k: int, rng: RandomSource) -> EstimateResult:
     """Uniform wedge sampling estimate over ``k`` draws with replacement.
 
     Each draw picks a hinge vertex with probability proportional to its
@@ -585,4 +584,4 @@ def ws_estimate(g: Graph, k: int, rng: RandomSource,
     closed fraction, scaled by total wedges over 3, estimates the
     triangle count.
     """
-    return estimate(g, "ws", k, rng, sampler)
+    return estimate(g, "ws", k, rng)

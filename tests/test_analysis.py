@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -337,6 +338,30 @@ def test_theory_rse_dispatch(er300_metrics):
         theory_rse("bogus", er300_metrics, p=0.1)
     with pytest.raises(ValueError, match="ews requires p"):
         theory_rse("ews", er300_metrics)
+    # theory_rse and SamplingPlan share one level rule.
+    for method, p, k, message in (("ews", 0.1, 5, "does not take k"),
+                                  ("es", 0.1, 5, "does not take k"),
+                                  ("ws", 7.0, 200, "p must be")):
+        with pytest.raises(ValueError, match=message):
+            theory_rse(method, er300_metrics, p=p, k=k)
+        with pytest.raises(ValueError, match=message):
+            SamplingPlan(method=method, p=p, k=k)
+    assert theory_rse("ws", er300_metrics, p=0.1, k=200) == (ex, ap)
+    SamplingPlan(method="ws", p=0.1, k=200)
+
+
+def test_ws_theory_reads_k_itself():
+    # (k/m)*m is 7.000000000000001 at m = 25 and 0.9999999999999999 at
+    # m = 49; the forms must see k = 7 and k = 1.
+    met = GraphMetrics(n=25, m=25, triangle_count=1.0, wedge_count=7.0,
+                       clustering_coefficient=3 / 7, phi=3.0,
+                       shared_edge_pairs=0.0)
+    assert theory_rse("ws", met, k=7)[0] == 0.0  # k is every wedge
+    # K5 plus a 39-edge path.
+    met = dataclasses.replace(met, m=49, triangle_count=10.0, wedge_count=68.0,
+                              clustering_coefficient=30 / 68)
+    assert theory_rse("ws", met, k=1) == (rse_omega_exact(1.0, 1, 30 / 68, 68.0),
+                                          rse_omega_approx(1.0, 1, 30 / 68))
 
 
 def test_theory_rse_is_the_named_closed_forms(er300_metrics):

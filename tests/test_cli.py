@@ -296,6 +296,28 @@ def test_output_file_option(tmp_path, capsys, triangle_file):
     assert dest.read_text().startswith("n,m,delta")
 
 
+@pytest.mark.parametrize("dest", ["", "missing/out.csv"])
+def test_unwritable_output_is_an_error_line(tmp_path, capsys, triangle_file, dest):
+    code, out, err = run_cli(capsys, ["stats", "--graph", triangle_file,
+                                      "--output", str(tmp_path / dest)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("tricount: error: ") and err.count("\n") == 1
+
+
+def test_rse_sweep_ws_at_one_wedge(capsys, tmp_path):
+    # m = 49, so --p 0.01 gives k = 1, where (k/m)*m falls below 1.
+    f = tmp_path / "k5_path.txt"
+    f.write_text(graph_text(complete_edges(5)
+                            + [(10 + i, 11 + i) for i in range(39)]))
+    code, out, err = run_cli(capsys, ["rse-sweep", "--graph", str(f),
+                                      "--method", "ws", "--p", "0.01",
+                                      "--runs", "5"])
+    assert code == 0, err
+    (row,) = out.strip().split("\n")[1:]
+    assert row.split(",")[:4] == ["ws", "0.01", "1", "1"]
+
+
 def test_module_entry_point(triangle_file):
     proc = subprocess.run([sys.executable, "-m", "tricount", "stats",
                            "--graph", triangle_file],

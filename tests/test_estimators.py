@@ -250,7 +250,7 @@ def test_ws_open_path_estimates_zero(path3):
 def test_ws_estimate_support(er300):
     sampler = build_wedge_sampler(er300)
     k = 50
-    res = ws_estimate(er300, k, RandomSource(8), sampler=sampler)
+    res = ws_estimate(er300, k, RandomSource(8))
     assert res.estimate == res.raw_statistic * sampler.total / (3 * k)
 
 
