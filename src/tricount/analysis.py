@@ -21,8 +21,8 @@ import numpy as np
 
 from .exact import GraphMetrics, compute_metrics, csv_cell
 from .graph import Graph
-from .estimators import (LEVELS, RseDomainError, SamplingPlan, check_delta,
-                         check_level, check_p, method_spec, run_trials)
+from .estimators import (RseDomainError, SamplingPlan, check_delta, check_level,
+                         check_p, method_spec, run_trials)
 from .rng import RandomSource, mix_seed
 
 
@@ -148,24 +148,26 @@ def empirical_rse(g: Graph, plan: SamplingPlan, metrics: GraphMetrics) -> RseRow
 
 
 def rse_sweep(g: Graph, methods: list[str], ps: list[float], runs: int,
-              seed: int, metrics: GraphMetrics | None = None) -> RseReport:
+              seed: int) -> RseReport:
     """Empirical RSE for every (method, p) pair.
 
     For ws the wedge-sample count is ceil(p * m). Row ``i`` (in method-
     major order) uses base seed ``mix_seed(seed, i)``. Every (method, p)
-    is checked, and so is its theory against the graph's metrics, before
-    the first row runs.
+    and the run count are checked before the graph's metrics are
+    computed, and every row's theory against them before the first row
+    runs.
     """
     if not methods or not ps:
         raise ValueError("need at least one method and one sampling probability")
     for p in ps:
         check_p(p)  # before ceil(p * m), which overflows at p = inf
-    plans = [SamplingPlan(method=method, p=p,
-                          k=math.ceil(p * g.m) if LEVELS.get(method) == "k" else None,
-                          seed=mix_seed(seed, idx), runs=runs)
+    plans = [SamplingPlan(method=method, p=p, seed=mix_seed(seed, idx), runs=runs,
+                          k=(math.ceil(p * g.m)
+                             if method_spec(method).level == "k" else None))
              for idx, (method, p) in enumerate(itertools.product(methods, ps))]
-    if metrics is None:
-        metrics = compute_metrics(g)
+    if runs < 2:
+        raise ValueError("empirical RSE needs at least 2 runs")
+    metrics = compute_metrics(g)
     for plan in plans:
         theory_rse(plan.method, metrics, p=plan.p, k=plan.k)
     return RseReport(rows=tuple(empirical_rse(g, plan, metrics) for plan in plans))

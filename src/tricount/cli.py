@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from .analysis import SampleSizeRequest, rse_sweep, sample_size_for_rse
-from .estimators import LEVELS, METHODS, SamplingPlan, check_p, estimate
+from .estimators import (METHODS, SamplingPlan, check_level, check_p, estimate,
+                         method_spec)
 from .exact import METRICS_CSV_HEADER, GraphMetrics, compute_metrics, csv_cell
 from .graph import load_edge_list
 from .rng import RandomSource
@@ -115,14 +116,19 @@ def _run_stats(args) -> str:
 
 
 def _run_estimate(args, parser) -> str:
-    name = LEVELS[args.method]
+    name = method_spec(args.method).level
     level = getattr(args, name)
     if level is None:
         parser.error(f"--method {args.method} requires --{name}")
+    # The level flag alone first, so a plan's error names the other flag.
     try:
-        plan = SamplingPlan(method=args.method, seed=args.seed, **{name: level})
+        check_level(args.method, **{name: level})
     except ValueError as exc:
         parser.error(f"--{name}: {exc}")
+    try:
+        plan = SamplingPlan(method=args.method, p=args.p, k=args.k, seed=args.seed)
+    except ValueError as exc:
+        parser.error(f"--{'k' if name == 'p' else 'p'}: {exc}")
     g = load_edge_list(args.graph)
     result = estimate(g, plan.method, plan.level, RandomSource(plan.seed))
     if args.format == "json":

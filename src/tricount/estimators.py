@@ -40,8 +40,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import (Graph, _packed_order, _run_pairs, _sorted_unique_mask,
-                    _stable_order, has_edge_many)
+from .graph import (Graph, _run_pairs, _sorted_unique_mask, _stable_order,
+                    has_edge_many)
 from .rng import RandomSource
 
 # Sampled entities (edges for ews and es, wedges for ws) a batch of
@@ -90,18 +90,18 @@ class _Method:
     """How the trial engine runs one estimator.
 
     ``level`` names the parameter the method reads: ``p`` (edge
-    probability) or ``k`` (wedge draws), and ``check`` validates it.
+    probability) or ``k`` (wedge draws); ``check_level`` validates it.
     ``prepare`` builds what all trials share (ws: the wedge sampler).
     ``draw`` makes a trial's first draw; ``finish`` takes a batch's
-    first draws, does the graph work, including each trial's later
-    draws, and returns the raw statistic per trial; ``scale`` turns one
-    raw statistic into the estimate. ``theory(metrics, level)`` is the
+    first draws end to end and where each trial's run of them starts,
+    does the graph work, including each trial's later draws, and
+    returns the raw statistic per trial; ``scale`` turns one raw
+    statistic into the estimate. ``theory(metrics, level)`` is the
     (exact, approximate) closed-form RSE, and ``size(metrics, r2)`` the
     entities (edges, or wedges for ws) whose approximate RSE is sqrt(r2).
     """
 
     level: str
-    check: Callable
     prepare: Callable
     draw: Callable
     finish: Callable
@@ -179,18 +179,14 @@ def _wedge_end(g: Graph, hinge: np.ndarray, other: np.ndarray,
     return g.neighbors[j]
 
 
-def _ews_finish(g: Graph, p: float, rngs, draws, sampler) -> np.ndarray:
-    idx, bounds = _concat(draws)
+def _ews_finish(g: Graph, p: float, rngs, idx, bounds, sampler) -> np.ndarray:
     eu, ev = g.edge_arrays
     hinge, other, dh = _hinge_split(g, eu[idx], ev[idx])
-    del idx
     # Edges whose hinge is a pendant close no wedge and draw nothing.
     ok = dh >= 2
     kept = np.zeros(ok.size + 1, dtype=np.int64)
     np.cumsum(ok, out=kept[1:])
     bounds = kept[bounds]
-    if bounds[-1] == 0:
-        return np.zeros(len(rngs), dtype=np.int64)
     hinge, other, dh = hinge[ok], other[ok], dh[ok]
     del ok, kept
     dh -= 1
@@ -207,11 +203,10 @@ def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray, trial: np.ndarray,
 
     Every unordered pair of a trial's edges sharing a vertex is one
     wedge at that hinge. Edge ends are sorted by their whole (trial,
-    hinge) key (``_stable_order``: a packed sort drops low key bits when
-    a key and a position need more than 64 bits, which would merge
-    runs); an end then pairs with each later end of its run, the pairs
-    are probed ``_BATCH // 2`` at a time, and each hit counts for its
-    first end's trial.
+    hinge) key (``_stable_order``), so no two vertices' runs merge at
+    any key width; an end then pairs with each later end of its run,
+    the pairs are probed ``_BATCH // 2`` at a time, and each hit counts
+    for its first end's trial.
     """
     closed = np.zeros(trials, dtype=np.int64)
     if eu.size == 0:
@@ -242,8 +237,7 @@ def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray, trial: np.ndarray,
     return closed, total
 
 
-def _es_finish(g: Graph, p: float, rngs, draws, sampler) -> np.ndarray:
-    idx, bounds = _concat(draws)
+def _es_finish(g: Graph, p: float, rngs, idx, bounds, sampler) -> np.ndarray:
     eu, ev = g.edge_arrays
     closed, _ = _closed_wedges(g, eu[idx], ev[idx],
                                np.repeat(np.arange(len(rngs)), np.diff(bounds)),
@@ -260,21 +254,18 @@ def _hinges(sampler: WedgeSampler, t: np.ndarray) -> np.ndarray:
     """The hinge of each wedge position ``t``: the first vertex whose
     cumulative wedge count exceeds it.
 
-    The search runs over the positions in ascending order, which keeps
-    its branches predictable, then scatters back. The order may ignore
-    low bits of ``t`` (``_packed_order``), as the search is exact in any
-    order.
+    The search runs over the positions in ascending order
+    (``_stable_order``), which keeps its branches predictable, then
+    scatters back.
     """
-    order = _packed_order(t, (sampler.total - 1).bit_length())
+    order = _stable_order(t, (sampler.total - 1).bit_length())
     hinge = np.empty_like(order)
     hinge[order] = np.searchsorted(sampler.cumulative, t.take(order), side="right")
     return hinge
 
 
-def _ws_finish(g: Graph, k: int, rngs, draws, sampler) -> np.ndarray:
-    t, bounds = _concat(draws)
+def _ws_finish(g: Graph, k: int, rngs, t, bounds, sampler) -> np.ndarray:
     hinge = _hinges(sampler, t)
-    del t
     highs = np.empty((2, hinge.size), dtype=np.int64)
     g.degrees.take(hinge, out=highs[0])
     np.subtract(highs[0], 1, out=highs[1])
@@ -381,7 +372,7 @@ def _ws_size(met, r2: float) -> float:
 
 
 _METHODS = {
-    "ews": _Method(level="p", check=check_p, prepare=lambda g: None,
+    "ews": _Method(level="p", prepare=lambda g: None,
                    draw=_edge_draw, finish=_ews_finish,
                    scale=lambda tau, p, _: tau / (3.0 * p),
                    theory=lambda met, p: (
@@ -390,15 +381,14 @@ _METHODS = {
                        rse_tau_approx(p, met.triangle_count, met.phi)),
                    size=lambda met, r2: met.m * met.phi / (
                        9.0 * r2 * met.triangle_count * met.triangle_count)),
-    "es": _Method(level="p", check=check_p, prepare=lambda g: None,
+    "es": _Method(level="p", prepare=lambda g: None,
                   draw=_edge_draw, finish=_es_finish,
                   scale=lambda closed, p, _: closed / (3.0 * p * p),
                   theory=lambda met, p: (
                       rse_rho_exact(p, met.triangle_count, met.shared_edge_pairs),
                       rse_rho_approx(p, met.triangle_count, met.shared_edge_pairs)),
                   size=_es_size),
-    "ws": _Method(level="k", check=_check_k,
-                  prepare=lambda g: build_wedge_sampler(g),
+    "ws": _Method(level="k", prepare=lambda g: build_wedge_sampler(g),
                   draw=_ws_draw, finish=_ws_finish,
                   scale=lambda omega, k, s: omega * s.total / (3.0 * k),
                   # p*m is k exactly at p = 1, m = k; (k/m)*m can miss by an ulp.
@@ -409,8 +399,6 @@ _METHODS = {
                   size=_ws_size),
 }
 METHODS = tuple(_METHODS)
-# Method -> the name of the level it reads: "p" or "k".
-LEVELS = {name: spec.level for name, spec in _METHODS.items()}
 
 
 def method_spec(method: str) -> _Method:
@@ -420,7 +408,7 @@ def method_spec(method: str) -> _Method:
     return _METHODS[method]
 
 
-def check_level(method: str, p: float | None, k: int | None):
+def check_level(method: str, p: float | None = None, k: int | None = None):
     """The one home of the level rules. Rejects an unknown method, a
     missing or invalid level (``p`` for ews and es, ``k`` for ws), a
     ``k`` given to ews or es, and an invalid nominal ``p`` of a ws
@@ -429,7 +417,7 @@ def check_level(method: str, p: float | None, k: int | None):
     level = p if spec.level == "p" else k
     if level is None:
         raise ValueError(f"{method} requires {spec.level}")
-    spec.check(level)
+    (check_p if spec.level == "p" else _check_k)(level)
     if spec.level == "p" and k is not None:
         raise ValueError(f"{method} does not take k")
     if spec.level == "k" and p is not None:
@@ -446,29 +434,26 @@ def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource]
     Trials are gathered until their samples reach ``_BATCH`` entities,
     then the graph work runs once over the batch, so memory is
     O(_BATCH + one trial's sample) however many trials there are.
-    ``level`` must have passed the method's check.
+    ``level`` must have passed ``check_level``.
     """
     spec = _METHODS[method]
     sampler = spec.prepare(g)
     raw: list[int] = []
     sampled: list[int] = []
-    batch: list[RandomSource] = []
-    draws: list[np.ndarray] = []
-    size = 0
-    for rng in rngs:
-        draw = spec.draw(g, level, rng, sampler)
-        batch.append(rng)
-        draws.append(draw)
-        size += draw.size
-        if size >= _BATCH:
-            # finish empties ``draws`` as it concatenates them
-            sampled += [d.size for d in draws]
-            raw += spec.finish(g, level, batch, draws, sampler).tolist()
-            batch, size = [], 0
-    if batch:
+    rngs = iter(rngs)
+    while True:
+        batch, draws, size = [], [], 0
+        for rng in rngs:  # resumes where the last batch stopped
+            batch.append(rng)
+            draws.append(spec.draw(g, level, rng, sampler))
+            size += draws[-1].size
+            if size >= _BATCH:
+                break
+        if not batch:
+            return raw, sampled, [spec.scale(r, level, sampler) for r in raw]
         sampled += [d.size for d in draws]
-        raw += spec.finish(g, level, batch, draws, sampler).tolist()
-    return raw, sampled, [spec.scale(r, level, sampler) for r in raw]
+        values, bounds = _concat(draws)
+        raw += spec.finish(g, level, batch, values, bounds, sampler).tolist()
 
 
 @dataclass(frozen=True)
@@ -494,7 +479,7 @@ class SamplingPlan:
     @property
     def level(self):
         """The level the method reads: ``p``, or ``k`` for ws."""
-        return getattr(self, LEVELS[self.method])
+        return getattr(self, method_spec(self.method).level)
 
 
 @dataclass(frozen=True)
@@ -529,7 +514,7 @@ class EstimateResult:
 def estimate(g: Graph, method: str, level, rng: RandomSource) -> EstimateResult:
     """One trial of ``method`` at ``level`` (``p``, or ``k`` for ws)."""
     start = time.perf_counter()
-    method_spec(method).check(level)
+    check_level(method, **{method_spec(method).level: level})
     (raw,), (sampled,), (est,) = run_trials(g, method, level, [rng])
     return EstimateResult(method=method, p_or_k=float(level), seed=rng.seed,
                           raw_statistic=raw, entities_sampled=sampled,
@@ -570,7 +555,7 @@ def build_wedge_sampler(g: Graph) -> WedgeSampler:
     """The graph's cumulative per-vertex wedge counts (``g.wedge_prefix``,
     built once per graph); raises if the graph has no wedges."""
     cumulative = g.wedge_prefix
-    total = int(cumulative[-1]) if cumulative.size else 0
+    total = int(cumulative[-1])
     if total == 0:
         raise NoWedgesError("graph has no wedges")
     return WedgeSampler(cumulative=cumulative, total=total)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, _home_slot, _index_slots, _packed_order, _run_pairs,
+from .graph import (Graph, _home_slot, _index_slots, _run_pairs, _stable_order,
                     edge_key)
 
 # Out-edge pairs checked per block of ``count_triangles_exact``. Each
@@ -109,8 +109,6 @@ class EdgeTriangleCounts:
     """T(e) and the smaller endpoint degree of every canonical edge,
     aligned with ``Graph.edge_arrays``."""
 
-    u: np.ndarray
-    v: np.ndarray
     counts: np.ndarray
     min_degree: np.ndarray
 
@@ -136,23 +134,21 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     library targets; memory is O(m + block), the filter one byte per
     slot, freed on return.
 
-    Both orders come from one ``np.sort`` of uint64 words that pack a
-    sort key above a position (``_packed_order``), not from an
-    ``argsort``. The oriented edges are sorted by tail alone: in
+    Both orders come from ``_stable_order``: one ``np.sort`` of uint64
+    words that pack a sort key above a position, or a stable ``argsort``
+    when a key and a position do not fit in 64 bits together (a block's
+    keys at n > 2**24). The oriented edges are sorted by tail alone: in
     canonical order a tail's lower heads come from earlier rows and its
     upper heads from its own row, so its heads already ascend, and a
     stable sort by tail gives (tail, head) order, the one permutation an
-    ``argsort`` of their edge keys gives. A block's keys are sorted by
-    their high bits alone when a key and a position do not fit in 64
-    bits together; the search is exact in any order, and the order only
-    buys locality.
+    ``argsort`` of their edge keys gives. The search is exact in any
+    order; the block's order only buys locality.
     """
     n, m = g.n, g.m
     canon, head, out_off, min_degree = _out_edges(g)
 
     # Every edge marks its home slot, so the filter drops only non-edges.
-    eu, ev = g.edge_arrays
-    ekey = edge_key(eu, ev, n)
+    ekey = edge_key(*g.edge_arrays, n)
     size = _filter_slots(m)
     held = np.zeros(size, dtype=bool)
     held[_home_slot(ekey, size)] = True
@@ -168,7 +164,7 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
         query = edge_key(head.take(a), head.take(b), n)
         kept = np.flatnonzero(held.take(_home_slot(query, size)))
         query = query.take(kept)
-        order = _packed_order(query, (n * n - 1).bit_length())
+        order = _stable_order(query, (n * n - 1).bit_length())
         query = query.take(order)
         closing = np.searchsorted(ekey, query)
         np.minimum(closing, m - 1, out=closing)
@@ -187,8 +183,7 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
             pending, npending = [], 0
     t_counts = _tally(t_counts, pending, m)
     t_counts.flags.writeable = False
-    return delta, EdgeTriangleCounts(u=eu, v=ev, counts=t_counts,
-                                     min_degree=min_degree)
+    return delta, EdgeTriangleCounts(counts=t_counts, min_degree=min_degree)
 
 
 def _tally(t_counts: np.ndarray | None, pending: list[np.ndarray],
@@ -227,7 +222,7 @@ def _out_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     tail = np.where(up, eu, ev)
     head = np.where(up, ev, eu)
     del up
-    canon = _packed_order(tail, (g.n - 1).bit_length())
+    canon = _stable_order(tail, (g.n - 1).bit_length())
     head = head.take(canon)
     out_off = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=g.n), out=out_off[1:])

@@ -381,44 +381,31 @@ def _sorted_unique_mask(x: np.ndarray) -> np.ndarray:
     return mask
 
 
-# Bits in the word a packed sort sorts: a key's kept bits and a position.
+# Bits in the word a packed sort sorts: a key above a position.
 _WORD_BITS = 64
-
-
-def _packed_order(key: np.ndarray, key_bits: int) -> np.ndarray:
-    """The positions (int64) of ``key``, integers below ``2**key_bits``,
-    stably sorted by key, but for the key's low ``drop`` bits.
-
-    One ``np.sort`` of ``(key >> drop) << w | position``, w the bit width
-    of the largest position, then the positions masked back out. ``drop``
-    is what the key and the position need beyond 64 bits: 0 for vertex
-    ids in the exact oracle (n < 2**32, m <= 2**32), 0 for a block's edge
-    keys unless n > 2**24 at blocks of 2**16 pairs, 0 for ws's wedge
-    positions while the wedge total times a batch's draws is below
-    2**64, and 0 in the remap and in es's grouping, which call it
-    through ``_stable_order``.
-    """
-    width = (key.size - 1).bit_length()
-    packed = key.astype(np.uint64)
-    packed >>= np.uint64(max(0, key_bits + width - _WORD_BITS))
-    packed <<= np.uint64(width)
-    packed |= np.arange(key.size, dtype=np.uint64)
-    packed.sort()
-    packed &= np.uint64((1 << width) - 1)
-    return packed.view(np.int64)
 
 
 def _stable_order(key: np.ndarray, key_bits: int) -> np.ndarray:
     """The positions (int64) of ``key``, integers below ``2**key_bits``,
     stably sorted by the whole key.
 
-    ``_packed_order`` when a key and a position fit in 64 bits together,
-    so it drops no bits; otherwise (at 2**21 keys, keys of 2**43 and up)
-    a stable ``np.argsort``.
+    When a key and a position fit in 64 bits together, one ``np.sort``
+    of ``key << w | position``, w the bit width of the largest position,
+    then the positions masked back out. They always fit for vertex ids
+    (n < 2**32, m <= 2**32), for a block's edge keys while n <= 2**24,
+    and for ws's wedge positions while the wedge total times a batch's
+    draws is below 2**64. Otherwise (at 2**21 keys, keys of 2**43 and
+    up) a stable ``np.argsort``.
     """
-    if key_bits + (key.size - 1).bit_length() <= _WORD_BITS:
-        return _packed_order(key, key_bits)
-    return np.argsort(key, kind="stable")
+    width = (key.size - 1).bit_length()
+    if key_bits + width > _WORD_BITS:
+        return np.argsort(key, kind="stable")
+    packed = key.astype(np.uint64)
+    packed <<= np.uint64(width)
+    packed |= np.arange(key.size, dtype=np.uint64)
+    packed.sort()
+    packed &= np.uint64((1 << width) - 1)
+    return packed.view(np.int64)
 
 
 def _run_pairs(offsets: np.ndarray, block: int):

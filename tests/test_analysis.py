@@ -31,6 +31,12 @@ def test_rse_tau_exact_closed_forms():
     assert rse_tau_exact(1.0, 4, 6, 24) == 0.0     # every wedge of K4 closes
     assert rse_tau_exact(1.0, 1, 0, 3) == 0.0
     assert rse_tau_exact(0.5, 1, 0, 3) == pytest.approx(0.57735026, abs=1e-6)
+    # phi = p(3D + 2K) is zero variance, whose radicand rounds to a tiny
+    # negative and is clamped to 0; a clearly negative one is refused.
+    assert 0.1 * 0.5 - 0.1 * 0.1 * (3 * 1 + 2 * 1) < 0
+    assert rse_tau_exact(0.1, 1, 1, 0.5) == 0.0
+    with pytest.raises(RseDomainError, match="negative variance"):
+        rse_tau_exact(0.5, 1, 0, 0)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8, 1.0])
@@ -68,6 +74,8 @@ def test_rse_omega_values():
     assert rse == pytest.approx(0.05, rel=0.02)
     with pytest.raises(RseDomainError):
         rse_omega_approx(0.5, 100, 0.0)
+    with pytest.raises(RseDomainError, match="exceeds 1"):
+        rse_omega_approx(0.5, 100, 1.5)
 
 
 def test_rse_omega_exact_needs_valid_domain():
@@ -240,8 +248,7 @@ def test_empirical_rse_converges_in_runs(method):
 
 def test_rse_sweep_shape_and_reproducibility(er300, er300_metrics):
     ps = [0.05, 0.1]
-    report = rse_sweep(er300, ["ews", "ws"], ps, runs=50, seed=999,
-                       metrics=er300_metrics)
+    report = rse_sweep(er300, ["ews", "ws"], ps, runs=50, seed=999)
     assert len(report.rows) == 4
     assert [r.method for r in report.rows] == ["ews", "ews", "ws", "ws"]
     for row in report.rows:
@@ -250,8 +257,7 @@ def test_rse_sweep_shape_and_reproducibility(er300, er300_metrics):
         else:
             assert row.k is None
     # single-configuration sweep equals one empirical_rse call
-    single = rse_sweep(er300, ["ews"], [0.1], runs=50, seed=123,
-                       metrics=er300_metrics).rows[0]
+    single = rse_sweep(er300, ["ews"], [0.1], runs=50, seed=123).rows[0]
     direct = empirical_rse(
         er300,
         SamplingPlan(method="ews", p=0.1, seed=mix_seed(123, 0), runs=50),
@@ -259,9 +265,8 @@ def test_rse_sweep_shape_and_reproducibility(er300, er300_metrics):
     assert single == direct
 
 
-def test_rse_sweep_csv_and_json(er300, er300_metrics):
-    report = rse_sweep(er300, ["es"], [0.2], runs=20, seed=8,
-                       metrics=er300_metrics)
+def test_rse_sweep_csv_and_json(er300):
+    report = rse_sweep(er300, ["es"], [0.2], runs=20, seed=8)
     csv = report.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == RSE_REPORT_CSV_HEADER
@@ -272,14 +277,14 @@ def test_rse_sweep_csv_and_json(er300, er300_metrics):
     assert payload[0]["runs"] == 20
 
 
-def test_rse_sweep_requires_probabilities(er300, er300_metrics):
+def test_rse_sweep_requires_probabilities(er300):
     with pytest.raises(ValueError):
         rse_sweep(er300, ["ews"], [], runs=10, seed=0)
     with pytest.raises(ValueError):
         rse_sweep(er300, [], [0.5], runs=10, seed=0)
     # ceil(1.5 m) wedges fit in er300, but p = 1.5 is no probability
     with pytest.raises(ValueError, match="p must be"):
-        rse_sweep(er300, ["ws"], [1.5], runs=10, seed=0, metrics=er300_metrics)
+        rse_sweep(er300, ["ws"], [1.5], runs=10, seed=0)
 
 
 def test_rse_sweep_checks_every_row_before_the_first(monkeypatch):
@@ -314,6 +319,19 @@ def test_rse_sweep_checks_row_theory_before_any_trial(monkeypatch):
     assert calls == []
     rse_sweep(g, ["ews", "ws"], [0.1], runs=10, seed=42)
     assert len(calls) == 2
+
+
+def test_rse_sweep_checks_runs_before_the_metrics(monkeypatch, k3):
+    # The metrics cost an O(m^1.5) oracle pass; one run per row is
+    # refused before it.
+    calls = []
+    monkeypatch.setattr(analysis, "compute_metrics",
+                        lambda g: calls.append(g) or compute_metrics(g))
+    with pytest.raises(ValueError, match="at least 2 runs"):
+        rse_sweep(k3, ["ews"], [0.5], runs=1, seed=0)
+    assert calls == []
+    rse_sweep(k3, ["ews"], [0.5], runs=2, seed=0)
+    assert len(calls) == 1
 
 
 def test_rows_derive_trial_sources_a_block_at_a_time(monkeypatch):

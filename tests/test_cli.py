@@ -128,6 +128,20 @@ def test_estimate_invalid_p_exits_2(capsys, k4_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, err_line", [
+    (["--method", "ews", "--p", "0.5", "--k", "7"], "--k: ews does not take k"),
+    (["--method", "ws", "--k", "3", "--p", "7"],
+     "--p: sampling probability p must be in (0, 1], got 7.0"),
+], ids=["ews-given-k", "ws-given-bad-p"])
+def test_estimate_rejects_the_flag_its_method_does_not_read(capsys, k4_file,
+                                                            argv, err_line):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--graph", k4_file, *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"tricount: error: {err_line}" in err
+
+
 def test_estimate_huge_k_exits_2(capsys, k4_file):
     # A k past the float range is an invalid --k like any other, not an
     # OverflowError with a traceback.
@@ -349,10 +363,19 @@ def test_estimate_json_raw_is_an_integer(capsys, k4_file):
 @pytest.mark.parametrize("metrics, field", [("1,1,nan,1,1,1", "delta"),
                                             ("1,1,1,inf,1,1", "lambda"),
                                             ("1,1,1,3,1,-5", "K"),
-                                            ("1,1,1,2.9,1,1", "delta")])
+                                            ("1,1,1,2.9,1,1", "delta"),
+                                            ("1,1,x1,3,1,1", "delta")])
 def test_sample_size_rejects_bad_inline_metrics(capsys, metrics, field):
     code, out, err = run_cli(capsys, ["sample-size", "--metrics", metrics,
                                       "--rse", "0.1"])
     assert code == 1
     assert out == ""
     assert f"--metrics: {field} " in err
+
+
+def test_sample_size_rejects_five_inline_metrics(capsys):
+    code, out, err = run_cli(capsys, ["sample-size", "--metrics", "1,1,1,3,1",
+                                      "--rse", "0.1"])
+    assert code == 1
+    assert out == ""
+    assert "tricount: error: --metrics needs six values: n,m,delta,lambda,phi,K" in err

@@ -412,8 +412,8 @@ def test_zero_edge_trials_sample_nothing(five_tri):
 def test_sorted_hinge_search_is_the_plain_search(monkeypatch, word_bits):
     # Zero-wedge vertices repeat cumulative values: five_tri's leaves sit
     # between hubs and path3 starts on a leaf. A narrower sort word makes
-    # the order drop low bits of the positions (2 on five_tri at 12 bits),
-    # which the search must not notice.
+    # positions and their indices too wide to pack (five_tri at 12 bits),
+    # so the order is the stable argsort; the search must not notice.
     samplers = [build_wedge_sampler(graph_from_edges(edges))
                 for edges in (FIVE_TRIANGLE_EDGES, path_edges(2), er_edges(60, 0.15, 2))]
     monkeypatch.setattr(graph, "_WORD_BITS", word_bits)
@@ -429,9 +429,8 @@ def test_sorted_hinge_search_is_the_plain_search(monkeypatch, word_bits):
 def test_es_groups_ends_by_the_whole_key(monkeypatch):
     # With a 20-bit sort word, this batch's (trial, vertex) keys and end
     # positions are too wide to pack whole, as they are at n near 2**32
-    # on a 64-bit word. The grouping must then take the exact order: a
-    # packed sort would drop low key bits and merge the runs of
-    # different vertices.
+    # on a 64-bit word. The grouping must then take the stable argsort,
+    # which keeps the runs of different vertices apart.
     g = graph_from_edges(er_edges(60, 0.15, 2))
     runs = 40
     want = _trials(g, "es", 0.3, runs=runs)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tricount import compute_metrics, count_triangles_exact, exact, wedge_count
 from tricount.exact import METRICS_CSV_HEADER
-from tricount.graph import _packed_order, edge_key
+from tricount.graph import _stable_order, edge_key
 from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
                      graph_from_edges, path_edges, star_edges)
 from oracles import (edge_triangle_counts, phi_by_triangle_enumeration,
@@ -57,7 +57,7 @@ def _assert_oracle_counts(edges):
     delta, per_edge = count_triangles_exact(g)
     ids = g.original_ids
     got = {tuple(sorted((int(ids[a]), int(ids[b])))): int(t)
-           for a, b, t in zip(per_edge.u, per_edge.v, per_edge.counts)}
+           for a, b, t in zip(*g.edge_arrays, per_edge.counts)}
     assert got == edge_triangle_counts(edges)
     assert delta == len(triangles_by_triples(edges))
 
@@ -127,15 +127,16 @@ def test_orientation_sort_is_the_argsort(base, leaves):
 
 def test_block_order_of_keys_too_wide_to_pack_whole():
     # Edge keys at the vertex limit and the positions of a full block
-    # need more than 64 bits, so the sort drops the keys' low bits; every
-    # position must still come back exactly once, in key order but for
-    # those bits.
+    # need more than 64 bits, so no packed word holds both: the order
+    # must then be the stable argsort of the whole keys, with no low key
+    # bits dropped.
     n = 2**32 - 1
     key_bits = (n * n - 1).bit_length()
     drop = key_bits + (exact._WEDGE_BLOCK - 1).bit_length() - 64
     assert drop > 0
-    # Keys that differ in the dropped bits alone, next to the largest key
-    # and on both sides of 2**63, and keys spread over the whole range.
+    # Keys that differ in the low ``drop`` bits alone, which a packed
+    # word would lose, next to the largest key and on both sides of
+    # 2**63, and keys spread over the whole range.
     rng = np.random.default_rng(12)
     near = rng.integers(0, 1 << (drop + 4), size=exact._WEDGE_BLOCK, dtype=np.uint64)
     query = np.concatenate([np.uint64(n * n - 1) - near[:20000],
@@ -144,14 +145,12 @@ def test_block_order_of_keys_too_wide_to_pack_whole():
     query = np.concatenate([query, rng.integers(
         0, n * n, size=exact._WEDGE_BLOCK - query.size, dtype=np.uint64)])
     rng.shuffle(query)
-    order = _packed_order(query, key_bits)
+    order = _stable_order(query, key_bits)
     assert order.dtype == np.int64
-    assert np.array_equal(np.sort(order), np.arange(query.size))
-    high = query[order] >> np.uint64(drop)
-    assert (high[1:] >= high[:-1]).all()
-    # Below the limit the whole key fits: the order is the stable argsort.
+    assert np.array_equal(order, np.argsort(query, kind="stable"))
+    # Below the limit the whole key fits a packed word: the same order.
     small = query % np.uint64(1000**2)
-    assert np.array_equal(_packed_order(small, (1000**2 - 1).bit_length()),
+    assert np.array_equal(_stable_order(small, (1000**2 - 1).bit_length()),
                           np.argsort(small, kind="stable"))
 
 

@@ -421,6 +421,15 @@ def test_loading_is_deterministic():
     assert np.array_equal(a.original_ids, b.original_ids)
 
 
+def test_text_mode_stream_loads_as_its_bytes():
+    text = "# comment\n3 1\n1 4\n4 3\n9 1\n"
+    a = load_edge_list(io.StringIO(text))
+    b = load_edge_list(io.BytesIO(text.encode()))
+    assert a.n == b.n == 4 and a.m == b.m == 4
+    assert np.array_equal(a.neighbors, b.neighbors)
+    assert np.array_equal(a.original_ids, b.original_ids)
+
+
 def test_offsets_invariants():
     g = graph_from_edges(er_edges(30, 0.2, 9))
     assert g.offsets[0] == 0

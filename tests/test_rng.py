@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tricount import RandomSource, mix_seed
-from tricount.rng import _sources, splitmix64
+from tricount.rng import _sources, _words_type, splitmix64
 
 
 def test_same_seed_same_stream():
@@ -82,6 +82,14 @@ def test_row_path_seeds_as_numpy_does(seeds):
         assert np.array_equal(row.uniform_reals(4), lone.uniform_reals(4))
         assert np.array_equal(row.uniform_indices(1000, size=4),
                               lone.uniform_indices(1000, size=4))
+
+
+def test_words_refuse_any_request_but_four_uint64_words():
+    words = _words_type()(np.arange(4, dtype=np.uint64))
+    assert words.generate_state(4, np.uint64) is words.words
+    for request in [(4,), (4, np.uint32), (8, np.uint64), (2, np.uint64)]:
+        with pytest.raises(ValueError, match="expected a request for 4 uint64 words"):
+            words.generate_state(*request)
 
 
 def test_derive_array_equals_derive_each():
