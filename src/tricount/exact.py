@@ -15,24 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, _home_slot, _index_slots, _run_pairs, _stable_order,
+from .graph import (_GOLDEN, Graph, _in_bitmap, _run_pairs, _stable_order,
                     edge_key)
 
 # Out-edge pairs checked per block of ``count_triangles_exact``. Each
 # pair costs ~47 bytes of temporaries (tracemalloc, the peak difference
 # between blocks of 2**20 and 2**16 pairs on the million-edge power-law
-# graph: 98.0 against 54.0 MB, with the packed sorts as before them), so
-# a block holds ~3 MB and adds nothing to the peak memory of loading a
-# million-edge graph.
+# graph, its edge bitmap built: 86.5 against 42.2 MB), so a block holds
+# ~3 MB and adds nothing to the peak memory of loading a million-edge
+# graph.
 _WEDGE_BLOCK = 1 << 16
-
-
-def _filter_slots(m: int) -> int:
-    """Slots of ``count_triangles_exact``'s non-edge filter: 8 to 16 per
-    edge, twice the home slots of ``Graph.edge_index``. On the
-    million-edge power-law graph 19% of the pairs pass it; half the
-    slots pass 28% and took longer end to end."""
-    return 2 * _index_slots(m)
 
 
 METRICS_CSV_HEADER = "n,m,delta,lambda,C,tri_per_edge,phi_over_3delta,K_over_delta"
@@ -124,15 +116,15 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     adjacent. That makes sum over u of C(d+(u), 2) candidate pairs,
     where d+(u) is the out-degree, taken a fixed block at a time.
 
-    Each block is filtered, then sorted and searched. The filter is a
-    bool table marked at the home slot of every edge key, under the
-    hash of ``Graph.edge_index``: a closing key whose home slot is
-    unmarked is no edge and is dropped. No edge is ever dropped, so the
-    filter changes no count. The keys that pass are sorted and found by
-    one binary search over the sorted canonical edge keys, and T(e) is
+    Each block is filtered, then sorted and searched. The filter is the
+    graph's cached ``Graph.edge_bitmap``: a closing key whose bit is
+    clear is no edge and is dropped. No edge is ever dropped, so the
+    filter changes no count. On the million-edge power-law graph 19% of
+    the pairs pass it. The keys that pass are sorted and found by one
+    binary search over the sorted canonical edge keys, and T(e) is
     tallied with ``np.bincount``. Time is O(m^1.5) on the graphs this
-    library targets; memory is O(m + block), the filter one byte per
-    slot, freed on return.
+    library targets; memory is O(m + block), and the bitmap, built on
+    the first call, 1 to 2 bytes per edge.
 
     Both orders come from ``_stable_order``: one ``np.sort`` of uint64
     words that pack a sort key above a position, or a stable ``argsort``
@@ -147,11 +139,9 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     n, m = g.n, g.m
     canon, head, out_off, min_degree = _out_edges(g)
 
-    # Every edge marks its home slot, so the filter drops only non-edges.
+    # Every edge sets its bit, so the filter drops only non-edges.
+    bitmap = g.edge_bitmap
     ekey = edge_key(*g.edge_arrays, n)
-    size = _filter_slots(m)
-    held = np.zeros(size, dtype=bool)
-    held[_home_slot(ekey, size)] = True
 
     # A tail's heads ascend, so out-edges a < b of one tail close on
     # the canonical edge head[a]--head[b]. T(e) is allocated at the first
@@ -162,7 +152,7 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     delta = 0
     for a, b in _run_pairs(out_off, _WEDGE_BLOCK):
         query = edge_key(head.take(a), head.take(b), n)
-        kept = np.flatnonzero(held.take(_home_slot(query, size)))
+        kept = np.flatnonzero(_in_bitmap(bitmap, query * _GOLDEN, m))
         query = query.take(kept)
         order = _stable_order(query, (n * n - 1).bit_length())
         query = query.take(order)

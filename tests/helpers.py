@@ -55,6 +55,20 @@ def er_edges(n, prob, seed):
     return list(zip(iu[keep].tolist(), iv[keep].tolist()))
 
 
+# Sizes of the edge bitmap (``graph._bitmap_bits``, bits for a graph of
+# m edges) that the filter tests patch in, by test id.
+BITMAP_BITS = {
+    # Every edge sets the one bit, so every query passes the filter.
+    "one-slot": lambda m: 1,
+    # At most m bits: most bits are set by an edge, so many non-edges
+    # pass the filter and only the lookup rejects them; others are dropped.
+    "shared-slots": lambda m: 1 << (m.bit_length() - 1),
+    # 256 to 512 bits per edge: nearly every edge has a bit of its own,
+    # so an edge whose bit went unset would be missed.
+    "sparse-slots": lambda m: 1 << (m.bit_length() + 8),
+}
+
+
 # 11 vertices, 16 edges, 5 triangles: {1,2,6} {1,2,7} {1,3,4} {1,7,8}
 # {2,5,6}; degrees 9,4,2,3,3,3,3,2,1,1,1 so the wedge count is 56.
 FIVE_TRIANGLE_EDGES = [

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tricount import compute_metrics, count_triangles_exact, exact, wedge_count
+from tricount import compute_metrics, count_triangles_exact, exact, graph, wedge_count
 from tricount.exact import METRICS_CSV_HEADER
 from tricount.graph import _stable_order, edge_key
-from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
+from helpers import (BITMAP_BITS, FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
                      graph_from_edges, path_edges, star_edges)
 from oracles import (edge_triangle_counts, phi_by_triangle_enumeration,
                      triangles_by_triples)
@@ -71,18 +71,12 @@ def test_per_edge_counts_across_wedge_blocks(monkeypatch, block, edges):
     _assert_oracle_counts(edges)
 
 
-@pytest.mark.parametrize("slots", [
-    pytest.param(lambda m: 1, id="one-slot"),
-    # At most m slots: most slots hold an edge, so many non-edges pass
-    # the filter and only the search rejects them; others are dropped.
-    pytest.param(lambda m: 1 << (m.bit_length() - 1), id="shared-slots"),
-    # 256 to 512 slots per edge: nearly every edge has a slot of its own,
-    # so an edge whose slot went unmarked would lose its triangles.
-    pytest.param(lambda m: 1 << (m.bit_length() + 8), id="sparse-slots"),
-])
+@pytest.mark.parametrize("bits", list(BITMAP_BITS.values()), ids=list(BITMAP_BITS))
 @pytest.mark.parametrize("edges", _BLOCK_GRAPHS)
-def test_non_edge_filter_changes_no_count(monkeypatch, slots, edges):
-    monkeypatch.setattr(exact, "_filter_slots", slots)
+def test_non_edge_filter_changes_no_count(monkeypatch, bits, edges):
+    # The oracle's filter is the graph's edge bitmap, built after the
+    # patch; an edge whose bit went unset would lose its triangles.
+    monkeypatch.setattr(graph, "_bitmap_bits", bits)
     monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
     _assert_oracle_counts(edges)
 

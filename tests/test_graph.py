@@ -15,9 +15,9 @@ from tricount import (EmptyGraphError, GraphFormatError, compute_metrics,
 from tricount import exact, graph
 from tricount.graph import (Graph, _parse_pairs, _parse_pairs_slow, _run_pairs,
                             edge_key, neighbor_rank)
-from helpers import (complete_edges, er_edges, graph_from_edges, graph_from_text,
-                     graph_text, hubs_and_path_edges, path_edges, powerlaw_edges,
-                     star_edges)
+from helpers import (BITMAP_BITS, complete_edges, er_edges, graph_from_edges,
+                     graph_from_text, graph_text, hubs_and_path_edges, path_edges,
+                     powerlaw_edges, star_edges)
 from oracles import clean_edges, has_edges
 from test_golden import _powerlaw_text
 
@@ -536,8 +536,8 @@ def _home_slot_ref(key: int, size: int) -> int:
 
 # Internal ids of a path over 0..199 are its own ids (first appearance),
 # so the keys of extra chords are known before loading; with 56 chords
-# or fewer m stays in [128, 256), so the index has 2**10 home slots.
-_PATH_N, _PATH_SLOTS = 200, 1 << 10
+# or fewer m stays in [128, 256), so the index has 2**9 home slots.
+_PATH_N, _PATH_SLOTS = 200, 1 << 9
 _PATH = [(i, i + 1) for i in range(_PATH_N - 1)]
 
 
@@ -570,9 +570,18 @@ def test_edge_index_last_chain_runs_into_the_tail():
     assert sorted(slot_of[u * n + v] for u, v in last[:3]) == [size - 1, size, size + 1]
     assert table.size == size + 3 and table[-1] == 2**64 - 1
     assert all(slot_of[u * n + v] < 8 for u, v in first[:2])
-    # Absent keys whose home slot another key holds walk the same chain.
-    absent = last[3:6] + first[2:4]
+    # Absent keys whose home slot another key holds walk the same chain,
+    # once past the bitmap: each shares its bit with a present key.
+    def bit(chord):  # four bits of the bitmap per home slot
+        return _home_slot_ref(chord[0] * n + chord[1], 4 * size)
+
+    shared = {bit(c) for c in last[:3] + first[:2]}
+    absent = ([c for c in last[3:] if bit(c) in shared][:3]
+              + [c for c in first[2:] if bit(c) in shared][:2])
+    assert len(absent) == 5
     assert all(table[_home_slot_ref(u * n + v, size)] != 2**64 - 1 for u, v in absent)
+    keys = np.array([u * n + v for u, v in absent], dtype=np.uint64)
+    assert graph._in_bitmap(g.edge_bitmap, keys * graph._GOLDEN, g.m).all()
     eu, ev = g.edge_arrays
     au = np.array([u for u, _ in absent])
     av = np.array([v for _, v in absent])
@@ -641,13 +650,62 @@ def test_edge_index_is_cached_and_read_only():
     g = graph_from_edges(er_edges(40, 0.2, 5))
     table = g.edge_index
     assert table is g.edge_index
-    assert table.dtype == np.uint64 and table.size > 1 << (g.m.bit_length() + 2)
+    assert table.dtype == np.uint64 and table.size > 1 << (g.m.bit_length() + 1)
     assert table[-1] == 2**64 - 1
     assert sorted(table[table != 2**64 - 1].tolist()) == \
         edge_key(*g.edge_arrays, g.n).tolist()
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0] = 7
+
+
+def test_edge_bitmap_is_cached_and_read_only():
+    g = graph_from_edges(er_edges(40, 0.2, 5))
+    bitmap = g.edge_bitmap
+    assert bitmap is g.edge_bitmap
+    assert bitmap.dtype == np.uint8 and bitmap.size == 1 << g.m.bit_length()
+    size = 8 * bitmap.size  # bits, four per home slot of the index
+    want = {_home_slot_ref(k, size) for k in edge_key(*g.edge_arrays, g.n).tolist()}
+    bits = np.unpackbits(bitmap, bitorder="little")
+    assert set(np.flatnonzero(bits).tolist()) == want
+    assert not bitmap.flags.writeable
+    with pytest.raises(ValueError):
+        bitmap[0] = 7
+    # The index, built first, hashes the keys once for both; the bitmap
+    # it seeds is the one built alone.
+    h = graph_from_edges(er_edges(40, 0.2, 5))
+    assert h.edge_index.tolist() == g.edge_index.tolist()
+    assert "edge_bitmap" in vars(h)
+    assert h.edge_bitmap.tolist() == bitmap.tolist()
+    assert not h.edge_bitmap.flags.writeable
+
+
+@pytest.mark.parametrize("bits", list(BITMAP_BITS.values()), ids=list(BITMAP_BITS))
+@pytest.mark.parametrize("edges", [er_edges(60, 0.08, 17), complete_edges(6),
+                                   star_edges(6), [(4, 9)]])
+def test_has_edge_many_follows_any_bitmap_size(monkeypatch, bits, edges):
+    monkeypatch.setattr(graph, "_bitmap_bits", bits)
+    g = graph_from_edges(edges)
+    passed = []
+    in_bitmap = graph._in_bitmap
+
+    def spy(bitmap, h, m):
+        out = in_bitmap(bitmap, h, m)
+        passed.append(out.copy())
+        return out
+
+    monkeypatch.setattr(graph, "_in_bitmap", spy)
+    us, vs = np.divmod(np.arange(g.n * g.n), g.n)
+    got = has_edge_many(g, us, vs)
+    ids = g.original_ids
+    want = has_edges(edges, zip(ids[us].tolist(), ids[vs].tolist()))
+    assert got.tolist() == want
+    (reached,) = passed
+    assert reached[got].all()  # the bitmap drops no edge
+    if bits(g.m) == 1:
+        assert reached.all()  # every bit set: every query goes to the table
+    elif bits(g.m) > 64 * g.m:
+        assert not reached.all()
 
 
 def test_loading_and_metrics_do_not_build_the_edge_index():
