@@ -14,8 +14,8 @@ Three methods share a deterministic random-source contract:
 
 All three run on one trial engine. Each trial draws only from its own
 :class:`RandomSource`, the same draws in the same order whether it runs
-alone or among thousands; the graph work (hinge split, neighbor
-lookups, closure probes) runs once over a batch of trials' samples.
+alone or among thousands; the graph work (hinges, neighbor lookups,
+closure probes) runs once over a batch of trials' samples.
 Phase two makes one draw call per trial: ews draws its wedge ends, ws
 its two neighbor picks (``_draw_each``). ws finds its hinges by one
 search over the batch's wedge positions in ascending order, and es
@@ -40,8 +40,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import (Graph, _run_pairs, _sorted_unique_mask, _stable_order,
-                    has_edge_many)
+from .graph import (Graph, _orient, _run_pairs, _sorted_unique_mask,
+                    _stable_order, has_edge_many)
 from .rng import RandomSource
 
 # Sampled entities (edges for ews and es, wedges for ws) a batch of
@@ -91,18 +91,16 @@ class _Method:
 
     ``level`` names the parameter the method reads: ``p`` (edge
     probability) or ``k`` (wedge draws); ``check_level`` validates it.
-    ``prepare`` builds what all trials share (ws: the wedge sampler).
     ``draw`` makes a trial's first draw; ``finish`` takes a batch's
     first draws end to end and where each trial's run of them starts,
     does the graph work, including each trial's later draws, and
-    returns the raw statistic per trial; ``scale`` turns one raw
-    statistic into the estimate. ``theory(metrics, level)`` is the
+    returns the raw statistic per trial; ``scale(g, raw, level)`` turns
+    one raw statistic into the estimate. ``theory(metrics, level)`` is the
     (exact, approximate) closed-form RSE, and ``size(metrics, r2)`` the
     entities (edges, or wedges for ws) whose approximate RSE is sqrt(r2).
     """
 
     level: str
-    prepare: Callable
     draw: Callable
     finish: Callable
     scale: Callable
@@ -110,7 +108,7 @@ class _Method:
     size: Callable
 
 
-def _edge_draw(g: Graph, p: float, rng: RandomSource, sampler) -> np.ndarray:
+def _edge_draw(g: Graph, p: float, rng: RandomSource) -> np.ndarray:
     """Phase one: positions in ``g.edge_arrays`` of the edges kept, each
     with probability p."""
     parts = []
@@ -158,16 +156,6 @@ def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return cum[bounds[1:]] - cum[bounds[:-1]]
 
 
-def _hinge_split(g: Graph, eu: np.ndarray, ev: np.ndarray):
-    """Lower-degree endpoint of each edge (ties: smaller id), the other
-    endpoint, and the lower endpoint's degree."""
-    deg = g.degrees
-    du = deg[eu]
-    dv = deg[ev]
-    take_v = (dv < du) | ((dv == du) & (ev < eu))
-    return np.where(take_v, ev, eu), np.where(take_v, eu, ev), np.minimum(du, dv)
-
-
 def _wedge_end(g: Graph, hinge: np.ndarray, other: np.ndarray,
                j: np.ndarray) -> np.ndarray:
     """Entry ``j`` (0 <= j < d(hinge) - 1) of each hinge's neighbor list
@@ -179,9 +167,9 @@ def _wedge_end(g: Graph, hinge: np.ndarray, other: np.ndarray,
     return g.neighbors[j]
 
 
-def _ews_finish(g: Graph, p: float, rngs, idx, bounds, sampler) -> np.ndarray:
+def _ews_finish(g: Graph, p: float, rngs, idx, bounds) -> np.ndarray:
     eu, ev = g.edge_arrays
-    hinge, other, dh = _hinge_split(g, eu[idx], ev[idx])
+    hinge, other, dh = _orient(g, eu[idx], ev[idx])
     # Edges whose hinge is a pendant close no wedge and draw nothing.
     ok = dh >= 2
     kept = np.zeros(ok.size + 1, dtype=np.int64)
@@ -237,7 +225,7 @@ def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray, trial: np.ndarray,
     return closed, total
 
 
-def _es_finish(g: Graph, p: float, rngs, idx, bounds, sampler) -> np.ndarray:
+def _es_finish(g: Graph, p: float, rngs, idx, bounds) -> np.ndarray:
     eu, ev = g.edge_arrays
     closed, _ = _closed_wedges(g, eu[idx], ev[idx],
                                np.repeat(np.arange(len(rngs)), np.diff(bounds)),
@@ -245,12 +233,21 @@ def _es_finish(g: Graph, p: float, rngs, idx, bounds, sampler) -> np.ndarray:
     return closed
 
 
-def _ws_draw(g: Graph, k: int, rng: RandomSource, sampler) -> np.ndarray:
+def _wedge_total(g: Graph) -> int:
+    """The last entry of ``g.wedge_prefix``, the graph's wedge count;
+    raises if the graph has no wedges."""
+    total = int(g.wedge_prefix[-1])
+    if total == 0:
+        raise NoWedgesError("graph has no wedges")
+    return total
+
+
+def _ws_draw(g: Graph, k: int, rng: RandomSource) -> np.ndarray:
     """Positions of ``k`` wedges drawn uniformly with replacement."""
-    return rng.uniform_indices(sampler.total, size=int(k))
+    return rng.uniform_indices(_wedge_total(g), size=int(k))
 
 
-def _hinges(sampler: WedgeSampler, t: np.ndarray) -> np.ndarray:
+def _hinges(g: Graph, t: np.ndarray) -> np.ndarray:
     """The hinge of each wedge position ``t``: the first vertex whose
     cumulative wedge count exceeds it.
 
@@ -258,14 +255,14 @@ def _hinges(sampler: WedgeSampler, t: np.ndarray) -> np.ndarray:
     (``_stable_order``), which keeps its branches predictable, then
     scatters back.
     """
-    order = _stable_order(t, (sampler.total - 1).bit_length())
+    order = _stable_order(t, (_wedge_total(g) - 1).bit_length())
     hinge = np.empty_like(order)
-    hinge[order] = np.searchsorted(sampler.cumulative, t.take(order), side="right")
+    hinge[order] = np.searchsorted(g.wedge_prefix, t.take(order), side="right")
     return hinge
 
 
-def _ws_finish(g: Graph, k: int, rngs, t, bounds, sampler) -> np.ndarray:
-    hinge = _hinges(sampler, t)
+def _ws_finish(g: Graph, k: int, rngs, t, bounds) -> np.ndarray:
+    hinge = _hinges(g, t)
     highs = np.empty((2, hinge.size), dtype=np.int64)
     g.degrees.take(hinge, out=highs[0])
     np.subtract(highs[0], 1, out=highs[1])
@@ -372,25 +369,22 @@ def _ws_size(met, r2: float) -> float:
 
 
 _METHODS = {
-    "ews": _Method(level="p", prepare=lambda g: None,
-                   draw=_edge_draw, finish=_ews_finish,
-                   scale=lambda tau, p, _: tau / (3.0 * p),
+    "ews": _Method(level="p", draw=_edge_draw, finish=_ews_finish,
+                   scale=lambda g, tau, p: tau / (3.0 * p),
                    theory=lambda met, p: (
                        rse_tau_exact(p, met.triangle_count, met.shared_edge_pairs,
                                      met.phi),
                        rse_tau_approx(p, met.triangle_count, met.phi)),
                    size=lambda met, r2: met.m * met.phi / (
                        9.0 * r2 * met.triangle_count * met.triangle_count)),
-    "es": _Method(level="p", prepare=lambda g: None,
-                  draw=_edge_draw, finish=_es_finish,
-                  scale=lambda closed, p, _: closed / (3.0 * p * p),
+    "es": _Method(level="p", draw=_edge_draw, finish=_es_finish,
+                  scale=lambda g, closed, p: closed / (3.0 * p * p),
                   theory=lambda met, p: (
                       rse_rho_exact(p, met.triangle_count, met.shared_edge_pairs),
                       rse_rho_approx(p, met.triangle_count, met.shared_edge_pairs)),
                   size=_es_size),
-    "ws": _Method(level="k", prepare=lambda g: build_wedge_sampler(g),
-                  draw=_ws_draw, finish=_ws_finish,
-                  scale=lambda omega, k, s: omega * s.total / (3.0 * k),
+    "ws": _Method(level="k", draw=_ws_draw, finish=_ws_finish,
+                  scale=lambda g, omega, k: omega * _wedge_total(g) / (3.0 * k),
                   # p*m is k exactly at p = 1, m = k; (k/m)*m can miss by an ulp.
                   theory=lambda met, k: (
                       rse_omega_exact(1.0, k, met.clustering_coefficient,
@@ -437,7 +431,6 @@ def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource]
     ``level`` must have passed ``check_level``.
     """
     spec = _METHODS[method]
-    sampler = spec.prepare(g)
     raw: list[int] = []
     sampled: list[int] = []
     rngs = iter(rngs)
@@ -445,15 +438,15 @@ def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource]
         batch, draws, size = [], [], 0
         for rng in rngs:  # resumes where the last batch stopped
             batch.append(rng)
-            draws.append(spec.draw(g, level, rng, sampler))
+            draws.append(spec.draw(g, level, rng))
             size += draws[-1].size
             if size >= _BATCH:
                 break
         if not batch:
-            return raw, sampled, [spec.scale(r, level, sampler) for r in raw]
+            return raw, sampled, [spec.scale(g, r, level) for r in raw]
         sampled += [d.size for d in draws]
         values, bounds = _concat(draws)
-        raw += spec.finish(g, level, batch, values, bounds, sampler).tolist()
+        raw += spec.finish(g, level, batch, values, bounds).tolist()
 
 
 @dataclass(frozen=True)
@@ -552,13 +545,10 @@ class WedgeSampler:
 
 
 def build_wedge_sampler(g: Graph) -> WedgeSampler:
-    """The graph's cumulative per-vertex wedge counts (``g.wedge_prefix``,
-    built once per graph); raises if the graph has no wedges."""
-    cumulative = g.wedge_prefix
-    total = int(cumulative[-1])
-    if total == 0:
-        raise NoWedgesError("graph has no wedges")
-    return WedgeSampler(cumulative=cumulative, total=total)
+    """``g.wedge_prefix`` and its total; raises if the graph has no wedges.
+    ws reads both from the graph, so nothing in the package calls this:
+    it stays because ``tribench/tracer.py`` binds it by name."""
+    return WedgeSampler(cumulative=g.wedge_prefix, total=_wedge_total(g))
 
 
 def ws_estimate(g: Graph, k: int, rng: RandomSource) -> EstimateResult:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (_GOLDEN, Graph, _in_bitmap, _run_pairs, _stable_order,
+from .graph import (Graph, _may_be_edges, _orient, _run_pairs, _stable_order,
                     edge_key)
 
 # Out-edge pairs checked per block of ``count_triangles_exact``. Each
@@ -139,8 +139,7 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     n, m = g.n, g.m
     canon, head, out_off, min_degree = _out_edges(g)
 
-    # Every edge sets its bit, so the filter drops only non-edges.
-    bitmap = g.edge_bitmap
+    g.edge_bitmap  # the filter's build, before the keys and blocks it would add to
     ekey = edge_key(*g.edge_arrays, n)
 
     # A tail's heads ascend, so out-edges a < b of one tail close on
@@ -152,7 +151,8 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     delta = 0
     for a, b in _run_pairs(out_off, _WEDGE_BLOCK):
         query = edge_key(head.take(a), head.take(b), n)
-        kept = np.flatnonzero(_in_bitmap(bitmap, query * _GOLDEN, m))
+        # Every edge sets its bit, so the filter drops only non-edges.
+        kept = np.flatnonzero(_may_be_edges(g, query))
         query = query.take(kept)
         order = _stable_order(query, (n * n - 1).bit_length())
         query = query.take(order)
@@ -198,20 +198,9 @@ def _out_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     ``out_off[t+1] - 1``. The tail is the endpoint of smaller degree;
     ``min_degree`` is read-only, in the dtype of ``edge_arrays``.
     """
-    # Since eu < ev, the (degree, id) order puts eu first exactly when
-    # deg[eu] <= deg[ev].
-    deg = g.degrees
     eu, ev = g.edge_arrays
-    du, dv = deg.take(eu), deg.take(ev)
-    up = du <= dv
-    np.minimum(du, dv, out=du)
-    del dv
-    min_degree = du.astype(eu.dtype)  # a degree is below n
-    del du
+    tail, head, min_degree = _orient(g, eu, ev)
     min_degree.flags.writeable = False
-    tail = np.where(up, eu, ev)
-    head = np.where(up, ev, eu)
-    del up
     canon = _stable_order(tail, (g.n - 1).bit_length())
     head = head.take(canon)
     out_off = np.zeros(g.n + 1, dtype=np.int64)

@@ -187,17 +187,34 @@ def _bitmap_of_hashes(h: np.ndarray, m: int) -> np.ndarray:
     return bitmap
 
 
-def _in_bitmap(bitmap: np.ndarray, h: np.ndarray, m: int) -> np.ndarray:
-    """Whether the bit of each hash ``h`` is set in the edge bitmap
-    ``bitmap`` of a graph of ``m`` edges (bool)."""
-    pos = _home_of_hash(h, _bitmap_bits(m))
+def _may_be_edges(g: Graph, key: np.ndarray) -> np.ndarray:
+    """Whether the bit of each edge key ``key`` is set in ``g.edge_bitmap``
+    (bool). A key whose bit is clear is no edge of ``g``."""
+    h = key * _GOLDEN
+    pos = _home_of_hash(h, _bitmap_bits(g.m), out=h)
     shift = pos.astype(np.uint8)  # the low byte; its low 3 bits pick the bit
     shift &= np.uint8(7)
     pos >>= 3
-    byte = bitmap.take(pos)
+    byte = g.edge_bitmap.take(pos)
     byte >>= shift
     byte &= np.uint8(1)
     return byte.view(bool)
+
+
+def _orient(g: Graph, u: np.ndarray, v: np.ndarray):
+    """For canonical pairs ``u < v``: the endpoint first in (degree, id)
+    order (u iff d(u) <= d(v)), the other endpoint, and the smaller
+    degree in the dtype of ``u``. The int64 degrees are freed before the
+    endpoints are chosen; held, they raised the exact oracle's max RSS
+    by 3 to 6 MB at a million edges."""
+    deg = g.degrees
+    du, dv = deg.take(u), deg.take(v)
+    first_u = du <= dv
+    np.minimum(du, dv, out=du)
+    del dv
+    dmin = du.astype(u.dtype)
+    del du
+    return np.where(first_u, u, v), np.where(first_u, v, u), dmin
 
 
 def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -215,12 +232,15 @@ def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     ``u == v`` are never edges. Scalars are queries of one pair.
 
     Raises:
-        ValueError: a vertex id outside ``[0, n)``.
+        ValueError: a vertex id outside ``[0, n)``, or ids of a dtype
+            other than integer (float or bool ids would be truncated).
     """
     u = np.atleast_1d(u)
     v = np.atleast_1d(v)
     if u.size == 0:
         return np.zeros(0, dtype=bool)
+    if u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got {u.dtype} and {v.dtype}")
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     del u, v
     if lo.min() < 0 or hi.max() >= g.n:
@@ -228,10 +248,10 @@ def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     table = g.edge_index  # first, so the bitmap reuses its hashes
     want = edge_key(lo, hi, g.n)
     del lo, hi
-    want *= _GOLDEN
     found = np.zeros(want.size, dtype=bool)
-    where = np.flatnonzero(_in_bitmap(g.edge_bitmap, want, g.m))
+    where = np.flatnonzero(_may_be_edges(g, want))
     want = want.take(where)
+    want *= _GOLDEN
     slot = _home_of_hash(want, _index_slots(g.m))
     while where.size:
         held = table.take(slot)

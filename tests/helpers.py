@@ -7,7 +7,8 @@ from itertools import combinations
 import numpy as np
 
 from tricount import Graph, has_edge_many, load_edge_list
-from tricount.estimators import _closed_wedges, _hinge_split
+from tricount.estimators import _closed_wedges
+from tricount.graph import _orient
 
 
 def graph_text(edges) -> str:
@@ -113,12 +114,12 @@ def _columns(rows, width):
 
 def forced_ews_tau(g: Graph, draws) -> int:
     """The ews raw statistic of forced draws ``[((u, v), w), ...]`` in
-    internal ids, by the library's hinge split and closure probe. Raises
+    internal ids, by the library's orientation and closure probe. Raises
     ValueError if a ``w`` is not a neighbor of its edge's hinge other
     than the edge's other end."""
-    eu, ev = _columns([e for e, _ in draws], 2)
+    u, v = _columns([e for e, _ in draws], 2)
     w = np.array([w for _, w in draws], dtype=np.int64)
-    hinge, other, dh = _hinge_split(g, eu, ev)
+    hinge, other, dh = _orient(g, np.minimum(u, v), np.maximum(u, v))
     if not (has_edge_many(g, hinge, w) & (w != other)).all():
         raise ValueError("a draw is not an eligible wedge end")
     return int(np.where(has_edge_many(g, other, w), dh - 1, 0).sum())

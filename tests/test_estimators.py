@@ -38,7 +38,7 @@ def test_plan_validation():
 
 @pytest.mark.parametrize("seed", [0, 1, 99])
 def test_bernoulli_p1_returns_every_edge(k3, seed):
-    kept = estimators._edge_draw(k3, 1.0, RandomSource(seed), None)
+    kept = estimators._edge_draw(k3, 1.0, RandomSource(seed))
     assert kept.tolist() == [0, 1, 2]  # every position in k3.edge_arrays
 
 
@@ -103,11 +103,10 @@ def test_ews_wedge_increment_on_known_graph(five_tri):
                          ids=["k4", "circulant", "five_tri", "hubs_and_path"])
 def test_hinge_split_follows_the_hinge_rule(edges):
     # The lower-degree endpoint, ties to the smaller internal id, from the
-    # degrees of the edge list; each edge is given in both orientations.
+    # degrees of the edge list; each edge is given as a canonical pair.
     g = graph_from_edges(edges)
     internal = {int(orig): i for i, orig in enumerate(g.original_ids)}
-    pairs = [(internal[u], internal[v]) for u, v in clean_edges(edges)]
-    pairs += [(v, u) for u, v in pairs]
+    pairs = [tuple(sorted((internal[u], internal[v]))) for u, v in clean_edges(edges)]
     adj = adjacency(pairs)
     want = []
     for u, v in pairs:
@@ -115,7 +114,7 @@ def test_hinge_split_follows_the_hinge_rule(edges):
         want.append((h, o, len(adj[h])))
     eu = np.array([u for u, _ in pairs])
     ev = np.array([v for _, v in pairs])
-    got = estimators._hinge_split(g, eu, ev)
+    got = graph._orient(g, eu, ev)
     assert list(zip(*(a.tolist() for a in got))) == want
 
 
@@ -126,7 +125,7 @@ def test_phase_two_skip_is_exact(request, which):
     g = (graph_from_edges(complete_edges(5)) if which == "k5"
          else request.getfixturevalue(which))
     eu, ev = g.edge_arrays
-    hinge, other, dh = estimators._hinge_split(g, eu, ev)
+    hinge, other, dh = graph._orient(g, eu, ev)
     want = []
     for a, b in zip(hinge.tolist(), other.tolist()):
         want += [w for w in g.neighbors[g.offsets[a]:g.offsets[a + 1]].tolist()
@@ -216,7 +215,7 @@ def test_wedge_prefix_is_built_once_per_graph(monkeypatch):
     seen = []
     hinges = estimators._hinges
     monkeypatch.setattr(estimators, "_hinges",
-                        lambda sampler, t: seen.append(sampler.cumulative) or hinges(sampler, t))
+                        lambda g, t: seen.append(vars(g)["wedge_prefix"]) or hinges(g, t))
     ws_estimate(g, 50, RandomSource(1))
     prefix = vars(g)["wedge_prefix"]
     d = g.degrees.astype(np.int64)
@@ -414,15 +413,15 @@ def test_sorted_hinge_search_is_the_plain_search(monkeypatch, word_bits):
     # between hubs and path3 starts on a leaf. A narrower sort word makes
     # positions and their indices too wide to pack (five_tri at 12 bits),
     # so the order is the stable argsort; the search must not notice.
-    samplers = [build_wedge_sampler(graph_from_edges(edges))
-                for edges in (FIVE_TRIANGLE_EDGES, path_edges(2), er_edges(60, 0.15, 2))]
+    graphs = [graph_from_edges(edges)
+              for edges in (FIVE_TRIANGLE_EDGES, path_edges(2), er_edges(60, 0.15, 2))]
     monkeypatch.setattr(graph, "_WORD_BITS", word_bits)
-    for sampler in samplers:
-        c = sampler.cumulative
-        t = np.concatenate([c - 1, c, np.arange(sampler.total)])
-        t = t[(t >= 0) & (t < sampler.total)]
+    for g in graphs:
+        c = g.wedge_prefix
+        t = np.concatenate([c - 1, c, np.arange(c[-1])])
+        t = t[(t >= 0) & (t < c[-1])]
         t = np.random.default_rng(0).permutation(np.repeat(t, 3))
-        assert np.array_equal(estimators._hinges(sampler, t),
+        assert np.array_equal(estimators._hinges(g, t),
                               np.searchsorted(c, t, side="right"))
 
 

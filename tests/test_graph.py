@@ -581,7 +581,7 @@ def test_edge_index_last_chain_runs_into_the_tail():
     assert len(absent) == 5
     assert all(table[_home_slot_ref(u * n + v, size)] != 2**64 - 1 for u, v in absent)
     keys = np.array([u * n + v for u, v in absent], dtype=np.uint64)
-    assert graph._in_bitmap(g.edge_bitmap, keys * graph._GOLDEN, g.m).all()
+    assert graph._may_be_edges(g, keys).all()
     eu, ev = g.edge_arrays
     au = np.array([u for u, _ in absent])
     av = np.array([v for _, v in absent])
@@ -639,6 +639,19 @@ def test_has_edge_many_rejects_ids_outside_the_graph():
             has_edge_many(g, u, v)
 
 
+def test_has_edge_many_rejects_ids_that_are_not_integers():
+    # Float ids once truncated: (0.5, 1.9) was read as the edge (0, 1).
+    g = graph_from_text("0 1\n1 2\n2 0\n2 3\n")
+    for u, v in [(np.array([0.5]), np.array([1.9])), (np.array([True]), np.array([1])),
+                 (0, np.array([1.0])), (0.0, 1)]:
+        with pytest.raises(ValueError, match="integers"):
+            has_edge_many(g, u, v)
+    # Python ints and integer scalars of any width are ids.
+    for u, v, want in [(0, 1, True), (np.int32(0), np.uint8(3), False),
+                       (np.uint64(2), np.uint32(3), True)]:
+        assert has_edge_many(g, u, v).tolist() == [want]
+
+
 def test_has_edge_many_self_pairs_and_empty_queries(five_tri):
     v = np.arange(five_tri.n)
     assert not has_edge_many(five_tri, v, v).any()
@@ -687,14 +700,14 @@ def test_has_edge_many_follows_any_bitmap_size(monkeypatch, bits, edges):
     monkeypatch.setattr(graph, "_bitmap_bits", bits)
     g = graph_from_edges(edges)
     passed = []
-    in_bitmap = graph._in_bitmap
+    may_be_edges = graph._may_be_edges
 
-    def spy(bitmap, h, m):
-        out = in_bitmap(bitmap, h, m)
+    def spy(g, key):
+        out = may_be_edges(g, key)
         passed.append(out.copy())
         return out
 
-    monkeypatch.setattr(graph, "_in_bitmap", spy)
+    monkeypatch.setattr(graph, "_may_be_edges", spy)
     us, vs = np.divmod(np.arange(g.n * g.n), g.n)
     got = has_edge_many(g, us, vs)
     ids = g.original_ids
@@ -736,6 +749,30 @@ def test_loaded_edge_arrays_are_the_derived_ones(request, which):
         assert a.dtype == b.dtype == g.neighbors.dtype
         assert np.array_equal(a, b)
         assert not a.flags.writeable and not b.flags.writeable
+
+
+def _assert_derives_the_loaders_edge_arrays(g):
+    # A Graph built from its CSR fields, not by the loader, derives its
+    # edge arrays: the loader's, in order, in dtype and read-only.
+    built = Graph(n=g.n, m=g.m, offsets=g.offsets, neighbors=g.neighbors,
+                  original_ids=g.original_ids)
+    assert "edge_arrays" not in vars(built)
+    for a, b in zip(g.edge_arrays, built.edge_arrays):
+        assert b.dtype == a.dtype
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable and not b.flags.writeable
+
+
+def test_graph_built_from_csr_derives_the_edge_arrays(five_tri):
+    _assert_derives_the_loaders_edge_arrays(five_tri)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(edges=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+                      min_size=1, max_size=60))
+def test_graph_built_from_csr_derives_the_edge_arrays_of_any_graph(edges):
+    if clean_edges(edges):
+        _assert_derives_the_loaders_edge_arrays(graph_from_edges(edges))
 
 
 def test_edge_key_round_trips_and_orders_at_the_vertex_limit():
