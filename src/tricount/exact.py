@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (Graph, _may_be_edges, _orient, _run_pairs, _stable_order,
-                    edge_key)
+from .graph import Graph, _find_edges, _orient, _run_pairs, _stable_order, edge_key
 
 # Out-edge pairs checked per block of ``count_triangles_exact``. Each
 # pair costs ~47 bytes of temporaries (tracemalloc, the peak difference
@@ -116,31 +115,29 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     adjacent. That makes sum over u of C(d+(u), 2) candidate pairs,
     where d+(u) is the out-degree, taken a fixed block at a time.
 
-    Each block is filtered, then sorted and searched. The filter is the
-    graph's cached ``Graph.edge_bitmap``: a closing key whose bit is
-    clear is no edge and is dropped. No edge is ever dropped, so the
-    filter changes no count. On the million-edge power-law graph 19% of
-    the pairs pass it. The keys that pass are sorted and found by one
-    binary search over the sorted canonical edge keys, and T(e) is
-    tallied with ``np.bincount``. Time is O(m^1.5) on the graphs this
-    library targets; memory is O(m + block), and the bitmap, built on
-    the first call, 1 to 2 bytes per edge.
+    Each block's closing keys are looked up as ``has_edge_many`` looks
+    up its pairs, by ``graph._find_edges``: a key whose bit is clear in
+    the graph's cached ``Graph.edge_bitmap`` is no edge and is dropped,
+    and the rest are sorted and found by one binary search over the
+    cached ascending ``Graph.edge_keys``. On the million-edge power-law
+    graph 19% of the pairs pass the bitmap. T(e) is tallied with
+    ``np.bincount``. Time is O(m^1.5) on the graphs this library
+    targets; memory is O(m + block), with the keys and bitmap, built on
+    the first call, 9 to 10 bytes per edge.
 
-    Both orders come from ``_stable_order``: one ``np.sort`` of uint64
-    words that pack a sort key above a position, or a stable ``argsort``
-    when a key and a position do not fit in 64 bits together (a block's
-    keys at n > 2**24). The oriented edges are sorted by tail alone: in
+    Both sorts, of the oriented edges and of a block's keys, are
+    ``_stable_order``'s: one ``np.sort`` of uint64 words that pack a sort
+    key above a position, or a stable ``argsort`` when a key and a
+    position do not fit in 64 bits together (a block's keys at
+    n > 2**24). The oriented edges are sorted by tail alone: in
     canonical order a tail's lower heads come from earlier rows and its
     upper heads from its own row, so its heads already ascend, and a
     stable sort by tail gives (tail, head) order, the one permutation an
-    ``argsort`` of their edge keys gives. The search is exact in any
-    order; the block's order only buys locality.
+    ``argsort`` of their edge keys gives.
     """
     n, m = g.n, g.m
     canon, head, out_off, min_degree = _out_edges(g)
-
-    g.edge_bitmap  # the filter's build, before the keys and blocks it would add to
-    ekey = edge_key(*g.edge_arrays, n)
+    g.edge_bitmap  # the keys' and bitmap's build, before the blocks it would add to
 
     # A tail's heads ascend, so out-edges a < b of one tail close on
     # the canonical edge head[a]--head[b]. T(e) is allocated at the first
@@ -150,21 +147,10 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     npending = 0
     delta = 0
     for a, b in _run_pairs(out_off, _WEDGE_BLOCK):
-        query = edge_key(head.take(a), head.take(b), n)
-        # Every edge sets its bit, so the filter drops only non-edges.
-        kept = np.flatnonzero(_may_be_edges(g, query))
-        query = query.take(kept)
-        order = _stable_order(query, (n * n - 1).bit_length())
-        query = query.take(order)
-        closing = np.searchsorted(ekey, query)
-        np.minimum(closing, m - 1, out=closing)
-        closed = ekey.take(closing) == query
-        del query
-        if closed.any():
-            hit = kept.take(order[closed])
+        hit, closing = _find_edges(g, edge_key(head.take(a), head.take(b), n))
+        if hit.size:
             delta += int(hit.size)
-            pending += [canon.take(a.take(hit)), canon.take(b.take(hit)),
-                        closing[closed]]
+            pending += [canon.take(a.take(hit)), canon.take(b.take(hit)), closing]
             npending += 3 * hit.size
         # Tally in batches of about m edge hits: one bincount per block
         # would cost O(m) each, one at the end O(triangles) memory.
@@ -194,15 +180,17 @@ def _out_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     canonical edge: ``(canon, head, out_off, min_degree)``.
 
     ``canon`` maps each oriented edge to its position in
-    ``edge_arrays``, and tail t's out-edges are ``out_off[t]`` to
-    ``out_off[t+1] - 1``. The tail is the endpoint of smaller degree;
-    ``min_degree`` is read-only, in the dtype of ``edge_arrays``.
+    ``edge_arrays``, in the smallest unsigned dtype that holds ``m - 1``,
+    and tail t's out-edges are ``out_off[t]`` to ``out_off[t+1] - 1``.
+    The tail is the endpoint of smaller degree; ``min_degree`` is
+    read-only, in the dtype of ``edge_arrays``.
     """
     eu, ev = g.edge_arrays
     tail, head, min_degree = _orient(g, eu, ev)
     min_degree.flags.writeable = False
     canon = _stable_order(tail, (g.n - 1).bit_length())
     head = head.take(canon)
+    canon = canon.astype(np.min_scalar_type(g.m - 1))
     out_off = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(np.bincount(tail, minlength=g.n), out=out_off[1:])
     return canon, head, out_off, min_degree

@@ -16,9 +16,8 @@ do at a million edges); one sort of the edge keys of both directions
 gives the sorted neighbor lists, and the canonical edge arrays come
 from the same pass. Edge membership is one bit of a bitmap of the
 canonical edge keys' hashes (a one-hash Bloom filter, 1 MB at a million
-edges), and, for the keys whose bit is set, one lookup in an ordered
-hash set of those keys; a graph builds each on first use, the hash set
-with one sort.
+edges), and, for the keys whose bit is set, one binary search of the
+ascending canonical edge keys; a graph builds both on first use.
 """
 
 from __future__ import annotations
@@ -31,14 +30,9 @@ from typing import BinaryIO
 import numpy as np
 
 
-# Empty slot of an edge index. No edge key can take this value, since
-# keys are below n**2 and the loader requires n < 2**32.
-_EMPTY = np.uint64(2**64 - 1)
 # Fibonacci hashing: a key's hash is key * _GOLDEN mod 2**64, and its
-# home slot the top bits of the hash. The constant is odd, so hashing is
-# a bijection: hash * _GOLDEN_INVERSE gives the key back.
+# bit in the edge bitmap the top bits of the hash.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_GOLDEN_INVERSE = np.uint64(pow(0x9E3779B97F4A7C15, -1, 2**64))
 # Most edges a graph may have. With n < 2**32 an edge's position and a
 # vertex id pack into one uint64 (the exact oracle's packed sorts rely
 # on it).
@@ -109,89 +103,50 @@ class Graph:
         return d
 
     @cached_property
-    def edge_bitmap(self) -> np.ndarray:
-        """One-hash Bloom filter of the canonical edge keys: a uint8 bitmap
-        of ``_bitmap_bits(m)`` bits, 8 to 16 per edge, in little bit
-        order. Each key sets the bit at the top bits of its hash
-        ``key * _GOLDEN``, the hash of ``edge_index``, so a pair whose bit
-        is clear is no edge. Built on first use (by ``edge_index`` if that
-        comes first, from the same hashes); read-only.
-        """
-        return _bitmap_of_hashes(_edge_hashes(self), self.m)
+    def edge_keys(self) -> np.ndarray:
+        """The canonical edge keys ``edge_key(u, v, n)`` of ``edge_arrays``,
+        ascending, as those are sorted by (u, v): 8 bytes per edge. Built
+        on first use; read-only."""
+        key = edge_key(*self.edge_arrays, self.n)
+        key.flags.writeable = False
+        return key
 
     @cached_property
-    def edge_index(self) -> np.ndarray:
-        """Ordered hash set of the canonical edge keys ``edge_key(u, v, n)``,
-        u < v, in a uint64 table; empty slots hold ``2**64 - 1``.
-
-        Open addressing with linear probing over ``_index_slots(m)`` home
-        slots, 2 to 4 per edge (load factor at most 1/2). Keys sit in
-        ascending order of their hash, so the homes never decrease along
-        the table. Instead of wrapping around, the last chain runs on into
-        a short tail, and the table ends with one empty slot. Built on
-        first use, with one sort: the i-th smallest hash goes to slot
-        ``i + max(home_j - j)`` over ``j <= i``, the first free slot at or
-        after its home. Read-only.
+    def edge_bitmap(self) -> np.ndarray:
+        """One-hash Bloom filter of ``edge_keys``: a uint8 bitmap of
+        ``_bitmap_bits(m)`` bits, 8 to 16 per edge, in little bit order.
+        Each key sets the bit at the top bits of its hash
+        ``key * _GOLDEN``, so a pair whose bit is clear is no edge. Built
+        on first use; read-only.
         """
-        h = _edge_hashes(self)
-        if "edge_bitmap" not in self.__dict__:
-            self.__dict__["edge_bitmap"] = _bitmap_of_hashes(h, self.m)
-        slots = _index_slots(self.m)
-        h.sort()
-        slot = _home_of_hash(h, slots)
-        step = np.arange(self.m)
-        slot -= step
-        np.maximum.accumulate(slot, out=slot)
-        slot += step
-        del step
-        table = np.full(max(slots, int(slot[-1]) + 1) + 1, _EMPTY, dtype=np.uint64)
-        h *= _GOLDEN_INVERSE
-        table[slot] = h
-        table.flags.writeable = False
-        return table
-
-
-def _edge_hashes(g: Graph) -> np.ndarray:
-    """The hash ``key * _GOLDEN`` of each canonical edge key, in edge order."""
-    h = edge_key(*g.edge_arrays, g.n)
-    h *= _GOLDEN
-    return h
-
-
-def _index_slots(m: int) -> int:
-    """Home slots of the edge index of a graph of ``m`` edges: 2 to 4 per
-    edge, a power of two."""
-    return 1 << (m.bit_length() + 1)
+        size = _bitmap_bits(self.m)
+        h = self.edge_keys * _GOLDEN
+        pos = _home_of_hash(h, size)
+        bits = np.zeros(size, dtype=bool)
+        bits[pos] = True
+        del h, pos
+        bitmap = np.packbits(bits, bitorder="little")
+        bitmap.flags.writeable = False
+        return bitmap
 
 
 def _bitmap_bits(m: int) -> int:
     """Bits of the edge bitmap of a graph of ``m`` edges: 8 to 16 per
-    edge, a power of two, four per home slot of the edge index."""
+    edge, a power of two."""
     return 1 << (m.bit_length() + 3)
 
 
-def _home_of_hash(h: np.ndarray, size: int, out=None) -> np.ndarray:
-    """Home slot (int64) of each hash ``key * _GOLDEN`` among ``size``
-    slots or bits, a power of two: the hash's top bits."""
-    return np.right_shift(h, np.uint64(65 - size.bit_length()), out=out).view(np.int64)
-
-
-def _bitmap_of_hashes(h: np.ndarray, m: int) -> np.ndarray:
-    """The edge bitmap of a graph of ``m`` edges, whose edge keys hash to
-    ``h``; read-only."""
-    size = _bitmap_bits(m)
-    bits = np.zeros(size, dtype=bool)
-    bits[_home_of_hash(h, size)] = True
-    bitmap = np.packbits(bits, bitorder="little")
-    bitmap.flags.writeable = False
-    return bitmap
+def _home_of_hash(h: np.ndarray, size: int) -> np.ndarray:
+    """Bit (int64) of each hash ``key * _GOLDEN`` among ``size`` bits, a
+    power of two: the hash's top bits, written over ``h``."""
+    return np.right_shift(h, np.uint64(65 - size.bit_length()), out=h).view(np.int64)
 
 
 def _may_be_edges(g: Graph, key: np.ndarray) -> np.ndarray:
     """Whether the bit of each edge key ``key`` is set in ``g.edge_bitmap``
     (bool). A key whose bit is clear is no edge of ``g``."""
     h = key * _GOLDEN
-    pos = _home_of_hash(h, _bitmap_bits(g.m), out=h)
+    pos = _home_of_hash(h, _bitmap_bits(g.m))
     shift = pos.astype(np.uint8)  # the low byte; its low 3 bits pick the bit
     shift &= np.uint8(7)
     pos >>= 3
@@ -217,26 +172,45 @@ def _orient(g: Graph, u: np.ndarray, v: np.ndarray):
     return np.where(first_u, u, v), np.where(first_u, v, u), dmin
 
 
+def _find_edges(g: Graph, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the pair keys ``key`` are edges of ``g``: their indices
+    into ``key``, and the edges' positions in ``edge_arrays`` (int64
+    both, in ascending order of key).
+
+    A key whose bit is clear in ``g.edge_bitmap`` is no edge. The rest
+    are sorted by ``_stable_order`` and found by one ``np.searchsorted``
+    over ``g.edge_keys``; the order buys the search locality.
+    """
+    where = np.flatnonzero(_may_be_edges(g, key))
+    key = key.take(where)
+    order = _stable_order(key, (g.n * g.n - 1).bit_length())
+    key = key.take(order)
+    pos = np.searchsorted(g.edge_keys, key)
+    np.minimum(pos, g.m - 1, out=pos)
+    hit = g.edge_keys.take(pos) == key
+    return where.take(order[hit]), pos[hit]
+
+
 def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Whether each pair ``(u[i], v[i])`` of aligned vertex arrays is an edge.
 
     Tests each pair's canonical key in ``g.edge_bitmap`` first: a pair
-    whose bit is clear is no edge. Only the rest look their key up in
-    ``g.edge_index``: all of them probe their home slot at once, then the
-    ones still open probe the next slot, and so on. The table holds the
-    keys in order of their hash, so a query stops at its key, at an empty
-    slot, or at the first key whose hash exceeds its own. In three
-    powerlaw-estimate rounds on the million-edge power-law graph 11.7% of
-    the closure probes pass the bitmap (111,486 of 955,468, of which
-    5,289 are edges), and 37% of those stop at their home slot. Pairs
-    ``u == v`` are never edges. Scalars are queries of one pair.
+    whose bit is clear is no edge. Only the rest are sorted and looked up
+    by one binary search of ``g.edge_keys``. In three powerlaw-estimate
+    rounds on the million-edge power-law graph 11.7% of the closure
+    probes pass the bitmap (111,486 of 955,468, of which 5,289 are
+    edges). Pairs ``u == v`` are never edges. Scalars are queries of one
+    pair.
 
     Raises:
-        ValueError: a vertex id outside ``[0, n)``, or ids of a dtype
-            other than integer (float or bool ids would be truncated).
+        ValueError: arrays of different shapes, a vertex id outside
+            ``[0, n)``, or ids of a dtype other than integer (float or
+            bool ids would be truncated).
     """
     u = np.atleast_1d(u)
     v = np.atleast_1d(v)
+    if u.shape != v.shape:
+        raise ValueError(f"vertex arrays must have the same shape, got {u.shape} and {v.shape}")
     if u.size == 0:
         return np.zeros(0, dtype=bool)
     if u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
@@ -245,22 +219,10 @@ def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     del u, v
     if lo.min() < 0 or hi.max() >= g.n:
         raise ValueError(f"vertex ids must be in [0, {g.n})")
-    table = g.edge_index  # first, so the bitmap reuses its hashes
     want = edge_key(lo, hi, g.n)
     del lo, hi
     found = np.zeros(want.size, dtype=bool)
-    where = np.flatnonzero(_may_be_edges(g, want))
-    want = want.take(where)
-    want *= _GOLDEN
-    slot = _home_of_hash(want, _index_slots(g.m))
-    while where.size:
-        held = table.take(slot)
-        open_ = held != _EMPTY
-        held *= _GOLDEN
-        found[where[held == want]] = True  # never at an empty slot: no key is 2**64 - 1
-        open_ &= held < want  # a lower hash: the query's key may lie further on
-        where, want, slot = where[open_], want[open_], slot[open_]
-        slot += 1
+    found[_find_edges(g, want)[0]] = True
     return found
 
 
@@ -428,7 +390,8 @@ def edge_key(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """
     key = u.astype(np.uint64)
     key *= np.uint64(n)
-    key += v.astype(np.uint64)
+    # Ids are non-negative, so the cast loses nothing and spares a copy.
+    np.add(key, v, out=key, dtype=np.uint64, casting="unsafe")
     return key
 
 

@@ -454,8 +454,8 @@ def test_has_edge_many_matches_scalar():
 
 
 def test_has_edge_many_scalar_queries():
-    # K5 and a path: the queries whose home slot holds another key probe
-    # on, which a 0-d result cannot record.
+    # K5 and a path, one scalar pair per query: each result is 1-d, as
+    # a 0-d one could not record the hits of the lookup.
     edges = complete_edges(5) + [(i, i + 1) for i in range(5, 60)]
     g = graph_from_edges(edges)
     ids = g.original_ids.tolist()
@@ -527,112 +527,16 @@ def test_neighbor_rank_matches_searchsorted(request, which, dtype):
     assert neighbor_rank(g, v, w).tolist() == want
 
 
-def _home_slot_ref(key: int, size: int) -> int:
-    """Home slot of ``key`` in an edge index of ``size`` home slots, from
-    the documented formula in Python integers."""
+def _bit_ref(key: int, size: int) -> int:
+    """Bit of ``key`` in an edge bitmap of ``size`` bits, from the
+    documented formula in Python integers."""
     bits = size.bit_length() - 1
     return (key * 0x9E3779B97F4A7C15 % 2**64) >> (64 - bits)
 
 
-# Internal ids of a path over 0..199 are its own ids (first appearance),
-# so the keys of extra chords are known before loading; with 56 chords
-# or fewer m stays in [128, 256), so the index has 2**9 home slots.
-_PATH_N, _PATH_SLOTS = 200, 1 << 9
-_PATH = [(i, i + 1) for i in range(_PATH_N - 1)]
-
-
-def _chords_by_home(n: int, size: int) -> dict:
-    """Every chord of the path over 0..n-1, listed by its home slot."""
-    by_home = {}
-    for u in range(n):
-        for v in range(u + 2, n):
-            by_home.setdefault(_home_slot_ref(u * n + v, size), []).append((u, v))
-    return by_home
-
-
-_CHORDS_BY_HOME = _chords_by_home(_PATH_N, _PATH_SLOTS)
-# Chords homed at the last two home slots, then at the first.
-_CHORD_POOL = (_CHORDS_BY_HOME[_PATH_SLOTS - 1] + _CHORDS_BY_HOME[_PATH_SLOTS - 2]
-               + _CHORDS_BY_HOME[0])
-
-
-def test_edge_index_last_chain_runs_into_the_tail():
-    n, size = _PATH_N, _PATH_SLOTS
-    last, first = _CHORDS_BY_HOME[size - 1], _CHORDS_BY_HOME[0]
-    assert len(last) >= 6 and len(first) >= 4
-    g = graph_from_edges(_PATH + last[:3] + first[:2])
-    assert (g.n, g.m) == (n, n + 4)
-    assert g.original_ids.tolist() == list(range(n))
-    table = g.edge_index
-    slot_of = {int(k): s for s, k in enumerate(table.tolist()) if k != 2**64 - 1}
-    # Nothing wraps around: the three keys homed at the last slot fill it
-    # and the two tail slots after it, and one empty slot ends the table.
-    assert sorted(slot_of[u * n + v] for u, v in last[:3]) == [size - 1, size, size + 1]
-    assert table.size == size + 3 and table[-1] == 2**64 - 1
-    assert all(slot_of[u * n + v] < 8 for u, v in first[:2])
-    # Absent keys whose home slot another key holds walk the same chain,
-    # once past the bitmap: each shares its bit with a present key.
-    def bit(chord):  # four bits of the bitmap per home slot
-        return _home_slot_ref(chord[0] * n + chord[1], 4 * size)
-
-    shared = {bit(c) for c in last[:3] + first[:2]}
-    absent = ([c for c in last[3:] if bit(c) in shared][:3]
-              + [c for c in first[2:] if bit(c) in shared][:2])
-    assert len(absent) == 5
-    assert all(table[_home_slot_ref(u * n + v, size)] != 2**64 - 1 for u, v in absent)
-    keys = np.array([u * n + v for u, v in absent], dtype=np.uint64)
-    assert graph._may_be_edges(g, keys).all()
-    eu, ev = g.edge_arrays
-    au = np.array([u for u, _ in absent])
-    av = np.array([v for _, v in absent])
-    us = np.concatenate([eu, ev, au, av])
-    vs = np.concatenate([ev, eu, av, au])
-    want = [True] * (2 * g.m) + [False] * (2 * len(absent))
-    assert has_edge_many(g, us, vs).tolist() == want
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(chosen=st.sets(st.integers(0, len(_CHORD_POOL) - 1), max_size=56),
-       seed=st.integers(0, 2**32 - 1))
-@example(chosen=set(range(len(_CHORDS_BY_HOME[_PATH_SLOTS - 1]))), seed=0)
-def test_edge_index_is_ordered_and_agrees_with_a_set(chosen, seed):
-    n, size = _PATH_N, _PATH_SLOTS
-    chords = [_CHORD_POOL[i] for i in sorted(chosen)]
-    g = graph_from_edges(_PATH + chords)
-    table = g.edge_index
-    assert table.size > size and table[-1] == 2**64 - 1
-    slots = np.flatnonzero(table != 2**64 - 1).tolist()
-    keys = table[slots].tolist()
-    homes = [_home_slot_ref(k, size) for k in keys]
-    assert homes == sorted(homes)  # homes never decrease along a chain
-    hashes = [k * 0x9E3779B97F4A7C15 % 2**64 for k in keys]
-    assert hashes == sorted(hashes)
-    occupied = set(slots)
-    assert all(occupied.issuperset(range(h, s)) for h, s in zip(homes, slots))
-    present = set(_PATH) | set(chords)
-    rng = np.random.default_rng(seed)
-    pairs = (_PATH + _CHORD_POOL
-             + list(zip(rng.integers(0, n, 200).tolist(), rng.integers(0, n, 200).tolist())))
-    us = np.array([u for u, _ in pairs] + [v for _, v in pairs])
-    vs = np.array([v for _, v in pairs] + [u for u, _ in pairs])
-    want = [(min(u, v), max(u, v)) in present for u, v in zip(us.tolist(), vs.tolist())]
-    assert has_edge_many(g, us, vs).tolist() == want
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(keys=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
-@example(keys=[0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1])
-def test_golden_inverse_round_trips_every_uint64(keys):
-    assert int(graph._GOLDEN) * int(graph._GOLDEN_INVERSE) % 2**64 == 1
-    key = np.array(keys, dtype=np.uint64)
-    h = key * graph._GOLDEN
-    assert h.tolist() == [k * 0x9E3779B97F4A7C15 % 2**64 for k in keys]
-    assert (h * graph._GOLDEN_INVERSE).tolist() == keys
-
-
 def test_has_edge_many_rejects_ids_outside_the_graph():
     g = graph_from_edges(er_edges(40, 0.2, 5))
-    # (-1, n - 1) has the key of an empty slot, which once probed on
+    # (-1, n - 1) has the key 2**64 - 1, which once probed an edge index
     # forever; (0, n + 5) has the key of the pair (1, 5).
     for u, v in [(-1, g.n - 1), ([0], [g.n + 5]), (np.array([3, 2]), np.array([4, -2]))]:
         with pytest.raises(ValueError, match="vertex ids"):
@@ -652,6 +556,17 @@ def test_has_edge_many_rejects_ids_that_are_not_integers():
         assert has_edge_many(g, u, v).tolist() == [want]
 
 
+def test_has_edge_many_rejects_arrays_of_different_shapes():
+    # Once numpy's own errors: a reduction over an empty array, or a
+    # failed broadcast.
+    g = graph_from_text("0 1\n1 2\n2 0\n2 3\n")
+    for u, v, shapes in [([0], np.zeros(0, int), r"\(1,\) and \(0,\)"),
+                         (np.zeros(0, int), 3, r"\(0,\) and \(1,\)"),
+                         ([0, 1], [1, 2, 3], r"\(2,\) and \(3,\)")]:
+        with pytest.raises(ValueError, match="same shape.*" + shapes):
+            has_edge_many(g, u, v)
+
+
 def test_has_edge_many_self_pairs_and_empty_queries(five_tri):
     v = np.arange(five_tri.n)
     assert not has_edge_many(five_tri, v, v).any()
@@ -659,17 +574,21 @@ def test_has_edge_many_self_pairs_and_empty_queries(five_tri):
     assert out.dtype == bool and out.shape == (0,)
 
 
-def test_edge_index_is_cached_and_read_only():
+def test_edge_keys_are_cached_and_read_only():
     g = graph_from_edges(er_edges(40, 0.2, 5))
-    table = g.edge_index
-    assert table is g.edge_index
-    assert table.dtype == np.uint64 and table.size > 1 << (g.m.bit_length() + 1)
-    assert table[-1] == 2**64 - 1
-    assert sorted(table[table != 2**64 - 1].tolist()) == \
-        edge_key(*g.edge_arrays, g.n).tolist()
-    assert not table.flags.writeable
+    keys = g.edge_keys
+    assert keys is g.edge_keys
+    assert keys.dtype == np.uint64 and keys.size == g.m
+    assert (np.diff(keys) > 0).all()
+    assert np.array_equal(keys, edge_key(*g.edge_arrays, g.n))
+    assert not keys.flags.writeable
     with pytest.raises(ValueError):
-        table[0] = 7
+        keys[0] = 7
+    # A graph built from its CSR fields, not by the loader, has the same.
+    built = Graph(n=g.n, m=g.m, offsets=g.offsets, neighbors=g.neighbors,
+                  original_ids=g.original_ids)
+    assert np.array_equal(built.edge_keys, keys)
+    assert not built.edge_keys.flags.writeable
 
 
 def test_edge_bitmap_is_cached_and_read_only():
@@ -677,20 +596,13 @@ def test_edge_bitmap_is_cached_and_read_only():
     bitmap = g.edge_bitmap
     assert bitmap is g.edge_bitmap
     assert bitmap.dtype == np.uint8 and bitmap.size == 1 << g.m.bit_length()
-    size = 8 * bitmap.size  # bits, four per home slot of the index
-    want = {_home_slot_ref(k, size) for k in edge_key(*g.edge_arrays, g.n).tolist()}
+    size = 8 * bitmap.size
+    want = {_bit_ref(k, size) for k in edge_key(*g.edge_arrays, g.n).tolist()}
     bits = np.unpackbits(bitmap, bitorder="little")
     assert set(np.flatnonzero(bits).tolist()) == want
     assert not bitmap.flags.writeable
     with pytest.raises(ValueError):
         bitmap[0] = 7
-    # The index, built first, hashes the keys once for both; the bitmap
-    # it seeds is the one built alone.
-    h = graph_from_edges(er_edges(40, 0.2, 5))
-    assert h.edge_index.tolist() == g.edge_index.tolist()
-    assert "edge_bitmap" in vars(h)
-    assert h.edge_bitmap.tolist() == bitmap.tolist()
-    assert not h.edge_bitmap.flags.writeable
 
 
 @pytest.mark.parametrize("bits", list(BITMAP_BITS.values()), ids=list(BITMAP_BITS))
@@ -721,12 +633,29 @@ def test_has_edge_many_follows_any_bitmap_size(monkeypatch, bits, edges):
         assert not reached.all()
 
 
-def test_loading_and_metrics_do_not_build_the_edge_index():
+def test_loading_does_not_build_the_edge_keys_or_bitmap():
     g = graph_from_edges(er_edges(40, 0.2, 5))
-    compute_metrics(g)
-    assert "edge_index" not in vars(g)
+    assert "edge_keys" not in vars(g) and "edge_bitmap" not in vars(g)
     has_edge_many(g, [0], [1])
-    assert "edge_index" in vars(g)
+    assert "edge_keys" in vars(g) and "edge_bitmap" in vars(g)
+
+
+def test_first_edge_lookup_builds_little(powerlaw10k):
+    # The first query builds the edge keys (8 bytes per edge) and the
+    # bitmap (1 to 2), and the bitmap's build briefly holds one hash per
+    # edge and one bool per bit: 29 bytes per edge here. An edge hash
+    # index (8 bytes per slot, 2 to 4 slots per edge) built as well took
+    # 44.
+    g = Graph(n=powerlaw10k.n, m=powerlaw10k.m, offsets=powerlaw10k.offsets,
+              neighbors=powerlaw10k.neighbors, original_ids=powerlaw10k.original_ids)
+    g.edge_arrays
+    tracemalloc.start()
+    try:
+        has_edge_many(g, [0], [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36 * g.m
 
 
 def test_edge_arrays_are_canonical_and_sorted():
