@@ -117,13 +117,15 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
 
     Each block's closing keys are looked up as ``has_edge_many`` looks
     up its pairs, by ``graph._find_edges``: a key whose bit is clear in
-    the graph's cached ``Graph.edge_bitmap`` is no edge and is dropped,
-    and the rest are sorted and found by one binary search over the
-    cached ascending ``Graph.edge_keys``. On the million-edge power-law
-    graph 19% of the pairs pass the bitmap. T(e) is tallied with
-    ``np.bincount``. Time is O(m^1.5) on the graphs this library
-    targets; memory is O(m + block), with the keys and bitmap, built on
-    the first call, 9 to 10 bytes per edge.
+    either filter of the graph's cached ``Graph.edge_bitmap`` is no edge
+    and is dropped, and the rest are sorted and found by one binary
+    search over the cached ascending ``Graph.edge_keys``. On the
+    million-edge power-law graph 19% of the pairs pass the first filter
+    (403,766 of 2,147,830) and 9.8% pass both (210,665, the 186,896
+    triangles included). T(e) is tallied with ``np.bincount``. Time is
+    O(m^1.5) on the graphs this library targets; memory is O(m + block),
+    with the keys and bitmap, built on the first call, 10 to 12 bytes
+    per edge.
 
     Both sorts, of the oriented edges and of a block's keys, are
     ``_stable_order``'s: one ``np.sort`` of uint64 words that pack a sort

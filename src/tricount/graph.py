@@ -14,10 +14,12 @@ with its position into one uint64 (a stable argsort instead when an id
 and a position need more than 64 bits together, as ids of 2**43 and up
 do at a million edges); one sort of the edge keys of both directions
 gives the sorted neighbor lists, and the canonical edge arrays come
-from the same pass. Edge membership is one bit of a bitmap of the
-canonical edge keys' hashes (a one-hash Bloom filter, 1 MB at a million
-edges), and, for the keys whose bit is set, one binary search of the
-ascending canonical edge keys; a graph builds both on first use.
+from the same pass. Edge membership is one bit in each of two bitmaps
+of the canonical edge keys' hashes (two one-hash Bloom filters under
+independent multipliers, 1 MB each at a million edges; the second is
+tested only on the keys that pass the first), and, for the keys whose
+bits are set in both, one binary search of the ascending canonical edge
+keys; a graph builds both on first use.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from typing import BinaryIO
 import numpy as np
 
 
-# Fibonacci hashing: a key's hash is key * _GOLDEN mod 2**64, and its
-# bit in the edge bitmap the top bits of the hash.
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# Fibonacci hashing: a key's hash is key * multiplier mod 2**64, and its
+# bit in a filter of the edge bitmap the top bits of the hash. One filter
+# per multiplier: 2**64 over the golden ratio, and xxHash's second 64-bit
+# prime (any odd multiplier with well-mixed bits serves).
+_MULTIPLIERS = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xC2B2AE3D27D4EB4F))
 # Most edges a graph may have. With n < 2**32 an edge's position and a
 # vertex id pack into one uint64 (the exact oracle's packed sorts rely
 # on it).
@@ -113,47 +117,64 @@ class Graph:
 
     @cached_property
     def edge_bitmap(self) -> np.ndarray:
-        """One-hash Bloom filter of ``edge_keys``: a uint8 bitmap of
-        ``_bitmap_bits(m)`` bits, 8 to 16 per edge, in little bit order.
-        Each key sets the bit at the top bits of its hash
-        ``key * _GOLDEN``, so a pair whose bit is clear is no edge. Built
-        on first use; read-only.
+        """Two one-hash Bloom filters of ``edge_keys``, the rows of a uint8
+        array of shape ``(2, ceil(size / 8))``: ``size = _bitmap_bits(m)``
+        bits each, 8 to 16 per edge, in little bit order. In row i each
+        key sets the bit at the top bits of its hash
+        ``key * _MULTIPLIERS[i]``, so a pair whose bit is clear in either
+        row is no edge. Built on first use, one row after the other, so
+        the build holds one row's bool array at a time; read-only.
+
+        On the million-edge power-law graph 11% of the non-edge keys that
+        the estimators' closure probes and the exact oracle look up pass
+        one filter, and 1.2% pass both.
         """
         size = _bitmap_bits(self.m)
-        h = self.edge_keys * _GOLDEN
-        pos = _home_of_hash(h, size)
-        bits = np.zeros(size, dtype=bool)
-        bits[pos] = True
-        del h, pos
-        bitmap = np.packbits(bits, bitorder="little")
+        rows = []
+        for mult in _MULTIPLIERS:
+            bits = np.zeros(size, dtype=bool)
+            bits[_home_of_hash(self.edge_keys * mult, size)] = True
+            rows.append(np.packbits(bits, bitorder="little"))
+            del bits
+        bitmap = np.stack(rows)
         bitmap.flags.writeable = False
         return bitmap
 
 
 def _bitmap_bits(m: int) -> int:
-    """Bits of the edge bitmap of a graph of ``m`` edges: 8 to 16 per
-    edge, a power of two."""
+    """Bits of each filter of the edge bitmap of a graph of ``m`` edges:
+    8 to 16 per edge, a power of two."""
     return 1 << (m.bit_length() + 3)
 
 
 def _home_of_hash(h: np.ndarray, size: int) -> np.ndarray:
-    """Bit (int64) of each hash ``key * _GOLDEN`` among ``size`` bits, a
-    power of two: the hash's top bits, written over ``h``."""
+    """Bit (int64) of each hash ``key * multiplier`` among ``size`` bits,
+    a power of two: the hash's top bits, written over ``h``."""
     return np.right_shift(h, np.uint64(65 - size.bit_length()), out=h).view(np.int64)
 
 
-def _may_be_edges(g: Graph, key: np.ndarray) -> np.ndarray:
-    """Whether the bit of each edge key ``key`` is set in ``g.edge_bitmap``
-    (bool). A key whose bit is clear is no edge of ``g``."""
-    h = key * _GOLDEN
-    pos = _home_of_hash(h, _bitmap_bits(g.m))
+def _bit_is_set(bitmap: np.ndarray, h: np.ndarray, size: int) -> np.ndarray:
+    """Whether the bit of each hash ``h`` is set in the one-hash filter
+    ``bitmap`` of ``size`` bits (bool); ``h`` is overwritten."""
+    pos = _home_of_hash(h, size)
     shift = pos.astype(np.uint8)  # the low byte; its low 3 bits pick the bit
     shift &= np.uint8(7)
     pos >>= 3
-    byte = g.edge_bitmap.take(pos)
+    byte = bitmap.take(pos)
     byte >>= shift
     byte &= np.uint8(1)
     return byte.view(bool)
+
+
+def _may_be_edges(g: Graph, key: np.ndarray) -> np.ndarray:
+    """Positions (int64, ascending) of the edge keys ``key`` whose bits are
+    set in both filters of ``g.edge_bitmap``; the second filter tests
+    only the keys that pass the first. A key not among them is no edge
+    of ``g``."""
+    size = _bitmap_bits(g.m)
+    first, second = g.edge_bitmap
+    where = np.flatnonzero(_bit_is_set(first, key * _MULTIPLIERS[0], size))
+    return where[_bit_is_set(second, key.take(where) * _MULTIPLIERS[1], size)]
 
 
 def _orient(g: Graph, u: np.ndarray, v: np.ndarray):
@@ -177,11 +198,12 @@ def _find_edges(g: Graph, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     into ``key``, and the edges' positions in ``edge_arrays`` (int64
     both, in ascending order of key).
 
-    A key whose bit is clear in ``g.edge_bitmap`` is no edge. The rest
-    are sorted by ``_stable_order`` and found by one ``np.searchsorted``
-    over ``g.edge_keys``; the order buys the search locality.
+    A key whose bit is clear in either filter of ``g.edge_bitmap`` is
+    no edge. The rest are sorted by ``_stable_order`` and found by one
+    ``np.searchsorted`` over ``g.edge_keys``; the order buys the search
+    locality.
     """
-    where = np.flatnonzero(_may_be_edges(g, key))
+    where = _may_be_edges(g, key)
     key = key.take(where)
     order = _stable_order(key, (g.n * g.n - 1).bit_length())
     key = key.take(order)
@@ -194,13 +216,14 @@ def _find_edges(g: Graph, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Whether each pair ``(u[i], v[i])`` of aligned vertex arrays is an edge.
 
-    Tests each pair's canonical key in ``g.edge_bitmap`` first: a pair
-    whose bit is clear is no edge. Only the rest are sorted and looked up
-    by one binary search of ``g.edge_keys``. In three powerlaw-estimate
-    rounds on the million-edge power-law graph 11.7% of the closure
-    probes pass the bitmap (111,486 of 955,468, of which 5,289 are
-    edges). Pairs ``u == v`` are never edges. Scalars are queries of one
-    pair.
+    Tests each pair's canonical key in the two filters of
+    ``g.edge_bitmap`` first: a pair whose bit is clear in either is no
+    edge. Only the rest are sorted and looked up by one binary search of
+    ``g.edge_keys``. In three powerlaw-estimate rounds on the
+    million-edge power-law graph 11.7% of the closure probes pass the
+    first filter (111,486 of 955,468, of which 5,289 are edges) and 1.8%
+    pass both (17,109). Pairs ``u == v`` are never edges. The answer has
+    the queries' shape; scalars are queries of one pair, shape ``(1,)``.
 
     Raises:
         ValueError: arrays of different shapes, a vertex id outside
@@ -212,18 +235,19 @@ def has_edge_many(g: Graph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if u.shape != v.shape:
         raise ValueError(f"vertex arrays must have the same shape, got {u.shape} and {v.shape}")
     if u.size == 0:
-        return np.zeros(0, dtype=bool)
+        return np.zeros(u.shape, dtype=bool)
     if u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
         raise ValueError(f"vertex ids must be integers, got {u.dtype} and {v.dtype}")
+    shape = u.shape
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     del u, v
     if lo.min() < 0 or hi.max() >= g.n:
         raise ValueError(f"vertex ids must be in [0, {g.n})")
-    want = edge_key(lo, hi, g.n)
+    want = edge_key(lo, hi, g.n).reshape(-1)
     del lo, hi
     found = np.zeros(want.size, dtype=bool)
     found[_find_edges(g, want)[0]] = True
-    return found
+    return found.reshape(shape)
 
 
 def neighbor_rank(g: Graph, v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -468,6 +468,19 @@ def test_has_edge_many_scalar_queries():
     assert [bool(r[0]) for r in got] == want
 
 
+def test_has_edge_many_keeps_the_queries_shape():
+    g = graph_from_text("0 1\n1 2\n2 0\n2 3\n")
+    got = has_edge_many(g, [[0, 1], [2, 0]], [[1, 3], [3, 2]])
+    assert got.shape == (2, 2) and got.tolist() == [[True, False], [True, True]]
+    got = has_edge_many(g, np.arange(8).reshape(2, 1, 4) % 4,
+                        np.arange(8)[::-1].reshape(2, 1, 4) % 4)
+    assert got.shape == (2, 1, 4)
+    assert got.ravel().tolist() == has_edge_many(g, np.arange(8) % 4,
+                                                 np.arange(8)[::-1] % 4).tolist()
+    assert has_edge_many(g, np.zeros((3, 0), int), np.zeros((3, 0), int)).shape == (3, 0)
+    assert has_edge_many(g, 0, 1).shape == (1,)
+
+
 def test_degrees_are_cached_and_read_only():
     g = graph_from_edges(er_edges(40, 0.2, 5))
     deg = g.degrees
@@ -527,11 +540,15 @@ def test_neighbor_rank_matches_searchsorted(request, which, dtype):
     assert neighbor_rank(g, v, w).tolist() == want
 
 
-def _bit_ref(key: int, size: int) -> int:
-    """Bit of ``key`` in an edge bitmap of ``size`` bits, from the
-    documented formula in Python integers."""
+# The multipliers of the edge bitmap's two filters, as Python integers.
+_FILTER_MULTIPLIERS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F)
+
+
+def _bit_ref(key: int, size: int, mult: int) -> int:
+    """Bit of ``key`` in an edge filter of ``size`` bits under the
+    multiplier ``mult``, from the documented formula in Python integers."""
     bits = size.bit_length() - 1
-    return (key * 0x9E3779B97F4A7C15 % 2**64) >> (64 - bits)
+    return (key * mult % 2**64) >> (64 - bits)
 
 
 def test_has_edge_many_rejects_ids_outside_the_graph():
@@ -595,14 +612,18 @@ def test_edge_bitmap_is_cached_and_read_only():
     g = graph_from_edges(er_edges(40, 0.2, 5))
     bitmap = g.edge_bitmap
     assert bitmap is g.edge_bitmap
-    assert bitmap.dtype == np.uint8 and bitmap.size == 1 << g.m.bit_length()
-    size = 8 * bitmap.size
-    want = {_bit_ref(k, size) for k in edge_key(*g.edge_arrays, g.n).tolist()}
-    bits = np.unpackbits(bitmap, bitorder="little")
-    assert set(np.flatnonzero(bits).tolist()) == want
+    assert bitmap.dtype == np.uint8 and bitmap.shape == (2, 1 << g.m.bit_length())
+    size = 8 * bitmap.shape[1]
+    keys = edge_key(*g.edge_arrays, g.n).tolist()
+    for row, mult in zip(bitmap, _FILTER_MULTIPLIERS):
+        want = {_bit_ref(k, size, mult) for k in keys}
+        bits = np.unpackbits(row, bitorder="little")
+        assert set(np.flatnonzero(bits).tolist()) == want
+    # The filters differ: each sets bits the other does not.
+    assert (bitmap[0] & ~bitmap[1]).any() and (bitmap[1] & ~bitmap[0]).any()
     assert not bitmap.flags.writeable
     with pytest.raises(ValueError):
-        bitmap[0] = 7
+        bitmap[1, 0] = 7
 
 
 @pytest.mark.parametrize("bits", list(BITMAP_BITS.values()), ids=list(BITMAP_BITS))
@@ -611,6 +632,7 @@ def test_edge_bitmap_is_cached_and_read_only():
 def test_has_edge_many_follows_any_bitmap_size(monkeypatch, bits, edges):
     monkeypatch.setattr(graph, "_bitmap_bits", bits)
     g = graph_from_edges(edges)
+    assert g.edge_bitmap.shape == (2, -(-bits(g.m) // 8))  # rows padded to bytes
     passed = []
     may_be_edges = graph._may_be_edges
 
@@ -625,12 +647,26 @@ def test_has_edge_many_follows_any_bitmap_size(monkeypatch, bits, edges):
     ids = g.original_ids
     want = has_edges(edges, zip(ids[us].tolist(), ids[vs].tolist()))
     assert got.tolist() == want
-    (reached,) = passed
-    assert reached[got].all()  # the bitmap drops no edge
+    (where,) = passed
+    reached = np.zeros(got.size, dtype=bool)
+    reached[where] = True
+    assert reached[got].all()  # the filters drop no edge
     if bits(g.m) == 1:
-        assert reached.all()  # every bit set: every query goes to the table
+        assert reached.all()  # every bit set: every query goes to the search
     elif bits(g.m) > 64 * g.m:
         assert not reached.all()
+
+
+def test_two_filters_pass_few_non_edges(powerlaw10k):
+    # A seeded sample of non-edge pairs: one filter passes 7.1% of them,
+    # both 0.5%, so a lookup that tested one filter alone would fail.
+    g = powerlaw10k
+    rng = np.random.default_rng(23)
+    lo, hi = np.sort(rng.integers(0, g.n, size=(2, 200_000)), axis=0)
+    key = edge_key(lo, hi, g.n)[lo < hi]
+    key = key[~np.isin(key, g.edge_keys)]
+    passed = graph._may_be_edges(g, key).size
+    assert key.size > 150_000 and passed < 0.02 * key.size
 
 
 def test_loading_does_not_build_the_edge_keys_or_bitmap():
@@ -642,10 +678,10 @@ def test_loading_does_not_build_the_edge_keys_or_bitmap():
 
 def test_first_edge_lookup_builds_little(powerlaw10k):
     # The first query builds the edge keys (8 bytes per edge) and the
-    # bitmap (1 to 2), and the bitmap's build briefly holds one hash per
-    # edge and one bool per bit: 29 bytes per edge here. An edge hash
-    # index (8 bytes per slot, 2 to 4 slots per edge) built as well took
-    # 44.
+    # bitmap's two filters (1 to 2 each), and the build briefly holds
+    # one hash per edge and one filter's bool per bit: 31 bytes per edge
+    # here. An edge hash index (8 bytes per slot, 2 to 4 slots per edge)
+    # built as well took 44.
     g = Graph(n=powerlaw10k.n, m=powerlaw10k.m, offsets=powerlaw10k.offsets,
               neighbors=powerlaw10k.neighbors, original_ids=powerlaw10k.original_ids)
     g.edge_arrays
