@@ -48,19 +48,26 @@ def sample_size_for_rse(request: SampleSizeRequest, method: str) -> int:
 
     Inverts the method's approximate formula: edges for ews/es, wedges
     for ws. Results round up, so the target is guaranteed (never below 1).
-    A size that is not finite, or whose formula divides by a product
-    that underflowed to zero, raises RseDomainError.
+    A size that is not finite raises RseDomainError (``_finite``).
     """
     spec = method_spec(method)
     check_delta(request.metrics.triangle_count)
-    try:
-        size = spec.size(request.metrics, request.target_rse ** 2)
-    except ZeroDivisionError:
-        size = math.inf
-    if not math.isfinite(size):
-        raise RseDomainError(f"{method} sample size for target RSE "
-                             f"{request.target_rse} is not finite")
+    size = _finite(spec.size, request.metrics, request.target_rse ** 2,
+                   f"{method} sample size for target RSE {request.target_rse}")
     return max(1, math.ceil(size))
+
+
+def _finite(formula, metrics: GraphMetrics, x: float, what: str):
+    """``formula(metrics, x)``, whose values must all be finite: a value
+    that is not, or a division by a product that underflowed to zero,
+    raises RseDomainError naming ``what``."""
+    try:
+        values = formula(metrics, x)
+    except ZeroDivisionError:
+        values = math.inf
+    if not np.isfinite(values).all():
+        raise RseDomainError(f"{what} is not finite")
+    return values
 
 
 @dataclass(frozen=True)
@@ -106,10 +113,13 @@ def theory_rse(method: str, metrics: GraphMetrics, p: float | None = None,
                k: int | None = None) -> tuple[float, float]:
     """(exact, approximate) closed-form RSE for one configuration: at
     ``p`` for ews and es, at ``k`` for ws. Accepts and rejects the
-    (method, p, k) a ``SamplingPlan`` does (``check_level``)."""
+    (method, p, k) a ``SamplingPlan`` does (``check_level``), and raises
+    RseDomainError where the RSE is not finite (``_finite``)."""
     level = check_level(method, p, k)
     check_delta(metrics.triangle_count)
-    return method_spec(method).theory(metrics, level)
+    spec = method_spec(method)
+    return _finite(spec.theory, metrics, level,
+                   f"{method} RSE at {spec.level} = {level}")
 
 
 def _trial_sources(seed: int, runs: int) -> Iterator[RandomSource]:

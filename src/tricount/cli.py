@@ -18,15 +18,12 @@ from pathlib import Path
 from .analysis import SampleSizeRequest, rse_sweep, sample_size_for_rse
 from .estimators import (METHODS, SamplingPlan, check_level, check_p, estimate,
                          method_spec)
-from .exact import METRICS_CSV_HEADER, GraphMetrics, compute_metrics, csv_cell
+from .exact import _METRICS_CSV_KEYS, GraphMetrics, compute_metrics, csv_cell
 from .graph import load_edge_list
 from .rng import RandomSource
 
 DEFAULT_SEED = 42
 DEFAULT_SWEEP_RUNS = 1000
-
-ESTIMATE_CSV_HEADER = "method,p_or_k,seed,raw,sampled,estimate,seconds"
-SIZES_CSV_HEADER = "target_rse,ews,ws,es,ws_over_ews"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,27 +32,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Triangle counting and sampling estimators for sparse graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, graph_required=True):
-        if graph_required:
-            p.add_argument("--graph", required=True, metavar="PATH",
-                           help="edge-list file ('#' comments, two ids per line)")
+    def command(name: str, run, help: str, metrics=False):
+        """Subcommand ``name``, run by ``run``. Its ``--graph`` is required,
+        or with ``metrics`` one of a required pair with ``--metrics``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        source = p.add_mutually_exclusive_group(required=True) if metrics else p
+        source.add_argument("--graph", required=not metrics, metavar="PATH",
+                            help="edge-list file ('#' comments, two ids per line)")
+        if metrics:
+            source.add_argument("--metrics", metavar="n,m,delta,lambda,phi,K",
+                                help="inline metrics instead of a graph file")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", metavar="PATH",
                        help="write results here instead of stdout")
+        return p
 
-    p_stats = sub.add_parser("stats", help="exact metrics of a graph")
-    common(p_stats)
+    command("stats", _run_stats, "exact metrics of a graph")
 
-    p_est = sub.add_parser("estimate", help="one sampling estimate")
-    common(p_est)
+    p_est = command("estimate", _run_estimate, "one sampling estimate")
     p_est.add_argument("--method", choices=METHODS, required=True)
     p_est.add_argument("--p", type=float, help="edge probability for ews/es")
     p_est.add_argument("--k", type=int, help="wedge count for ws")
     p_est.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p_sweep = sub.add_parser("rse-sweep",
-                             help="empirical vs theoretical RSE per (method, p)")
-    common(p_sweep)
+    p_sweep = command("rse-sweep", _run_rse_sweep,
+                      "empirical vs theoretical RSE per (method, p)")
     p_sweep.add_argument("--method", action="append", choices=METHODS,
                          help="repeatable; default: all three")
     p_sweep.add_argument("--p", action="append", type=float, required=True,
@@ -63,13 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--runs", type=int, default=DEFAULT_SWEEP_RUNS)
     p_sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p_size = sub.add_parser("sample-size",
-                            help="entities needed to hit a target RSE")
-    common(p_size, graph_required=False)
-    p_size.add_argument("--graph", metavar="PATH",
-                        help="compute metrics from this edge-list file")
-    p_size.add_argument("--metrics", metavar="n,m,delta,lambda,phi,K",
-                        help="inline metrics instead of a graph file")
+    p_size = command("sample-size", _run_sample_size,
+                     "entities needed to hit a target RSE", metrics=True)
     p_size.add_argument("--rse", type=float, required=True,
                         help="target relative standard error in (0, 1]")
     return parser
@@ -79,15 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "stats":
-            text = _run_stats(args)
-        elif args.command == "estimate":
-            text = _run_estimate(args, parser)
-        elif args.command == "rse-sweep":
-            text = _run_rse_sweep(args)
-        else:
-            text = _run_sample_size(args, parser)
-        _emit(text, args.output)
+        args.run(args, parser)
     except (ValueError, OSError) as exc:
         print(f"tricount: error: {exc}", file=sys.stderr)
         return 1
@@ -97,25 +86,28 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        Path(output).write_text(text)
+def _render(args, record, csv_keys=None):
+    """Write ``record`` (a dict, or a list of one dict per row) to ``--output``
+    or stdout, as JSON or as CSV headed by ``csv_keys``, else by its keys."""
+    if args.format == "json":
+        text = json.dumps(record, indent=2) + "\n"
+    else:
+        rows = record if isinstance(record, list) else [record]
+        keys = csv_keys or list(rows[0])
+        text = "".join(",".join(line) + "\n" for line in
+                       [keys, *([csv_cell(row[k]) for k in keys] for row in rows)])
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _to_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _run_stats(args) -> str:
+def _run_stats(args, parser):
     metrics = compute_metrics(load_edge_list(args.graph))
-    if args.format == "json":
-        return _to_json(metrics.to_dict())
-    return f"{METRICS_CSV_HEADER}\n{metrics.to_csv_row()}\n"
+    _render(args, metrics.to_dict(), _METRICS_CSV_KEYS)
 
 
-def _run_estimate(args, parser) -> str:
+def _run_estimate(args, parser):
     name = method_spec(args.method).level
     level = getattr(args, name)
     if level is None:
@@ -131,13 +123,10 @@ def _run_estimate(args, parser) -> str:
         parser.error(f"--{'k' if name == 'p' else 'p'}: {exc}")
     g = load_edge_list(args.graph)
     result = estimate(g, plan.method, plan.level, RandomSource(plan.seed))
-    if args.format == "json":
-        return _to_json(result.to_dict())
-    row = ",".join(csv_cell(v) for v in result.to_dict().values())
-    return f"{ESTIMATE_CSV_HEADER}\n{row}\n"
+    _render(args, result.to_dict())
 
 
-def _run_rse_sweep(args) -> str:
+def _run_rse_sweep(args, parser):
     methods = args.method or list(METHODS)
     try:
         for p in args.p:
@@ -151,10 +140,7 @@ def _run_rse_sweep(args) -> str:
     # trial j of that row uses derive(j) of the row seed.
     print(f"tricount: rse-sweep base seed {args.seed}, {args.runs} runs/row",
           file=sys.stderr)
-    report = rse_sweep(g, methods, args.p, args.runs, args.seed)
-    if args.format == "json":
-        return _to_json(report.to_json_obj())
-    return report.to_csv()
+    _render(args, rse_sweep(g, methods, args.p, args.runs, args.seed).to_json_obj())
 
 
 _INLINE_FIELDS = ("n", "m", "delta", "lambda", "phi", "K")
@@ -185,21 +171,14 @@ def _parse_inline_metrics(text: str) -> GraphMetrics:
                         phi=phi, shared_edge_pairs=shared)
 
 
-def _run_sample_size(args, parser) -> str:
-    if (args.graph is None) == (args.metrics is None):
-        parser.error("sample-size needs exactly one of --graph / --metrics")
-    if args.metrics is not None:
-        metrics = _parse_inline_metrics(args.metrics)
-    else:
-        metrics = compute_metrics(load_edge_list(args.graph))
+def _run_sample_size(args, parser):
+    metrics = (_parse_inline_metrics(args.metrics) if args.metrics is not None
+               else compute_metrics(load_edge_list(args.graph)))
     request = SampleSizeRequest(target_rse=args.rse, metrics=metrics)
     sizes = {method: sample_size_for_rse(request, method)
              for method in ("ews", "ws", "es")}
-    obj = {"target_rse": args.rse, **sizes, "ws_over_ews": sizes["ws"] / sizes["ews"]}
-    if args.format == "json":
-        return _to_json(obj)
-    row = ",".join(csv_cell(v) for v in obj.values())
-    return f"{SIZES_CSV_HEADER}\n{row}\n"
+    _render(args, {"target_rse": args.rse, **sizes,
+                   "ws_over_ews": sizes["ws"] / sizes["ews"]})
 
 
 if __name__ == "__main__":

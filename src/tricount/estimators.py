@@ -378,7 +378,8 @@ _METHODS = {
                    size=lambda met, r2: met.m * met.phi / (
                        9.0 * r2 * met.triangle_count * met.triangle_count)),
     "es": _Method(level="p", draw=_edge_draw, finish=_es_finish,
-                  scale=lambda g, closed, p: closed / (3.0 * p * p),
+                  # 3p^2 underflows to 0 below p ~ 1e-162; no closed wedge is 0.
+                  scale=lambda g, closed, p: closed / (3.0 * p * p) if closed else 0.0,
                   theory=lambda met, p: (
                       rse_rho_exact(p, met.triangle_count, met.shared_edge_pairs),
                       rse_rho_approx(p, met.triangle_count, met.shared_edge_pairs)),

@@ -26,7 +26,11 @@ from .graph import Graph, _find_edges, _orient, _run_pairs, _stable_order, edge_
 _WEDGE_BLOCK = 1 << 16
 
 
-METRICS_CSV_HEADER = "n,m,delta,lambda,C,tri_per_edge,phi_over_3delta,K_over_delta"
+# The ``to_dict`` keys that the CSV of a graph's metrics shows, in order:
+# all but the raw variance drivers phi and K, which JSON alone carries.
+_METRICS_CSV_KEYS = ("n", "m", "delta", "lambda", "C", "tri_per_edge",
+                     "phi_over_3delta", "K_over_delta")
+METRICS_CSV_HEADER = ",".join(_METRICS_CSV_KEYS)
 
 
 @dataclass(frozen=True)
@@ -79,10 +83,8 @@ class GraphMetrics:
         }
 
     def to_csv_row(self) -> str:
-        cells = [self.n, self.m, self.triangle_count, self.wedge_count,
-                 self.clustering_coefficient, self.tri_per_edge,
-                 self.phi_over_3delta, self.k_over_delta]
-        return ",".join(csv_cell(c) for c in cells)
+        record = self.to_dict()
+        return ",".join(csv_cell(record[key]) for key in _METRICS_CSV_KEYS)
 
 
 def csv_cell(x) -> str:

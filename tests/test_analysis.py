@@ -134,6 +134,16 @@ def test_sample_size_past_the_float_range_is_a_domain_error(method, target, delt
         sample_size_for_rse(SampleSizeRequest(target_rse=0.1, metrics=huge), "ews")
 
 
+@pytest.mark.parametrize("method, p", [("es", 1e-300),   # 3p^2 * delta is 0
+                                      ("es", 1e-160),   # the approx form is inf
+                                      ("ews", 5e-324)])
+def test_theory_past_the_float_range_is_a_domain_error(method, p):
+    met = metrics_of(complete_edges(4))
+    with pytest.raises(RseDomainError,
+                       match=rf"^{method} RSE at p = {p} is not finite$"):
+        theory_rse(method, met, p=p)
+
+
 def test_sample_size_validates():
     with pytest.raises(ValueError):
         SampleSizeRequest(target_rse=0.0, metrics=WEB_GOOGLE)

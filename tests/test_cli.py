@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from tricount.cli import main
+from tricount.exact import _METRICS_CSV_KEYS
 from helpers import complete_edges, graph_text, path_edges
 
 TRIANGLE = "0 1\n1 2\n2 0\n"
@@ -379,3 +380,59 @@ def test_sample_size_rejects_five_inline_metrics(capsys):
     assert code == 1
     assert out == ""
     assert "tricount: error: --metrics needs six values: n,m,delta,lambda,phi,K" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--method", "ews", "--p", "0.5"],
+    ["estimate", "--method", "ws", "--k", "5"],
+    ["sample-size", "--rse", "0.5"]])
+def test_csv_header_is_the_json_keys(capsys, k4_file, argv):
+    argv = [*argv, "--graph", k4_file]
+    _, csv_out, _ = run_cli(capsys, argv)
+    _, json_out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    header, row = csv_out.splitlines()
+    assert header.split(",") == list(json.loads(json_out))
+    assert len(row.split(",")) == len(header.split(","))
+
+
+def test_stats_csv_header_is_the_exact_key_tuple(capsys, k4_file):
+    _, csv_out, _ = run_cli(capsys, ["stats", "--graph", k4_file])
+    _, json_out, _ = run_cli(capsys, ["stats", "--graph", k4_file, "--format", "json"])
+    assert tuple(csv_out.splitlines()[0].split(",")) == _METRICS_CSV_KEYS
+    record = json.loads(json_out)
+    assert [k for k in record if k in _METRICS_CSV_KEYS] == list(_METRICS_CSV_KEYS)
+    assert set(record) - set(_METRICS_CSV_KEYS) == {"phi", "K"}
+
+
+@pytest.mark.parametrize("sources", [
+    [], ["--graph", "g.txt", "--metrics", "1,1,1,3,1,1"]], ids=["neither", "both"])
+def test_sample_size_one_of_usage_error_names_both_flags(capsys, sources):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample-size", "--rse", "0.05", *sources])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("tricount sample-size: error:")
+    assert "--graph" in err and "--metrics" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_estimate_es_at_underflowing_p_is_zero(capsys, k4_file, fmt):
+    code, out, err = run_cli(capsys, ["estimate", "--graph", k4_file, "--method", "es",
+                                      "--p", "1e-300", "--format", fmt])
+    assert code == 0 and err == ""
+    if fmt == "json":
+        assert json.loads(out)["estimate"] == 0.0
+    else:
+        assert out.splitlines()[1].startswith("es,1e-300,42,0,0,0,")
+
+
+@pytest.mark.parametrize("method, p, fmt", [("es", "1e-300", "csv"),
+                                            ("es", "1e-160", "csv"),
+                                            ("ews", "5e-324", "json")])
+def test_rse_sweep_with_non_finite_theory_fails_cleanly(capsys, k4_file, method, p, fmt):
+    code, out, err = run_cli(capsys, ["rse-sweep", "--graph", k4_file, "--method", method,
+                                      "--p", p, "--runs", "5", "--format", fmt])
+    assert code == 1 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("tricount: error:")]
+    assert errors == [f"tricount: error: {method} RSE at p = {float(p)} is not finite"]
+    assert "Traceback" not in err

@@ -404,6 +404,14 @@ def test_zero_edge_trials_sample_nothing(five_tri):
     assert all(r == 0 and e == 0.0 for r, s, e in zip(raw, sampled, est) if s == 0)
 
 
+@pytest.mark.parametrize("p", [1e-300, 5e-324])
+def test_es_with_no_closed_wedge_estimates_zero_at_any_p(k4, p):
+    # 3p^2 underflows to 0 here; a raw count of 0 still scales to 0.
+    assert 3.0 * p * p == 0.0
+    result = es_estimate(k4, p, RandomSource(3))
+    assert (result.raw_statistic, result.estimate) == (0, 0.0)
+
+
 # --------------------------------------------------------------------------
 # The trial engine's orders and draw calls.
 
