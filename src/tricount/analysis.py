@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .exact import GraphMetrics, compute_metrics, csv_cell
+from .exact import GraphMetrics, compute_metrics, csv_text
 from .graph import Graph
 from .estimators import (RseDomainError, SamplingPlan, check_delta, check_level,
                          check_p, method_spec, run_trials)
@@ -88,10 +88,11 @@ class RseRow:
         return asdict(self)
 
     def to_csv_row(self) -> str:
-        return ",".join(csv_cell(c) for c in self.to_dict().values())
+        return csv_text([self.to_dict()], _RSE_CSV_KEYS).splitlines()[1]
 
 
-RSE_REPORT_CSV_HEADER = ",".join(f.name for f in fields(RseRow))
+_RSE_CSV_KEYS = tuple(f.name for f in fields(RseRow))
+RSE_REPORT_CSV_HEADER = ",".join(_RSE_CSV_KEYS)
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,7 @@ class RseReport:
     rows: tuple[RseRow, ...]
 
     def to_csv(self) -> str:
-        lines = [RSE_REPORT_CSV_HEADER]
-        lines.extend(row.to_csv_row() for row in self.rows)
-        return "\n".join(lines) + "\n"
+        return csv_text(self.to_json_obj(), _RSE_CSV_KEYS)
 
     def to_json_obj(self) -> list[dict]:
         return [row.to_dict() for row in self.rows]

@@ -18,7 +18,7 @@ from pathlib import Path
 from .analysis import SampleSizeRequest, rse_sweep, sample_size_for_rse
 from .estimators import (METHODS, SamplingPlan, check_level, check_p, estimate,
                          method_spec)
-from .exact import _METRICS_CSV_KEYS, GraphMetrics, compute_metrics, csv_cell
+from .exact import _METRICS_CSV_KEYS, GraphMetrics, compute_metrics, csv_text
 from .graph import load_edge_list
 from .rng import RandomSource
 
@@ -32,17 +32,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Triangle counting and sampling estimators for sparse graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, run, help: str, metrics=False):
-        """Subcommand ``name``, run by ``run``. Its ``--graph`` is required,
-        or with ``metrics`` one of a required pair with ``--metrics``."""
+    def command(name: str, run, help: str, graph=True):
+        """Subcommand ``name``, run by ``run``, with a required ``--graph``
+        unless ``graph`` is false."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run)
-        source = p.add_mutually_exclusive_group(required=True) if metrics else p
-        source.add_argument("--graph", required=not metrics, metavar="PATH",
-                            help="edge-list file ('#' comments, two ids per line)")
-        if metrics:
-            source.add_argument("--metrics", metavar="n,m,delta,lambda,phi,K",
-                                help="inline metrics instead of a graph file")
+        if graph:
+            p.add_argument("--graph", required=True, metavar="PATH",
+                           help="edge-list file ('#' comments, two ids per line)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", metavar="PATH",
                        help="write results here instead of stdout")
@@ -66,7 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_size = command("sample-size", _run_sample_size,
-                     "entities needed to hit a target RSE", metrics=True)
+                     "entities needed to hit a target RSE", graph=False)
+    source = p_size.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", metavar="PATH",
+                        help="compute metrics from this edge-list file")
+    source.add_argument("--metrics", metavar="n,m,delta,lambda,phi,K",
+                        help="inline metrics instead of a graph file")
     p_size.add_argument("--rse", type=float, required=True,
                         help="target relative standard error in (0, 1]")
     return parser
@@ -93,9 +95,7 @@ def _render(args, record, csv_keys=None):
         text = json.dumps(record, indent=2) + "\n"
     else:
         rows = record if isinstance(record, list) else [record]
-        keys = csv_keys or list(rows[0])
-        text = "".join(",".join(line) + "\n" for line in
-                       [keys, *([csv_cell(row[k]) for k in keys] for row in rows)])
+        text = csv_text(rows, csv_keys or list(rows[0]))
     if args.output:
         Path(args.output).write_text(text)
     else:

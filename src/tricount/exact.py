@@ -83,8 +83,7 @@ class GraphMetrics:
         }
 
     def to_csv_row(self) -> str:
-        record = self.to_dict()
-        return ",".join(csv_cell(record[key]) for key in _METRICS_CSV_KEYS)
+        return csv_text([self.to_dict()], _METRICS_CSV_KEYS).splitlines()[1]
 
 
 def csv_cell(x) -> str:
@@ -95,6 +94,13 @@ def csv_cell(x) -> str:
     if isinstance(x, float):
         return str(int(x)) if x.is_integer() else repr(x)
     return str(x)
+
+
+def csv_text(rows, keys) -> str:
+    """CSV of ``rows`` (mappings): a header line of ``keys``, then each
+    row's values at those keys, one ``csv_cell`` each."""
+    lines = [keys, *([csv_cell(row[k]) for k in keys] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 @dataclass(frozen=True)

@@ -295,11 +295,17 @@ def test_sample_size_accepts_delta_of_lambda_third(capsys):
 
 
 def test_sample_size_requires_exactly_one_source(capsys, k4_file):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as neither:
         main(["sample-size", "--rse", "0.05"])
-    with pytest.raises(SystemExit):
+    neither_err = capsys.readouterr().err.splitlines()[-1]
+    with pytest.raises(SystemExit) as both:
         main(["sample-size", "--rse", "0.05", "--graph", k4_file,
               "--metrics", "1,1,1,1,1,1"])
+    both_err = capsys.readouterr().err.splitlines()[-1]
+    for exc, err in ((neither, neither_err), (both, both_err)):
+        assert exc.value.code == 2
+        assert err.startswith("tricount sample-size: error:")
+        assert "--graph" in err and "--metrics" in err
 
 
 def test_output_file_option(tmp_path, capsys, triangle_file):
@@ -402,17 +408,6 @@ def test_stats_csv_header_is_the_exact_key_tuple(capsys, k4_file):
     record = json.loads(json_out)
     assert [k for k in record if k in _METRICS_CSV_KEYS] == list(_METRICS_CSV_KEYS)
     assert set(record) - set(_METRICS_CSV_KEYS) == {"phi", "K"}
-
-
-@pytest.mark.parametrize("sources", [
-    [], ["--graph", "g.txt", "--metrics", "1,1,1,3,1,1"]], ids=["neither", "both"])
-def test_sample_size_one_of_usage_error_names_both_flags(capsys, sources):
-    with pytest.raises(SystemExit) as exc:
-        main(["sample-size", "--rse", "0.05", *sources])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err.splitlines()[-1]
-    assert err.startswith("tricount sample-size: error:")
-    assert "--graph" in err and "--metrics" in err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
