@@ -39,8 +39,13 @@ class SampleSizeRequest:
     metrics: GraphMetrics
 
     def __post_init__(self):
-        if not 0.0 < self.target_rse <= 1.0:
-            raise ValueError("target RSE must be in (0, 1]")
+        _check_rse(self.target_rse)
+
+
+def _check_rse(target_rse: float):
+    """The one rule for a target RSE: 0 < target <= 1."""
+    if not 0.0 < target_rse <= 1.0:
+        raise ValueError("target RSE must be in (0, 1]")
 
 
 def sample_size_for_rse(request: SampleSizeRequest, method: str) -> int:

@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import SampleSizeRequest, rse_sweep, sample_size_for_rse
+from .analysis import SampleSizeRequest, _check_rse, rse_sweep, sample_size_for_rse
 from .estimators import (METHODS, SamplingPlan, check_level, check_p, estimate,
                          method_spec)
 from .exact import _METRICS_CSV_KEYS, GraphMetrics, compute_metrics, csv_text
@@ -172,6 +172,11 @@ def _parse_inline_metrics(text: str) -> GraphMetrics:
 
 
 def _run_sample_size(args, parser):
+    # The target first, so a bad one costs neither the metrics nor a file read.
+    try:
+        _check_rse(args.rse)
+    except ValueError as exc:
+        raise ValueError(f"--rse: {exc}") from None
     metrics = (_parse_inline_metrics(args.metrics) if args.metrics is not None
                else compute_metrics(load_edge_list(args.graph)))
     request = SampleSizeRequest(target_rse=args.rse, metrics=metrics)

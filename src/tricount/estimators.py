@@ -40,7 +40,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import (Graph, _orient, _run_pairs, _sorted_unique_mask,
+from .graph import (_CHUNK, Graph, _orient, _run_pairs, _sorted_unique_mask,
                     _stable_order, has_edge_many)
 from .rng import RandomSource
 
@@ -52,10 +52,6 @@ from .rng import RandomSource
 # batch. es probes its wedge pairs in blocks of _BATCH // 2, as it holds
 # the batch's edge ends and their trials meanwhile.
 _BATCH = 1 << 16
-# Phase one draws its uniform reals this many at a time, so a draw holds
-# O(_CHUNK + pm) memory rather than 8m bytes. PCG64 gives the same
-# stream whether the reals are drawn at once or in pieces.
-_CHUNK = 1 << 16
 # A ws trial draws k wedge positions into one array.
 _K_MAX = int(np.iinfo(np.intp).max)
 
@@ -264,7 +260,7 @@ def _hinges(g: Graph, t: np.ndarray) -> np.ndarray:
 def _ws_finish(g: Graph, k: int, rngs, t, bounds) -> np.ndarray:
     hinge = _hinges(g, t)
     highs = np.empty((2, hinge.size), dtype=np.int64)
-    g.degrees.take(hinge, out=highs[0])
+    highs[0] = g.degrees.take(hinge)
     np.subtract(highs[0], 1, out=highs[1])
     i, j = _draw_each(rngs, highs, bounds)
     del highs

@@ -12,11 +12,17 @@ goes through a direct-address table of first positions, and that of
 wider or sparser ids through one stable sort of the ids, each packed
 with its position into one uint64 (a stable argsort instead when an id
 and a position need more than 64 bits together, as ids of 2**43 and up
-do at a million edges); one sort of the edge keys of both directions
-gives the sorted neighbor lists, and the canonical edge arrays come
-from the same pass. Edge membership is one bit in each of two bitmaps
-of the canonical edge keys' hashes (two one-hash Bloom filters under
-independent multipliers, 1 MB each at a million edges; the second is
+do at a million edges); one sort of the edge keys of both directions,
+written into one array, gives the sorted neighbor lists, and the
+canonical edge arrays come from the same pass. Dense ids, degrees,
+neighbor lists and edge arrays are int32 below 2**31 vertices, and the
+remap's table of positions below 2**31 ids read (one rule,
+``_index_dtype``), so no stage of the build holds a 64-bit copy of
+values that fit 32 bits: loading the million-edge power-law graph peaks
+at 33.1 MiB of traced memory, 35 bytes per edge. Edge membership is one
+bit in each of two bitmaps of the canonical edge keys' hashes (two
+one-hash Bloom filters under independent multipliers, 1 MB each at a
+million edges, each built a block of keys at a time; the second is
 tested only on the keys that pass the first), and, for the keys whose
 bits are set in both, one binary search of the ascending canonical edge
 keys; a graph builds both on first use.
@@ -41,6 +47,13 @@ _MULTIPLIERS = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xC2B2AE3D27D4EB4F))
 # vertex id pack into one uint64 (the exact oracle's packed sorts rely
 # on it).
 _MAX_EDGES = 2**32
+# Elements per block of a pass that would otherwise hold an m-sized
+# temporary: the edge keys hashed at a time into a filter of the edge
+# bitmap, and the uniform reals that ``estimators``' phase one draws at
+# a time (O(_CHUNK + pm) memory per draw rather than 8m bytes; PCG64
+# gives the same stream whether the reals are drawn at once or in
+# pieces).
+_CHUNK = 1 << 16
 
 
 class GraphFormatError(ValueError):
@@ -74,8 +87,9 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """Degree of every vertex (length n), computed once; read-only."""
-        deg = np.diff(self.offsets)
+        """Degree of every vertex (length n) in the dtype of ``neighbors``,
+        which holds any degree below n; computed once, read-only."""
+        deg = np.diff(self.offsets).astype(self.neighbors.dtype, copy=False)
         deg.flags.writeable = False
         return deg
 
@@ -122,18 +136,22 @@ class Graph:
         bits each, 8 to 16 per edge, in little bit order. In row i each
         key sets the bit at the top bits of its hash
         ``key * _MULTIPLIERS[i]``, so a pair whose bit is clear in either
-        row is no edge. Built on first use, one row after the other, so
-        the build holds one row's bool array at a time; read-only.
+        row is no edge. Built on first use, one row after the other, and
+        each row from ``_CHUNK`` keys' hashes at a time, so the build
+        holds one row's bool array (8 to 16 bytes per edge) and one
+        block's hashes; read-only.
 
         On the million-edge power-law graph 11% of the non-edge keys that
         the estimators' closure probes and the exact oracle look up pass
         one filter, and 1.2% pass both.
         """
         size = _bitmap_bits(self.m)
+        key = self.edge_keys
         rows = []
         for mult in _MULTIPLIERS:
             bits = np.zeros(size, dtype=bool)
-            bits[_home_of_hash(self.edge_keys * mult, size)] = True
+            for start in range(0, self.m, _CHUNK):
+                bits[_home_of_hash(key[start:start + _CHUNK] * mult, size)] = True
             rows.append(np.packbits(bits, bitorder="little"))
             del bits
         bitmap = np.stack(rows)
@@ -178,19 +196,17 @@ def _may_be_edges(g: Graph, key: np.ndarray) -> np.ndarray:
 
 
 def _orient(g: Graph, u: np.ndarray, v: np.ndarray):
-    """For canonical pairs ``u < v``: the endpoint first in (degree, id)
-    order (u iff d(u) <= d(v)), the other endpoint, and the smaller
-    degree in the dtype of ``u``. The int64 degrees are freed before the
-    endpoints are chosen; held, they raised the exact oracle's max RSS
-    by 3 to 6 MB at a million edges."""
+    """For canonical pairs ``u < v`` in the dtype of ``neighbors``: the
+    endpoint first in (degree, id) order (u iff d(u) <= d(v)), the other
+    endpoint, and the smaller degree, all in that dtype. The degrees
+    gathered are that narrow too, 4 bytes per pair below 2**31
+    vertices."""
     deg = g.degrees
     du, dv = deg.take(u), deg.take(v)
     first_u = du <= dv
     np.minimum(du, dv, out=du)
     del dv
-    dmin = du.astype(u.dtype)
-    del du
-    return np.where(first_u, u, v), np.where(first_u, v, u), dmin
+    return np.where(first_u, u, v), np.where(first_u, v, u), du
 
 
 def _find_edges(g: Graph, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,14 +306,18 @@ def load_edge_list(source: str | Path | BinaryIO) -> Graph:
     del data
     if ids.size == 0:
         raise EmptyGraphError("edge list contains no edges")
-    original_ids = _remap(ids)
+    dense, original_ids = _remap(ids)
+    del ids
     if original_ids.shape[0] >= 2**32:
         raise GraphFormatError("more than 2**32 distinct vertex ids")
-    key = _canonical_keys(ids, original_ids.shape[0])
-    del ids
-    if key.shape[0] > _MAX_EDGES:
+    keys = [_canonical_keys(dense, original_ids.shape[0])]
+    del dense
+    if keys[0].shape[0] > _MAX_EDGES:
         raise GraphFormatError(f"more than {_MAX_EDGES} distinct edges")
-    return _build(key, original_ids)
+    # Popped into the call, so that _build holds the keys' only reference
+    # and frees them once copied (CPython moves a call's arguments into
+    # the callee's frame from 3.11 on).
+    return _build(keys.pop(), original_ids)
 
 
 # Bytes per block of the fast parser; a block runs on to the end of the
@@ -489,17 +509,25 @@ def _pair_block(bounds: np.ndarray, t0: int, t1: int) -> tuple[np.ndarray, np.nd
     return a, b
 
 
-def _remap(ids: np.ndarray) -> np.ndarray:
-    """Overwrite the 1-D ``ids`` with dense ids in ``[0, n)``, numbered in
-    order of first appearance, and return the source id of each.
+def _index_dtype(top: int) -> type:
+    """The dtype of vertex ids or positions up to ``top``: int32 when it
+    holds ``top``, as below 2**31, else int64."""
+    return np.int32 if top <= np.iinfo(np.int32).max else np.int64
+
+
+def _remap(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids in ``[0, n)`` for the 1-D ``ids``, numbered in order of
+    first appearance, in ``_index_dtype(n)``, and the source id of each,
+    in the dtype of ``ids``.
 
     Dense ids, whose largest is below ``ids.size`` (SNAP's, for one),
-    take a direct-address table of ``max id + 1`` entries, so no table
-    outgrows ``ids``: ``np.minimum.at`` writes each id's first position
-    into it, the n distinct first positions sorted give the appearance
-    order, and the table, overwritten with each present id's dense id,
-    rewrites ``ids`` by one gather. ``np.minimum.at`` is exact on every
-    supported numpy, but fast only from numpy 1.25 on.
+    take a direct-address table of ``max id + 1`` entries in
+    ``_index_dtype(ids.size)``, so no table outgrows ``ids``:
+    ``np.minimum.at`` writes each id's first position into it, the n
+    distinct first positions sorted give the appearance order, and the
+    table, overwritten with each present id's dense id, maps ``ids`` by
+    one gather. ``np.minimum.at`` is exact on every supported numpy, but
+    fast only from numpy 1.25 on.
 
     Wider or sparser ids are sorted once by ``_stable_order``: one
     packed ``np.sort`` of each id above its position, or a stable
@@ -508,22 +536,22 @@ def _remap(ids: np.ndarray) -> np.ndarray:
     of equal ids starts at that id's first position; the n first
     positions are put in appearance order by the same helper.
 
-    Both paths give the same dense ids and the same ``original_ids``,
-    in the dtype of ``ids``.
+    Both paths give the same dense ids and the same ``original_ids``.
     """
     top = int(ids.max()) + 1
     if top <= ids.size:
-        table = np.full(top, ids.size, dtype=np.int64)
-        np.minimum.at(table, ids, np.arange(ids.size))
+        position = _index_dtype(ids.size)
+        table = np.full(top, ids.size, dtype=position)
+        np.minimum.at(table, ids, np.arange(ids.size, dtype=position))
         first = table[table < ids.size]
         first.sort()
         original_ids = ids.take(first)
         del first
-        table[original_ids] = np.arange(original_ids.shape[0])
-        # Every id indexes the table, so "clip" never clips; it spares
-        # the copy that the default mode makes of an ``out`` array.
-        table.take(ids, out=ids, mode="clip")
-        return original_ids
+        n = original_ids.shape[0]
+        table[original_ids] = np.arange(n, dtype=position)
+        # The table's dtype already holds n below 2**31 ids: no copy.
+        dense = table.take(ids).astype(_index_dtype(n), copy=False)
+        return dense, original_ids
     order = _stable_order(ids, (top - 1).bit_length())
     sorted_ids = ids.take(order)
     starts = np.flatnonzero(_sorted_unique_mask(sorted_ids))
@@ -531,11 +559,12 @@ def _remap(ids: np.ndarray) -> np.ndarray:
     original_ids = sorted_ids.take(starts.take(appearance))
     del sorted_ids
     n = int(original_ids.shape[0])
-    rank = np.empty(n, dtype=np.int64)
+    rank = np.empty(n, dtype=_index_dtype(n))
     rank[appearance] = np.arange(n)
     del appearance
-    ids[order] = np.repeat(rank, np.diff(starts, append=ids.size))
-    return original_ids
+    dense = np.empty(ids.size, dtype=rank.dtype)
+    dense[order] = np.repeat(rank, np.diff(starts, append=ids.size))
+    return dense, original_ids
 
 
 def _canonical_keys(ids: np.ndarray, n: int) -> np.ndarray:
@@ -557,18 +586,33 @@ def _build(key: np.ndarray, original_ids: np.ndarray) -> Graph:
     """CSR graph of the sorted canonical edge keys.
 
     The keys of both edge directions, ``src * n + dst``, sorted together
-    sort by (src, dst); modulo n they are the neighbor lists.
+    sort by (src, dst); modulo n they are the neighbor lists. The
+    canonical keys are copied into the first half of that array, and
+    each reversed key is written into its second half from the narrow
+    ``edge_arrays``; a caller that passes its only reference to ``key``
+    has it freed once copied.
     """
     n = int(original_ids.shape[0])
     m = int(key.shape[0])
-    eu, ev = np.divmod(key, np.uint64(n))
-    both = np.concatenate([key, edge_key(ev, eu, n)])
+    idx_dtype = _index_dtype(n)
+    both = np.empty(2 * m, dtype=np.uint64)
+    head, tail = both[:m], both[m:]
+    head[:] = key
+    del key
+    np.floor_divide(head, np.uint64(n), out=tail)
+    eu = tail.astype(idx_dtype)
+    # key - eu * n: a second uint64 division would cost more than twice.
+    np.multiply(tail, np.uint64(n), out=tail)
+    np.subtract(head, tail, out=tail)
+    ev = tail.astype(idx_dtype)
+    # ev * n + eu: the reversed keys, over the ev they were taken from.
+    np.multiply(tail, np.uint64(n), out=tail)
+    np.add(tail, eu, out=tail, dtype=np.uint64, casting="unsafe")
+    del head, tail  # views: they would keep ``both`` past its del below
     both.sort()
     np.remainder(both, np.uint64(n), out=both)
-    idx_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     neighbors = both.astype(idx_dtype)
     del both
-    eu, ev = eu.astype(idx_dtype), ev.astype(idx_dtype)
     degrees = np.bincount(eu, minlength=n)
     degrees += np.bincount(ev, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)

@@ -317,6 +317,15 @@ def test_output_file_option(tmp_path, capsys, triangle_file):
     assert dest.read_text().startswith("n,m,delta")
 
 
+@pytest.mark.parametrize("rse", ["0", "1.5", "nan"])
+def test_sample_size_checks_rse_before_reading_the_graph(capsys, tmp_path, rse):
+    # The graph does not exist: the bad target is reported, not the file.
+    code, out, err = run_cli(capsys, ["sample-size", "--graph",
+                                      str(tmp_path / "missing.txt"), "--rse", rse])
+    assert code == 1 and out == ""
+    assert err == "tricount: error: --rse: target RSE must be in (0, 1]\n"
+
+
 @pytest.mark.parametrize("dest", ["", "missing/out.csv"])
 def test_unwritable_output_is_an_error_line(tmp_path, capsys, triangle_file, dest):
     code, out, err = run_cli(capsys, ["stats", "--graph", triangle_file,

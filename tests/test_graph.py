@@ -91,8 +91,9 @@ def test_remap_argsorts_only_ids_too_wide_to_pack(monkeypatch, top, argsorts):
     argsort = np.argsort
     monkeypatch.setattr(np, "argsort",
                         lambda *a, **kw: calls.append(kw) or argsort(*a, **kw))
-    assert graph._remap(ids).tolist() == first
-    assert ids.tolist() == dense
+    remapped, original_ids = graph._remap(ids)
+    assert original_ids.tolist() == first
+    assert remapped.tolist() == dense and remapped.dtype == np.int32
     assert calls == [{"kind": "stable"}] * argsorts
 
 
@@ -122,9 +123,9 @@ def test_remap_tables_only_ids_below_their_count(monkeypatch, top, tables):
     dense = [first.index(i) for i in ids.tolist()]
     spy = _UfuncSpy(np.minimum)
     monkeypatch.setattr(np, "minimum", spy)
-    original_ids = graph._remap(ids)
+    remapped, original_ids = graph._remap(ids)
     assert original_ids.tolist() == first and original_ids.dtype == np.int64
-    assert ids.tolist() == dense
+    assert remapped.tolist() == dense and remapped.dtype == np.int32
     assert spy.at_calls == tables
 
 
@@ -486,6 +487,7 @@ def test_degrees_are_cached_and_read_only():
     deg = g.degrees
     assert deg is g.degrees
     assert np.array_equal(deg, np.diff(g.offsets))
+    assert deg.dtype == g.neighbors.dtype
     assert not deg.flags.writeable
     with pytest.raises(ValueError):
         deg[0] = 7
@@ -679,9 +681,10 @@ def test_loading_does_not_build_the_edge_keys_or_bitmap():
 def test_first_edge_lookup_builds_little(powerlaw10k):
     # The first query builds the edge keys (8 bytes per edge) and the
     # bitmap's two filters (1 to 2 each), and the build briefly holds
-    # one hash per edge and one filter's bool per bit: 31 bytes per edge
-    # here. An edge hash index (8 bytes per slot, 2 to 4 slots per edge)
-    # built as well took 44.
+    # one filter's bool per bit and one block's hashes, all m of them
+    # below graph._CHUNK edges: 31 bytes per edge here. An edge hash
+    # index (8 bytes per slot, 2 to 4 slots per edge) built as well
+    # took 44.
     g = Graph(n=powerlaw10k.n, m=powerlaw10k.m, offsets=powerlaw10k.offsets,
               neighbors=powerlaw10k.neighbors, original_ids=powerlaw10k.original_ids)
     g.edge_arrays
@@ -691,7 +694,54 @@ def test_first_edge_lookup_builds_little(powerlaw10k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 36 * g.m
+    assert peak < 32 * g.m
+
+
+def _sorted_keys(n: int, m: int, seed: int) -> np.ndarray:
+    """``m`` distinct canonical edge keys of ``n`` vertices, ascending."""
+    u, v = np.triu_indices(n, 1)
+    pick = np.sort(np.random.default_rng(seed).choice(u.size, size=m, replace=False))
+    return edge_key(u[pick], v[pick], n)
+
+
+def test_first_edge_lookup_hashes_a_block_of_keys_at_a_time():
+    # Past graph._CHUNK edges the bitmap's build holds one block's
+    # hashes, not one per edge: 22.4 bytes per edge here, where hashing
+    # every key at once took 27.8.
+    g = graph._build(_sorted_keys(2048, 200_000, 5), np.arange(2048))
+    assert g.m > graph._CHUNK and "edge_keys" not in vars(g)
+    tracemalloc.start()
+    try:
+        has_edge_many(g, [0], [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * g.m
+
+
+def test_build_holds_no_wide_copy_of_the_edges():
+    # Beside the keys, which the caller holds here, the build holds the
+    # keys of both directions (16 bytes per edge), the narrow edge arrays
+    # (8) and the neighbor lists (8): 32 bytes per edge. Taking the edge
+    # arrays by a uint64 divmod, and the reversed keys into an array of
+    # their own, took 40.
+    key = _sorted_keys(1024, 2**18, 3)
+    tracemalloc.start()
+    try:
+        g = graph._build(key, np.arange(1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 33 * g.m
+    assert np.array_equal(edge_key(*g.edge_arrays, g.n), key)
+    assert g.neighbors.dtype == g.edge_arrays[0].dtype == np.int32
+
+
+def test_index_dtype_boundary():
+    # The one rule for the build's ids, the dense ids and the remap's
+    # table; no test can load a graph of 2**31 vertices or ids.
+    assert graph._index_dtype(2**31 - 1) is np.int32
+    assert graph._index_dtype(2**31) is np.int64
 
 
 def test_edge_arrays_are_canonical_and_sorted():
