@@ -6,8 +6,8 @@ each, sample-size inversion, and an empirical trial harness. See the
 ``tricount`` CLI for the command-line surface.
 """
 
-from .analysis import (RseReport, RseRow, SampleSizeRequest, empirical_rse,
-                       rse_sweep, sample_size_for_rse, theory_rse)
+from .analysis import (RseRow, SampleSizeRequest, empirical_rse, rse_sweep,
+                       sample_size_for_rse, theory_rse)
 from .estimators import (EstimateResult, NoWedgesError, RseDomainError,
                          SamplingPlan, WedgeSampler, build_wedge_sampler,
                          es_estimate, ews_estimate, rse_omega_approx,
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EdgeTriangleCounts", "EmptyGraphError", "EstimateResult",
     "Graph", "GraphFormatError", "GraphMetrics", "NoWedgesError",
-    "RandomSource", "RseDomainError", "RseReport", "RseRow",
+    "RandomSource", "RseDomainError", "RseRow",
     "SampleSizeRequest", "SamplingPlan", "WedgeSampler",
     "build_wedge_sampler", "compute_metrics", "count_triangles_exact",
     "empirical_rse", "es_estimate", "ews_estimate", "has_edge_many",

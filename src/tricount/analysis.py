@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .exact import GraphMetrics, compute_metrics, csv_text
+from .exact import GraphMetrics, compute_metrics
 from .graph import Graph
 from .estimators import (RseDomainError, SamplingPlan, check_delta, check_level,
                          check_p, method_spec, run_trials)
@@ -77,7 +77,7 @@ def _finite(formula, metrics: GraphMetrics, x: float, what: str):
 
 @dataclass(frozen=True)
 class RseRow:
-    """One (method, sampling level) row of an RSE report."""
+    """One (method, sampling level) row of ``rse_sweep``."""
 
     method: str
     p: float | None
@@ -92,25 +92,10 @@ class RseRow:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_csv_row(self) -> str:
-        return csv_text([self.to_dict()], _RSE_CSV_KEYS).splitlines()[1]
 
-
-_RSE_CSV_KEYS = tuple(f.name for f in fields(RseRow))
-RSE_REPORT_CSV_HEADER = ",".join(_RSE_CSV_KEYS)
-
-
-@dataclass(frozen=True)
-class RseReport:
-    """Rows of empirical-vs-theory RSE, CSV/JSON emittable."""
-
-    rows: tuple[RseRow, ...]
-
-    def to_csv(self) -> str:
-        return csv_text(self.to_json_obj(), _RSE_CSV_KEYS)
-
-    def to_json_obj(self) -> list[dict]:
-        return [row.to_dict() for row in self.rows]
+# The ``rse-sweep`` CSV header. Nothing in the package reads it: it stays
+# because ``tribench/workloads.py`` checks the CLI's header against it.
+RSE_REPORT_CSV_HEADER = ",".join(f.name for f in fields(RseRow))
 
 
 def theory_rse(method: str, metrics: GraphMetrics, p: float | None = None,
@@ -162,7 +147,7 @@ def empirical_rse(g: Graph, plan: SamplingPlan, metrics: GraphMetrics) -> RseRow
 
 
 def rse_sweep(g: Graph, methods: list[str], ps: list[float], runs: int,
-              seed: int) -> RseReport:
+              seed: int) -> tuple[RseRow, ...]:
     """Empirical RSE for every (method, p) pair.
 
     For ws the wedge-sample count is ceil(p * m). Row ``i`` (in method-
@@ -175,13 +160,13 @@ def rse_sweep(g: Graph, methods: list[str], ps: list[float], runs: int,
         raise ValueError("need at least one method and one sampling probability")
     for p in ps:
         check_p(p)  # before ceil(p * m), which overflows at p = inf
+    if runs < 2:
+        raise ValueError("empirical RSE needs at least 2 runs")
     plans = [SamplingPlan(method=method, p=p, seed=mix_seed(seed, idx), runs=runs,
                           k=(math.ceil(p * g.m)
                              if method_spec(method).level == "k" else None))
              for idx, (method, p) in enumerate(itertools.product(methods, ps))]
-    if runs < 2:
-        raise ValueError("empirical RSE needs at least 2 runs")
     metrics = compute_metrics(g)
     for plan in plans:
         theory_rse(plan.method, metrics, p=plan.p, k=plan.k)
-    return RseReport(rows=tuple(empirical_rse(g, plan, metrics) for plan in plans))
+    return tuple(empirical_rse(g, plan, metrics) for plan in plans)

@@ -16,14 +16,18 @@ import sys
 from pathlib import Path
 
 from .analysis import SampleSizeRequest, _check_rse, rse_sweep, sample_size_for_rse
-from .estimators import (METHODS, SamplingPlan, check_level, check_p, estimate,
-                         method_spec)
-from .exact import _METRICS_CSV_KEYS, GraphMetrics, compute_metrics, csv_text
+from .estimators import METHODS, check_level, check_p, estimate, method_spec
+from .exact import GraphMetrics, compute_metrics
 from .graph import load_edge_list
 from .rng import RandomSource
 
 DEFAULT_SEED = 42
 DEFAULT_SWEEP_RUNS = 1000
+
+# The ``GraphMetrics.to_dict`` keys that the CSV of ``stats`` shows, in
+# order: all but the raw variance drivers phi and K, which JSON alone carries.
+_METRICS_CSV_KEYS = ("n", "m", "delta", "lambda", "C", "tri_per_edge",
+                     "phi_over_3delta", "K_over_delta")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,6 +92,23 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def csv_cell(x) -> str:
+    """One CSV cell: empty for None, integral floats without a fraction,
+    other floats by ``repr`` (shortest round-trip form)."""
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return str(int(x)) if x.is_integer() else repr(x)
+    return str(x)
+
+
+def csv_text(rows, keys) -> str:
+    """CSV of ``rows`` (mappings): a header line of ``keys``, then each
+    row's values at those keys, one ``csv_cell`` each."""
+    lines = [keys, *([csv_cell(row[k]) for k in keys] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 def _render(args, record, csv_keys=None):
     """Write ``record`` (a dict, or a list of one dict per row) to ``--output``
     or stdout, as JSON or as CSV headed by ``csv_keys``, else by its keys."""
@@ -112,17 +133,17 @@ def _run_estimate(args, parser):
     level = getattr(args, name)
     if level is None:
         parser.error(f"--method {args.method} requires --{name}")
-    # The level flag alone first, so a plan's error names the other flag.
+    # The level flag alone first, so the pair's error names the other flag.
     try:
         check_level(args.method, **{name: level})
     except ValueError as exc:
         parser.error(f"--{name}: {exc}")
     try:
-        plan = SamplingPlan(method=args.method, p=args.p, k=args.k, seed=args.seed)
+        check_level(args.method, args.p, args.k)
     except ValueError as exc:
         parser.error(f"--{'k' if name == 'p' else 'p'}: {exc}")
     g = load_edge_list(args.graph)
-    result = estimate(g, plan.method, plan.level, RandomSource(plan.seed))
+    result = estimate(g, args.method, level, RandomSource(args.seed))
     _render(args, result.to_dict())
 
 
@@ -140,7 +161,8 @@ def _run_rse_sweep(args, parser):
     # trial j of that row uses derive(j) of the row seed.
     print(f"tricount: rse-sweep base seed {args.seed}, {args.runs} runs/row",
           file=sys.stderr)
-    _render(args, rse_sweep(g, methods, args.p, args.runs, args.seed).to_json_obj())
+    rows = rse_sweep(g, methods, args.p, args.runs, args.seed)
+    _render(args, [row.to_dict() for row in rows])
 
 
 _INLINE_FIELDS = ("n", "m", "delta", "lambda", "phi", "K")
@@ -160,6 +182,9 @@ def _parse_inline_metrics(text: str) -> GraphMetrics:
         if not (math.isfinite(x) and x >= 0):
             raise ValueError(
                 f"--metrics: {field} must be finite and >= 0, got {token.strip()}")
+        if field in ("n", "m") and not x.is_integer():
+            raise ValueError(
+                f"--metrics: {field} must be a whole number, got {token.strip()}")
         values.append(x)
     n, m, delta, wedges, phi, shared = values
     if 3.0 * delta > wedges:  # each triangle closes three wedges

@@ -26,13 +26,6 @@ from .graph import Graph, _find_edges, _orient, _run_pairs, _stable_order, edge_
 _WEDGE_BLOCK = 1 << 16
 
 
-# The ``to_dict`` keys that the CSV of a graph's metrics shows, in order:
-# all but the raw variance drivers phi and K, which JSON alone carries.
-_METRICS_CSV_KEYS = ("n", "m", "delta", "lambda", "C", "tri_per_edge",
-                     "phi_over_3delta", "K_over_delta")
-METRICS_CSV_HEADER = ",".join(_METRICS_CSV_KEYS)
-
-
 @dataclass(frozen=True)
 class GraphMetrics:
     """Exact global quantities of a graph (or externally supplied ones).
@@ -81,26 +74,6 @@ class GraphMetrics:
             "phi_over_3delta": self.phi_over_3delta,
             "K_over_delta": self.k_over_delta,
         }
-
-    def to_csv_row(self) -> str:
-        return csv_text([self.to_dict()], _METRICS_CSV_KEYS).splitlines()[1]
-
-
-def csv_cell(x) -> str:
-    """One CSV cell: empty for None, integral floats without a fraction,
-    other floats by ``repr`` (shortest round-trip form)."""
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return str(int(x)) if x.is_integer() else repr(x)
-    return str(x)
-
-
-def csv_text(rows, keys) -> str:
-    """CSV of ``rows`` (mappings): a header line of ``keys``, then each
-    row's values at those keys, one ``csv_cell`` each."""
-    lines = [keys, *([csv_cell(row[k]) for k in keys] for row in rows)]
-    return "".join(",".join(line) + "\n" for line in lines)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ from tricount import compute_metrics
 from tricount.analysis import _trial_sources
 from tricount.estimators import run_trials
 from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
-                     graph_from_edges, hubs_and_path_edges, path_edges,
-                     star_edges)
+                     graph_from_edges, graph_text, hubs_and_path_edges,
+                     path_edges, star_edges)
 
 # The reference graph for the statistical checks: Erdos-Renyi with 300
 # vertices and edge probability 0.05, pinned seed.
@@ -52,6 +52,14 @@ def hubs_and_path():
 @pytest.fixture(scope="session")
 def er300():
     return graph_from_edges(er_edges(ER_N, ER_PROB, ER_SEED))
+
+
+@pytest.fixture
+def er300_file(tmp_path):
+    """er300 as an edge-list file, for the CLI."""
+    path = tmp_path / "er300.txt"
+    path.write_text(graph_text(er_edges(ER_N, ER_PROB, ER_SEED)))
+    return str(path)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from tricount import (GraphMetrics, RseDomainError, SamplingPlan,
                       rse_tau_approx, rse_tau_exact, sample_size_for_rse,
                       theory_rse)
 from tricount import analysis
-from tricount.analysis import RSE_REPORT_CSV_HEADER
 from helpers import complete_edges, er_edges, graph_from_edges
 from oracles import ews_moments_exhaustive
 
@@ -258,33 +256,21 @@ def test_empirical_rse_converges_in_runs(method):
 
 def test_rse_sweep_shape_and_reproducibility(er300, er300_metrics):
     ps = [0.05, 0.1]
-    report = rse_sweep(er300, ["ews", "ws"], ps, runs=50, seed=999)
-    assert len(report.rows) == 4
-    assert [r.method for r in report.rows] == ["ews", "ews", "ws", "ws"]
-    for row in report.rows:
+    rows = rse_sweep(er300, ["ews", "ws"], ps, runs=50, seed=999)
+    assert len(rows) == 4
+    assert [r.method for r in rows] == ["ews", "ews", "ws", "ws"]
+    for row in rows:
         if row.method == "ws":
             assert row.k == math.ceil(row.p * er300.m)
         else:
             assert row.k is None
     # single-configuration sweep equals one empirical_rse call
-    single = rse_sweep(er300, ["ews"], [0.1], runs=50, seed=123).rows[0]
+    single = rse_sweep(er300, ["ews"], [0.1], runs=50, seed=123)[0]
     direct = empirical_rse(
         er300,
         SamplingPlan(method="ews", p=0.1, seed=mix_seed(123, 0), runs=50),
         er300_metrics)
     assert single == direct
-
-
-def test_rse_sweep_csv_and_json(er300):
-    report = rse_sweep(er300, ["es"], [0.2], runs=20, seed=8)
-    csv = report.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == RSE_REPORT_CSV_HEADER
-    assert len(lines) == 2
-    assert lines[1].split(",")[2] == ""  # no k column for es
-    payload = json.loads(json.dumps(report.to_json_obj()))
-    assert payload[0]["method"] == "es"
-    assert payload[0]["runs"] == 20
 
 
 def test_rse_sweep_requires_probabilities(er300):
@@ -331,14 +317,15 @@ def test_rse_sweep_checks_row_theory_before_any_trial(monkeypatch):
     assert len(calls) == 2
 
 
-def test_rse_sweep_checks_runs_before_the_metrics(monkeypatch, k3):
-    # The metrics cost an O(m^1.5) oracle pass; one run per row is
-    # refused before it.
+@pytest.mark.parametrize("runs", [0, 1])
+def test_rse_sweep_checks_runs_before_the_metrics(monkeypatch, k3, runs):
+    # The metrics cost an O(m^1.5) oracle pass; fewer than two runs per
+    # row are refused before it, with one message.
     calls = []
     monkeypatch.setattr(analysis, "compute_metrics",
                         lambda g: calls.append(g) or compute_metrics(g))
     with pytest.raises(ValueError, match="at least 2 runs"):
-        rse_sweep(k3, ["ews"], [0.5], runs=1, seed=0)
+        rse_sweep(k3, ["ews"], [0.5], runs=runs, seed=0)
     assert calls == []
     rse_sweep(k3, ["ews"], [0.5], runs=2, seed=0)
     assert len(calls) == 1

@@ -7,7 +7,7 @@ from tricount import estimators, graph
 PUBLIC_API = [
     "EdgeTriangleCounts", "EmptyGraphError", "EstimateResult", "Graph",
     "GraphFormatError", "GraphMetrics", "NoWedgesError", "RandomSource",
-    "RseDomainError", "RseReport", "RseRow", "SampleSizeRequest",
+    "RseDomainError", "RseRow", "SampleSizeRequest",
     "SamplingPlan", "WedgeSampler", "build_wedge_sampler", "compute_metrics",
     "count_triangles_exact", "empirical_rse", "es_estimate", "ews_estimate",
     "has_edge_many", "load_edge_list", "mix_seed",

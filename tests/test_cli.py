@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from tricount.cli import main
-from tricount.exact import _METRICS_CSV_KEYS
+from tricount.analysis import RSE_REPORT_CSV_HEADER
+from tricount.cli import _METRICS_CSV_KEYS, main
 from helpers import complete_edges, graph_text, path_edges
 
 TRIANGLE = "0 1\n1 2\n2 0\n"
@@ -205,6 +205,21 @@ def test_rse_sweep_rejects_bad_input_before_loading(capsys, k4_file, flag, value
     assert "base seed" not in err  # the check ran before the graph loaded
 
 
+def test_rse_sweep_csv_and_json(capsys, k4_file):
+    argv = ["rse-sweep", "--graph", k4_file, "--method", "es", "--p", "0.2",
+            "--runs", "20", "--seed", "8"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == RSE_REPORT_CSV_HEADER
+    assert len(lines) == 2
+    assert lines[1].split(",")[2] == ""  # no k column for es
+    _, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    payload = json.loads(out)
+    assert payload[0]["method"] == "es"
+    assert payload[0]["runs"] == 20
+
+
 def test_rse_sweep_byte_identical_reruns(capsys, k4_file):
     argv = ["rse-sweep", "--graph", k4_file, "--p", "0.5",
             "--runs", "25", "--seed", "3", "--format", "json"]
@@ -380,7 +395,9 @@ def test_estimate_json_raw_is_an_integer(capsys, k4_file):
                                             ("1,1,1,inf,1,1", "lambda"),
                                             ("1,1,1,3,1,-5", "K"),
                                             ("1,1,1,2.9,1,1", "delta"),
-                                            ("1,1,x1,3,1,1", "delta")])
+                                            ("1,1,x1,3,1,1", "delta"),
+                                            ("10.9,20,4,12,24,6", "n"),
+                                            ("10,20.7,4,12,24,6", "m")])
 def test_sample_size_rejects_bad_inline_metrics(capsys, metrics, field):
     code, out, err = run_cli(capsys, ["sample-size", "--metrics", metrics,
                                       "--rse", "0.1"])

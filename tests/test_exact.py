@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tricount import compute_metrics, count_triangles_exact, exact, graph, wedge_count
-from tricount.exact import METRICS_CSV_HEADER
 from tricount.graph import _stable_order, edge_key
 from helpers import (BITMAP_BITS, FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
                      graph_from_edges, path_edges, star_edges)
@@ -206,9 +205,7 @@ def test_phi_at_least_three_delta():
         assert (met.phi == 0) == (met.triangle_count == 0)
 
 
-def test_metrics_csv_and_json(k4):
+def test_metrics_json(k4):
     met = compute_metrics(k4)
-    assert METRICS_CSV_HEADER == "n,m,delta,lambda,C,tri_per_edge,phi_over_3delta,K_over_delta"
-    assert met.to_csv_row() == "4,6,4,12,1,2,2,1.5"
     payload = json.loads(json.dumps(met.to_dict()))
     assert payload["delta"] == 4 and payload["K"] == 6 and payload["phi"] == 24

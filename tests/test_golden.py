@@ -7,14 +7,16 @@ not merely values within a tolerance, so these pins never change with
 the implementation.
 """
 
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
 
 from tricount import (RandomSource, compute_metrics, count_triangles_exact,
-                      es_estimate, ews_estimate, rse_sweep, ws_estimate)
-from tricount import estimators
+                      es_estimate, ews_estimate, ws_estimate)
+from tricount import cli, estimators
 from helpers import graph_from_text, graph_text, powerlaw_edges
 
 
@@ -118,7 +120,7 @@ GOLDEN_ESTIMATES = {
                     2024: (2.8, 3, 20)}),
     },
 }
-# sha256 of rse_sweep(er300, ["ews", "es", "ws"], [0.1, 0.2], runs=50, seed=7).to_csv()
+# sha256 of the stdout of ``tricount rse-sweep`` on er300 (_sweep_digest)
 GOLDEN_SWEEP_SHA256 = "96852a978d70f76edd254b1438dbffba19c2f5c40508b3a95a1de2f289d7e703"
 
 
@@ -134,17 +136,23 @@ def test_golden_estimates(er300, five_tri, name, method):
         assert type(res.raw_statistic) is int
 
 
-def _sweep_digest(g) -> str:
-    csv = rse_sweep(g, ["ews", "es", "ws"], [0.1, 0.2], runs=50, seed=7).to_csv()
-    return hashlib.sha256(csv.encode()).hexdigest()
+def _sweep_digest(path) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["rse-sweep", "--graph", path, "--method", "ews",
+                         "--method", "es", "--method", "ws", "--p", "0.1",
+                         "--p", "0.2", "--runs", "50", "--seed", "7"])
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def test_golden_sweep_csv(er300):
-    assert _sweep_digest(er300) == GOLDEN_SWEEP_SHA256
+def test_golden_sweep_csv(er300_file):
+    assert _sweep_digest(er300_file) == GOLDEN_SWEEP_SHA256
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
-def test_phase_one_chunk_does_not_change_results(monkeypatch, er300, five_tri, chunk):
+def test_phase_one_chunk_does_not_change_results(monkeypatch, er300, er300_file,
+                                                  five_tri, chunk):
     monkeypatch.setattr(estimators, "_CHUNK", chunk)
     for name, g in {"er300": er300, "five_tri": five_tri}.items():
         for method in ("ews", "es"):
@@ -152,4 +160,4 @@ def test_phase_one_chunk_does_not_change_results(monkeypatch, er300, five_tri, c
             for seed, expected in want.items():
                 res = estimators.estimate(g, method, level, RandomSource(seed))
                 assert (res.estimate, res.raw_statistic, res.entities_sampled) == expected
-    assert _sweep_digest(er300) == GOLDEN_SWEEP_SHA256
+    assert _sweep_digest(er300_file) == GOLDEN_SWEEP_SHA256
