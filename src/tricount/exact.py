@@ -3,10 +3,11 @@
 These serve as ground truth for the sampling experiments and as inputs
 to the closed-form error theory: the triangle count, the wedge count,
 the global clustering coefficient, the per-edge triangle counts T(e),
-and the two variance drivers ``phi`` (sum over triangles of the two
-smaller endpoint degrees minus 3, equivalently sum over edges of
-T(e) * (min endpoint degree - 1)) and ``shared_edge_pairs`` (number of
-unordered triangle pairs sharing an edge, sum over edges of C(T(e), 2)).
+and the two variance drivers ``phi`` (sum over triangles, with vertex
+degrees a <= b <= c, of 2a + b - 3, equivalently sum over edges of
+T(e) * (min endpoint degree - 1); 24 on K4) and ``shared_edge_pairs``
+(number of unordered triangle pairs sharing an edge, sum over edges of
+C(T(e), 2)).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _find_edges, _orient, _run_pairs, _stable_order, edge_key
+from .graph import _CHUNK, Graph, _find_edges, _orient, _run_pairs, edge_key
 
 # Out-edge pairs checked per block of ``count_triangles_exact``. Each
 # pair costs ~47 bytes of temporaries (tracemalloc, the peak difference
@@ -78,16 +79,15 @@ class GraphMetrics:
 
 @dataclass(frozen=True)
 class EdgeTriangleCounts:
-    """T(e) and the smaller endpoint degree of every canonical edge,
-    aligned with ``Graph.edge_arrays``."""
+    """T(e) of every canonical edge, aligned with ``Graph.edge_arrays``,
+    and ``phi``, the sum over edges of T(e) * (min endpoint degree - 1)."""
 
     counts: np.ndarray
-    min_degree: np.ndarray
+    phi: int
 
 
 def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
-    """Exact triangle count and per-edge T(e), with each edge's smaller
-    endpoint degree, which the orientation below reads anyway.
+    """Exact triangle count, per-edge T(e) and ``phi``.
 
     The forward algorithm in array form. Each edge is oriented from
     lower to higher rank under the (degree, id) total order, so a
@@ -103,24 +103,27 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     search over the cached ascending ``Graph.edge_keys``. On the
     million-edge power-law graph 19% of the pairs pass the first filter
     (403,766 of 2,147,830) and 9.8% pass both (210,665, the 186,896
-    triangles included). T(e) is tallied with ``np.bincount``. Time is
-    O(m^1.5) on the graphs this library targets; memory is O(m + block),
-    with the keys and bitmap, built on the first call, 10 to 12 bytes
-    per edge.
+    triangles included). T(e) is tallied with ``np.bincount``, and
+    ``phi`` summed per triangle found, as 2 d(u) + min(d(v), d(w)) - 3:
+    u has the smallest degree, so that is the sum over its three edges
+    of the smaller endpoint degree minus 1. Time is O(m^1.5) on the
+    graphs this library targets.
 
-    Both sorts, of the oriented edges and of a block's keys, are
-    ``_stable_order``'s: one ``np.sort`` of uint64 words that pack a sort
-    key above a position, or a stable ``argsort`` when a key and a
-    position do not fit in 64 bits together (a block's keys at
-    n > 2**24). The oriented edges are sorted by tail alone: in
-    canonical order a tail's lower heads come from earlier rows and its
-    upper heads from its own row, so its heads already ascend, and a
-    stable sort by tail gives (tail, head) order, the one permutation an
-    ``argsort`` of their edge keys gives.
+    Memory: the keys and bitmap, 10 to 12 bytes per edge, are built
+    first, as their build peaks above any array of the oracle. Beside
+    them the orientation holds its sort words (8 bytes per edge) and two
+    4-byte arrays per edge, the blocks hold head and canon (4 each) and
+    the pair table (4), and T(e) takes 8: on the million-edge power-law
+    graph the traced peak is 20.3 MiB above the graph, its keys and
+    bitmap, 21.3 bytes per edge, set by the orientation.
     """
     n, m = g.n, g.m
-    canon, head, out_off, min_degree = _out_edges(g)
-    g.edge_bitmap  # the keys' and bitmap's build, before the blocks it would add to
+    g.edge_bitmap  # the keys' and bitmap's build, before any array below
+    canon, head, out_off = _out_edges(g)
+    pairs = _run_pairs(out_off, _WEDGE_BLOCK)
+    del out_off  # the pair table, built at the first block, replaces it
+    deg = g.degrees
+    eu, ev = g.edge_arrays
 
     # A tail's heads ascend, so out-edges a < b of one tail close on
     # the canonical edge head[a]--head[b]. T(e) is allocated at the first
@@ -128,21 +131,29 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     t_counts = None
     pending: list[np.ndarray] = []
     npending = 0
-    delta = 0
-    for a, b in _run_pairs(out_off, _WEDGE_BLOCK):
-        hit, closing = _find_edges(g, edge_key(head.take(a), head.take(b), n))
+    delta = phi = 0
+    for a, b in pairs:
+        v, w = head.take(a), head.take(b)
+        hit, closing = _find_edges(g, edge_key(v, w, n))
         if hit.size:
             delta += int(hit.size)
-            pending += [canon.take(a.take(hit)), canon.take(b.take(hit)), closing]
+            a, b = canon.take(a.take(hit)), canon.take(b.take(hit))
+            # The tail u's degree, the smaller one of its edge a's ends.
+            du = np.minimum(deg.take(eu.take(a)), deg.take(ev.take(a)))
+            dvw = np.minimum(deg.take(v.take(hit)), deg.take(w.take(hit)))
+            phi += (2 * int(du.sum(dtype=np.int64)) + int(dvw.sum(dtype=np.int64))
+                    - 3 * int(hit.size))
+            pending += [a, b, closing]
             npending += 3 * hit.size
         # Tally in batches of about m edge hits: one bincount per block
         # would cost O(m) each, one at the end O(triangles) memory.
         if npending >= m:
             t_counts = _tally(t_counts, pending, m)
             pending, npending = [], 0
+    del head, canon  # the pair table went with the exhausted ``pairs``
     t_counts = _tally(t_counts, pending, m)
     t_counts.flags.writeable = False
-    return delta, EdgeTriangleCounts(counts=t_counts, min_degree=min_degree)
+    return delta, EdgeTriangleCounts(counts=t_counts, phi=phi)
 
 
 def _tally(t_counts: np.ndarray | None, pending: list[np.ndarray],
@@ -157,26 +168,58 @@ def _tally(t_counts: np.ndarray | None, pending: list[np.ndarray],
     return t_counts
 
 
-def _out_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _out_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges oriented tail->head, from lower to higher rank, as
-    out-edge lists sorted by (tail, head), and the tail's degree of each
-    canonical edge: ``(canon, head, out_off, min_degree)``.
+    out-edge lists sorted by (tail, head): ``(canon, head, out_off)``.
 
-    ``canon`` maps each oriented edge to its position in
-    ``edge_arrays``, in the smallest unsigned dtype that holds ``m - 1``,
-    and tail t's out-edges are ``out_off[t]`` to ``out_off[t+1] - 1``.
-    The tail is the endpoint of smaller degree; ``min_degree`` is
-    read-only, in the dtype of ``edge_arrays``.
+    ``canon`` (uint32) maps each oriented edge to its position in
+    ``edge_arrays``; ``head`` is in the dtype of ``edge_arrays``; tail
+    t's out-edges are ``out_off[t]`` to ``out_off[t+1] - 1`` (int64).
+
+    The edges are oriented ``_CHUNK`` at a time: each edge's head is
+    kept in canonical order, and its tail packed above its position into
+    the uint64 word that one ``np.sort`` sorts (``_stable_order``'s
+    packed sort; a vertex id and a position always fit 64 bits
+    together). The sort is by tail alone: in canonical order a tail's
+    lower heads come from earlier rows and its upper heads from its own
+    row, so its heads already ascend, and a stable sort by tail gives
+    (tail, head) order. ``canon``, ``head`` and the out-degrees are read
+    back from the sorted words a chunk at a time, ``canon`` into the
+    bytes of the words already read, so no stage holds more than the
+    words and two 4-byte arrays per edge.
     """
     eu, ev = g.edge_arrays
-    tail, head, min_degree = _orient(g, eu, ev)
-    min_degree.flags.writeable = False
-    canon = _stable_order(tail, (g.n - 1).bit_length())
-    head = head.take(canon)
-    canon = canon.astype(np.min_scalar_type(g.m - 1))
+    m = g.m
+    width = np.uint64((m - 1).bit_length())
+    word = np.empty(m, dtype=np.uint64)
+    edge_head = np.empty(m, dtype=eu.dtype)
+    for s in range(0, m, _CHUNK):
+        tail, edge_head[s:s + _CHUNK], _ = _orient(g, eu[s:s + _CHUNK], ev[s:s + _CHUNK])
+        chunk = word[s:s + _CHUNK]
+        chunk[:] = tail
+        chunk <<= width
+        chunk |= np.arange(s, s + chunk.size, dtype=np.uint64)
+    word.sort()
+    head = np.empty(m, dtype=eu.dtype)
     out_off = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tail, minlength=g.n), out=out_off[1:])
-    return canon, head, out_off, min_degree
+    # canon is written over the words already read: its entries s .. e-1
+    # take the bytes of words s/2 .. e/2 - 1, none past the chunk just read.
+    canon = word.view(np.uint32)[:m]
+    mask = (np.uint64(1) << width) - np.uint64(1)
+    for s in range(0, m, _CHUNK):
+        chunk = word[s:s + _CHUNK]
+        pos = chunk & mask
+        tail = (chunk >> width).astype(eu.dtype)
+        head[s:s + _CHUNK] = edge_head.take(pos.view(np.int64))
+        canon[s:s + _CHUNK] = pos
+        # The tails ascend, so their counts span ids tail[0] .. tail[-1].
+        lo = int(tail[0])
+        tail -= lo
+        count = np.bincount(tail)
+        out_off[lo + 1:lo + 1 + count.size] += count
+    np.cumsum(out_off, out=out_off)
+    del edge_head  # before canon is copied out of the words
+    return canon.copy(), head, out_off
 
 
 def wedge_count(g: Graph) -> int:
@@ -188,10 +231,23 @@ def compute_metrics(g: Graph) -> GraphMetrics:
     """Assemble all exact metrics of a graph in one pass."""
     delta, per_edge = count_triangles_exact(g)
     wedges = wedge_count(g)
-    t = per_edge.counts
-    phi = int(np.dot(t, per_edge.min_degree)) - 3 * delta  # sum(t) == 3 delta
-    shared = int(np.dot(t, t - 1)) // 2  # each t*(t-1) is even
+    # sum over e of C(T(e), 2), with sum(T) == 3 delta
+    shared = (_sum_of_squares(per_edge.counts) - 3 * delta) // 2
     c = 3.0 * delta / wedges if wedges > 0 else 0.0
     return GraphMetrics(n=g.n, m=g.m, triangle_count=delta,
                         wedge_count=wedges, clustering_coefficient=c,
-                        phi=phi, shared_edge_pairs=shared)
+                        phi=per_edge.phi, shared_edge_pairs=shared)
+
+
+def _sum_of_squares(t: np.ndarray) -> int:
+    """The exact sum of the squares of the non-negative int64 ``t``: each
+    slice's sum by ``np.dot``, the slices short enough that none wraps
+    int64 (``_CHUNK`` values while all stay below 2**23.5), summed as
+    Python ints."""
+    top = int(t.max(initial=0))
+    step = max(1, min(_CHUNK, (2**63 - 1) // max(top * top, 1)))
+    total = 0
+    for s in range(0, t.size, step):
+        c = t[s:s + step]
+        total += int(np.dot(c, c))
+    return total

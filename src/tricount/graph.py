@@ -479,17 +479,12 @@ def _run_pairs(offsets: np.ndarray, block: int):
 
     Run r holds the positions ``offsets[r] .. offsets[r+1]-1``, with
     ``offsets[0] == 0``. Yields int64 arrays ``(a, b)`` of at most
-    ``block`` pairs at a time, so memory is O(positions + block).
+    ``block`` pairs at a time, so memory is O(positions + block): one
+    ``_pair_table`` entry per position and one block.
     """
-    # Position q pairs with the later positions of its run: pairs
-    # bounds[q] .. bounds[q+1]-1 in the numbering of all pairs. A caller
-    # that passes its only reference to ``offsets`` frees it here.
-    fan = np.repeat(offsets[1:], np.diff(offsets))
+    # A caller that passes its only reference to ``offsets`` frees it here.
+    bounds = _pair_table(offsets)
     del offsets
-    fan -= np.arange(1, fan.size + 1)
-    bounds = np.zeros(fan.size + 1, dtype=np.int64)
-    np.cumsum(fan, out=bounds[1:])
-    del fan
     total = int(bounds[-1])
     for t0 in range(0, total, block):
         # Built by a helper, so this frame holds no reference to a block
@@ -497,11 +492,42 @@ def _run_pairs(offsets: np.ndarray, block: int):
         yield _pair_block(bounds, t0, min(t0 + block, total))
 
 
+def _pair_table(offsets: np.ndarray) -> np.ndarray:
+    """Position q of the runs ``offsets`` pairs with the later positions
+    of its run: pairs ``bounds[q] .. bounds[q+1]-1`` in the numbering of
+    all pairs. ``bounds`` is in ``_index_dtype`` of the pair total (4
+    bytes per position below 2**31 pairs), filled in ``_CHUNK``
+    positions at a time."""
+    size = np.diff(offsets)
+    total = (int(np.dot(size, size)) - int(offsets[-1])) // 2  # sum of C(size, 2)
+    del size
+    bounds = np.zeros(int(offsets[-1]) + 1, dtype=_index_dtype(total))
+    for p0 in range(0, bounds.size - 1, _CHUNK):
+        p1 = min(p0 + _CHUNK, bounds.size - 1)
+        r0, r1, span = _spans(offsets, p0, p1)
+        fan = np.repeat(offsets[r0 + 1:r1 + 1], span)
+        del span
+        fan -= np.arange(p0 + 1, p1 + 1)
+        np.cumsum(fan, out=fan)
+        fan += bounds[p0]
+        bounds[p0 + 1:p1 + 1] = fan
+    return bounds
+
+
+def _spans(starts: np.ndarray, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
+    """The ranges ``j0 .. j1-1`` of the ascending ``starts``, range j
+    being ``starts[j] .. starts[j+1]-1``, that meet ``lo .. hi-1``, and
+    how many of ``lo .. hi-1`` each holds (in the dtype of ``starts``).
+    The bounds are searched in that dtype, so no search casts ``starts``."""
+    lo_key, hi_key = starts.dtype.type(lo), starts.dtype.type(hi)
+    j0 = int(np.searchsorted(starts, lo_key, side="right")) - 1
+    j1 = int(np.searchsorted(starts, hi_key, side="left"))
+    return j0, j1, np.diff(np.clip(starts[j0:j1 + 1], lo_key, hi_key))
+
+
 def _pair_block(bounds: np.ndarray, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
     """Pairs ``t0 .. t1-1`` of ``_run_pairs``, as its ``(a, b)`` arrays."""
-    j0 = int(np.searchsorted(bounds, t0, side="right")) - 1
-    j1 = int(np.searchsorted(bounds, t1, side="left"))
-    fan = np.diff(np.clip(bounds[j0:j1 + 1], t0, t1))
+    j0, j1, fan = _spans(bounds, t0, t1)
     a = np.repeat(np.arange(j0, j1), fan)
     b = np.repeat(np.arange(j0 + 1, j1 + 1) - bounds[j0:j1], fan)
     del fan

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from tricount import compute_metrics, count_triangles_exact, exact, graph, wedge_count
 from tricount.graph import _stable_order, edge_key
 from helpers import (BITMAP_BITS, FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
-                     graph_from_edges, path_edges, star_edges)
+                     graph_from_edges, path_edges, powerlaw_edges, star_edges)
 from oracles import (edge_triangle_counts, phi_by_triangle_enumeration,
                      triangles_by_triples)
 
@@ -57,16 +58,24 @@ def _assert_oracle_counts(edges):
     ids = g.original_ids
     got = {tuple(sorted((int(ids[a]), int(ids[b])))): int(t)
            for a, b, t in zip(*g.edge_arrays, per_edge.counts)}
-    assert got == edge_triangle_counts(edges)
+    want = edge_triangle_counts(edges)
+    assert got == want
     assert delta == len(triangles_by_triples(edges))
+    # phi is summed per triangle inside the block loop, K from sum T^2.
+    met = compute_metrics(g)
+    assert met.phi == per_edge.phi == phi_by_triangle_enumeration(edges)
+    assert met.shared_edge_pairs == sum(math.comb(t, 2) for t in want.values())
 
 
 @pytest.mark.parametrize("block", [1, 7])
 @pytest.mark.parametrize("edges", _BLOCK_GRAPHS)
 def test_per_edge_counts_across_wedge_blocks(monkeypatch, block, edges):
     # Tiny blocks split one edge's wedges over several blocks; the star,
-    # the path and the single edge have no oriented wedges at all.
+    # the path and the single edge have no oriented wedges at all. The
+    # same chunk size splits the orientation and the pair table's build.
     monkeypatch.setattr(exact, "_WEDGE_BLOCK", block)
+    monkeypatch.setattr(exact, "_CHUNK", block)
+    monkeypatch.setattr(graph, "_CHUNK", block)
     _assert_oracle_counts(edges)
 
 
@@ -91,16 +100,25 @@ def _assert_orientation_is_the_argsort(edges):
     up = rank[eu] < rank[ev]
     tail, head = np.where(up, eu, ev), np.where(up, ev, eu)
     want = np.argsort(edge_key(tail, head, g.n))
-    canon, out_head, out_off, min_degree = exact._out_edges(g)
+    canon, out_head, out_off = exact._out_edges(g)
     assert canon.tolist() == want.tolist()
+    assert canon.dtype == np.uint32
     assert out_head.tolist() == head[want].tolist()
+    assert out_head.dtype == eu.dtype
     assert np.diff(out_off).tolist() == np.bincount(tail, minlength=g.n).tolist()
-    assert min_degree.tolist() == g.degrees[tail].tolist()
-    assert min_degree.dtype == eu.dtype
 
 
 @pytest.mark.parametrize("edges", _BLOCK_GRAPHS)
 def test_orientation_sort_is_the_argsort_on_block_graphs(edges):
+    _assert_orientation_is_the_argsort(edges)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("edges", _BLOCK_GRAPHS)
+def test_orientation_sort_is_the_argsort_across_chunks(monkeypatch, chunk, edges):
+    # Chunks of 1 and 7 edges split the orientation and the read-back of
+    # head, canon and the out-degrees, a tail's out-edges among them.
+    monkeypatch.setattr(exact, "_CHUNK", chunk)
     _assert_orientation_is_the_argsort(edges)
 
 
@@ -209,3 +227,43 @@ def test_metrics_json(k4):
     met = compute_metrics(k4)
     payload = json.loads(json.dumps(met.to_dict()))
     assert payload["delta"] == 4 and payload["K"] == 6 and payload["phi"] == 24
+
+
+def test_sum_of_squares_is_exact_where_an_int64_dot_wraps():
+    # T(e) can pass 2**31 only beyond the edge limit, but sum T^2 wraps
+    # int64 well inside it: K_92,682 has 4,294,930,221 edges, each with
+    # T = 92,680, and sum T^2 ~ 3.69e19.
+    big = np.full(4, 3 * 10**9, dtype=np.int64)
+    assert int(np.dot(big, big)) != 4 * (3 * 10**9) ** 2  # the wrap
+    assert exact._sum_of_squares(big) == 4 * (3 * 10**9) ** 2
+    many = np.arange(3 * graph._CHUNK + 5, dtype=np.int64)
+    many[7] = 2**31
+    assert exact._sum_of_squares(many) == sum(x * x for x in many.tolist())
+    assert exact._sum_of_squares(np.zeros(0, dtype=np.int64)) == 0
+
+
+def _metrics_peak(scale):
+    """The traced peak of ``compute_metrics`` above the graph, its edge
+    keys and bitmap, on a power-law graph of 10,000 * scale edges."""
+    u, v = powerlaw_edges(8675309, n=3_000 * scale, raw=14_000 * scale, m=10_000 * scale)
+    g = graph_from_edges(list(zip(u.tolist(), v.tolist())))
+    g.edge_bitmap
+    tracemalloc.start()
+    try:
+        compute_metrics(g)
+        return g.m, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_memory_grows_by_few_bytes_per_edge():
+    # Both graphs exceed graph._CHUNK edges, so the fixed temporaries of
+    # a chunk and a block cancel out of the difference. Beside T(e) the
+    # oracle holds the sort words (8 bytes per edge) and then head and
+    # canon (4 each) and the pair table (4): ~15 bytes per added edge
+    # here, where the m-sized degree, orientation and int64 pair-table
+    # temporaries of the earlier oracle took ~27.
+    m1, p1 = _metrics_peak(7)
+    m2, p2 = _metrics_peak(14)
+    assert graph._CHUNK < m1 < m2
+    assert p2 - p1 < 21 * (m2 - m1)

@@ -808,15 +808,20 @@ def test_edge_key_round_trips_and_orders_at_the_vertex_limit():
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(lengths=st.lists(st.one_of(st.integers(0, 1), st.integers(2, 40)),
                         max_size=10),
-       block=st.sampled_from([1, 7, exact._WEDGE_BLOCK]))
-@example(lengths=[], block=1)
-@example(lengths=[0, 1, 0, 1], block=7)
-def test_run_pairs_are_the_combinations_of_each_run(lengths, block):
+       block=st.sampled_from([1, 7, exact._WEDGE_BLOCK]),
+       chunk=st.sampled_from([1, 3, graph._CHUNK]))
+@example(lengths=[], block=1, chunk=1)
+@example(lengths=[0, 1, 0, 1], block=7, chunk=3)
+def test_run_pairs_are_the_combinations_of_each_run(lengths, block, chunk):
+    # The pair table is built ``graph._CHUNK`` positions at a time; chunks
+    # of 1 and 3 split runs, and empty runs fall on chunk edges.
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     want = [pair for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())
             for pair in itertools.combinations(range(a, b), 2)]
-    blocks = list(_run_pairs(offsets, block))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "_CHUNK", chunk)
+        blocks = list(_run_pairs(offsets, block))
     assert all(0 < a.size <= block and a.size == b.size for a, b in blocks)
     got = [(int(a), int(b)) for pa, pb in blocks for a, b in zip(pa, pb)]
     assert got == want
@@ -829,3 +834,22 @@ def test_run_pairs_keeps_no_reference_to_a_yielded_block():
     del a, b
     assert gone() is None
     assert next(pairs)[0].size == 4  # the generator was only suspended
+
+
+def test_pair_block_searches_the_table_in_its_own_dtype():
+    # Below 2**31 pairs the pair table is int32; a search key of another
+    # dtype would make numpy cast the whole table on every block. Here
+    # position q pairs with q+1 .. q+3.
+    bounds = np.arange(0, 3 * 2**20 + 1, 3, dtype=graph._index_dtype(3 * 2**20))
+    assert bounds.dtype == np.int32
+    t = np.arange(3 * 2**19, 3 * 2**19 + 64)
+    tracemalloc.start()
+    try:
+        a, b = graph._pair_block(bounds, int(t[0]), int(t[-1]) + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024  # the int64 copy of the table would take 8 MiB
+    assert a.dtype == b.dtype == np.int64
+    assert a.tolist() == (t // 3).tolist()
+    assert b.tolist() == (t // 3 + 1 + t % 3).tolist()
