@@ -12,11 +12,14 @@ C(T(e), 2)).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .graph import _CHUNK, Graph, _find_edges, _orient, _run_pairs, edge_key
+from .graph import (_CHUNK, Graph, _find_edges, _index_dtype, _orient, _pair_block,
+                    _pair_table, edge_key)
 
 # Out-edge pairs checked per block of ``count_triangles_exact``. Each
 # pair costs ~47 bytes of temporaries (tracemalloc, the peak difference
@@ -25,6 +28,15 @@ from .graph import _CHUNK, Graph, _find_edges, _orient, _run_pairs, edge_key
 # ~3 MB and adds nothing to the peak memory of loading a million-edge
 # graph.
 _WEDGE_BLOCK = 1 << 16
+
+# Most threads that check pair blocks at once. numpy releases the GIL in
+# the takes, sorts and searches of a block, but not in the rest: at 2
+# workers the block loop ran 1.6-1.8x faster than on one thread (70
+# against 119 ms on the million-edge power-law graph, 2 CPUs), so a
+# sixth to a quarter of a block holds the GIL, which bounds the speed-up
+# near 2.3-2.6x at 4 workers, while each worker holds one block's ~3 MB
+# of temporaries.
+_MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -109,51 +121,106 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     of the smaller endpoint degree minus 1. Time is O(m^1.5) on the
     graphs this library targets.
 
+    Threads: the blocks are independent, so when there is more than one
+    they run on a thread pool of ``_worker_count`` threads, one per CPU
+    of the process's affinity mask up to ``_MAX_WORKERS``; numpy
+    releases the GIL in most of a block's work. The calling thread takes
+    the results in block order and alone sums Δ and ``phi`` and tallies
+    T(e), so every output is the same on any number of threads. One
+    block, or one CPU, runs on the calling thread and starts no thread;
+    the pool is joined before the call returns.
+
     Memory: the keys and bitmap, 10 to 12 bytes per edge, are built
     first, as their build peaks above any array of the oracle. Beside
     them the orientation holds its sort words (8 bytes per edge) and two
     4-byte arrays per edge, the blocks hold head and canon (4 each) and
-    the pair table (4), and T(e) takes 8: on the million-edge power-law
-    graph the traced peak is 20.3 MiB above the graph, its keys and
-    bitmap, 21.3 bytes per edge, set by the orientation.
+    the pair table (4), and T(e) takes 8. Each worker has one block in
+    flight, ~3 MB of temporaries at ``_WEDGE_BLOCK`` pairs. On the
+    million-edge power-law graph the traced peak above the graph, its
+    keys and bitmap is 19.2 MiB (20.2 bytes per edge) on one CPU, set by
+    the orientation, and 21.3 MiB on two, set by the blocks in flight.
     """
-    n, m = g.n, g.m
-    g.edge_bitmap  # the keys' and bitmap's build, before any array below
+    m = g.m
+    # Every cached property a block reads is built before any worker
+    # starts: the bitmap builds the edge arrays and keys, and the
+    # orientation the degrees. The bitmap comes first, as its build
+    # peaks above any array below.
+    g.edge_bitmap
     canon, head, out_off = _out_edges(g)
-    pairs = _run_pairs(out_off, _WEDGE_BLOCK)
-    del out_off  # the pair table, built at the first block, replaces it
+    bounds = _pair_table(out_off)
+    del out_off
+    starts = range(0, int(bounds[-1]), _WEDGE_BLOCK)
+    check = partial(_check_block, g, canon, head, bounds)
+    workers = _worker_count(len(starts))
+    if workers == 1:
+        delta, phi, t_counts, pending = _sum_blocks(map(check, starts), m)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        # Blocks run in any order on the pool's threads; ``map`` hands
+        # back their results in block order, and the pool is joined
+        # before the ``with`` ends.
+        with ThreadPoolExecutor(workers) as pool:
+            delta, phi, t_counts, pending = _sum_blocks(pool.map(check, starts), m)
+    del check, canon, head, bounds  # before the last tally
+    t_counts = _tally(t_counts, pending, m)
+    t_counts.flags.writeable = False
+    return delta, EdgeTriangleCounts(counts=t_counts, phi=phi)
+
+
+def _worker_count(blocks: int) -> int:
+    """Threads for ``blocks`` pair blocks: the CPUs this process may run
+    on, at most ``_MAX_WORKERS`` and one per block; at least 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_WORKERS, blocks))
+
+
+def _check_block(g: Graph, canon: np.ndarray, head: np.ndarray,
+                 bounds: np.ndarray, t0: int):
+    """The triangles closed by pairs ``t0 .. t0 + _WEDGE_BLOCK - 1`` of
+    the pair table ``bounds``: ``(phi, (a, b, closing))``, the block's
+    share of ``phi`` and the canonical positions of each triangle's
+    three edges. Reads only arrays built before the call, so blocks may
+    run on several threads at once."""
+    a, b = _pair_block(bounds, t0, min(t0 + _WEDGE_BLOCK, int(bounds[-1])))
+    # A tail's heads ascend, so out-edges a < b of one tail close on
+    # the canonical edge head[a]--head[b].
+    v, w = head.take(a), head.take(b)
+    hit, closing = _find_edges(g, edge_key(v, w, g.n))
+    a, b = canon.take(a.take(hit)), canon.take(b.take(hit))
+    # The tail u's degree, the smaller one of its edge a's ends.
     deg = g.degrees
     eu, ev = g.edge_arrays
+    du = np.minimum(deg.take(eu.take(a)), deg.take(ev.take(a)))
+    dvw = np.minimum(deg.take(v.take(hit)), deg.take(w.take(hit)))
+    phi = (2 * int(du.sum(dtype=np.int64)) + int(dvw.sum(dtype=np.int64))
+           - 3 * int(hit.size))
+    return phi, (a, b, closing)
 
-    # A tail's heads ascend, so out-edges a < b of one tail close on
-    # the canonical edge head[a]--head[b]. T(e) is allocated at the first
-    # tally, so it takes no room during the blocks before it.
+
+def _sum_blocks(blocks, m: int):
+    """Δ and ``phi``, summed as Python ints, from the results of
+    ``_check_block`` taken in block order, with T(e) as far as tallied
+    (None: not yet) and the edge hits still to tally."""
+    # T(e) is allocated at the first tally, so it takes no room during
+    # the blocks before it.
     t_counts = None
     pending: list[np.ndarray] = []
     npending = 0
     delta = phi = 0
-    for a, b in pairs:
-        v, w = head.take(a), head.take(b)
-        hit, closing = _find_edges(g, edge_key(v, w, n))
-        if hit.size:
-            delta += int(hit.size)
-            a, b = canon.take(a.take(hit)), canon.take(b.take(hit))
-            # The tail u's degree, the smaller one of its edge a's ends.
-            du = np.minimum(deg.take(eu.take(a)), deg.take(ev.take(a)))
-            dvw = np.minimum(deg.take(v.take(hit)), deg.take(w.take(hit)))
-            phi += (2 * int(du.sum(dtype=np.int64)) + int(dvw.sum(dtype=np.int64))
-                    - 3 * int(hit.size))
-            pending += [a, b, closing]
-            npending += 3 * hit.size
+    for block_phi, edges in blocks:
+        delta += int(edges[0].size)
+        phi += block_phi
+        pending += edges
+        npending += 3 * edges[0].size
         # Tally in batches of about m edge hits: one bincount per block
         # would cost O(m) each, one at the end O(triangles) memory.
         if npending >= m:
             t_counts = _tally(t_counts, pending, m)
             pending, npending = [], 0
-    del head, canon  # the pair table went with the exhausted ``pairs``
-    t_counts = _tally(t_counts, pending, m)
-    t_counts.flags.writeable = False
-    return delta, EdgeTriangleCounts(counts=t_counts, phi=phi)
+    return delta, phi, t_counts, pending
 
 
 def _tally(t_counts: np.ndarray | None, pending: list[np.ndarray],
@@ -174,7 +241,8 @@ def _out_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ``canon`` (uint32) maps each oriented edge to its position in
     ``edge_arrays``; ``head`` is in the dtype of ``edge_arrays``; tail
-    t's out-edges are ``out_off[t]`` to ``out_off[t+1] - 1`` (int64).
+    t's out-edges are ``out_off[t]`` to ``out_off[t+1] - 1`` (in
+    ``_index_dtype(m)``, 4 bytes per vertex below 2**31 edges).
 
     The edges are oriented ``_CHUNK`` at a time: each edge's head is
     kept in canonical order, and its tail packed above its position into
@@ -201,7 +269,7 @@ def _out_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         chunk |= np.arange(s, s + chunk.size, dtype=np.uint64)
     word.sort()
     head = np.empty(m, dtype=eu.dtype)
-    out_off = np.zeros(g.n + 1, dtype=np.int64)
+    out_off = np.zeros(g.n + 1, dtype=_index_dtype(m))
     # canon is written over the words already read: its entries s .. e-1
     # take the bytes of words s/2 .. e/2 - 1, none past the chunk just read.
     canon = word.view(np.uint32)[:m]

@@ -75,8 +75,12 @@ class Graph:
         neighbors: concatenated sorted neighbor lists, length 2m.
         original_ids: internal id -> id used in the source file.
 
-    Instances are immutable after construction and safe to share among
-    any number of concurrent readers.
+    Instances are immutable after construction. The cached properties
+    below are built on first use, since Python 3.12 without a lock, so
+    concurrent readers should find the ones they read built, as
+    ``count_triangles_exact`` builds them before its worker threads
+    start; then a graph is safe to share among any number of concurrent
+    readers.
     """
 
     n: int
@@ -497,15 +501,16 @@ def _pair_table(offsets: np.ndarray) -> np.ndarray:
     of its run: pairs ``bounds[q] .. bounds[q+1]-1`` in the numbering of
     all pairs. ``bounds`` is in ``_index_dtype`` of the pair total (4
     bytes per position below 2**31 pairs), filled in ``_CHUNK``
-    positions at a time."""
-    size = np.diff(offsets)
+    positions at a time. ``offsets`` may be int32 or int64; the pair
+    counts are summed in int64 and in the table's dtype."""
+    size = np.diff(offsets).astype(np.int64, copy=False)
     total = (int(np.dot(size, size)) - int(offsets[-1])) // 2  # sum of C(size, 2)
     del size
     bounds = np.zeros(int(offsets[-1]) + 1, dtype=_index_dtype(total))
     for p0 in range(0, bounds.size - 1, _CHUNK):
         p1 = min(p0 + _CHUNK, bounds.size - 1)
         r0, r1, span = _spans(offsets, p0, p1)
-        fan = np.repeat(offsets[r0 + 1:r1 + 1], span)
+        fan = np.repeat(offsets[r0 + 1:r1 + 1].astype(bounds.dtype, copy=False), span)
         del span
         fan -= np.arange(p0 + 1, p1 + 1)
         np.cumsum(fan, out=fan)

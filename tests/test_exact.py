@@ -1,5 +1,8 @@
+import concurrent.futures
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -89,6 +92,70 @@ def test_non_edge_filter_changes_no_count(monkeypatch, bits, edges):
     _assert_oracle_counts(edges)
 
 
+def test_worker_pools_give_identical_outputs(monkeypatch):
+    # 517 pairs in blocks of 7: 74 blocks, finished in any order by the
+    # workers and summed in block order; T(e) is tallied in two batches.
+    # Switching threads every microsecond interleaves the workers finely.
+    edges = er_edges(45, 0.2, 22)
+    monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(exact, "_worker_count", lambda blocks, k=workers: k)
+            g = graph_from_edges(edges)
+            delta, per_edge = count_triangles_exact(g)
+            outputs.append((delta, per_edge.counts.tobytes(), per_edge.phi,
+                            compute_metrics(g).shared_edge_pairs))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[0][0] == len(triangles_by_triples(edges))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+class _CountedPool(concurrent.futures.ThreadPoolExecutor):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+def test_one_block_builds_no_executor(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountedPool)
+    monkeypatch.setattr(_CountedPool, "built", 0)
+    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    g = graph_from_edges(er_edges(45, 0.2, 22))  # 517 pairs
+    count_triangles_exact(g)
+    assert _CountedPool.built == 0
+    # The same graph over several blocks, on two workers, does build one.
+    monkeypatch.setattr(exact, "_WEDGE_BLOCK", 100)
+    monkeypatch.setattr(exact, "_worker_count", lambda blocks: min(blocks, 2))
+    count_triangles_exact(g)
+    assert _CountedPool.built == 1
+
+
+def test_no_thread_outlives_a_call(monkeypatch):
+    monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
+    monkeypatch.setattr(exact, "_worker_count", lambda blocks: min(blocks, 3))
+    before = threading.active_count()
+    count_triangles_exact(graph_from_edges(er_edges(45, 0.2, 22)))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus,blocks,want", [
+    (1, 33, 1), (2, 33, 2), (16, 33, exact._MAX_WORKERS), (16, 3, 3),
+    (2, 1, 1), (2, 0, 1),
+])
+def test_worker_count_is_bounded_by_cpus_cap_and_blocks(monkeypatch, cpus, blocks, want):
+    # The CPUs are those of the affinity mask, as ``taskset`` sets them.
+    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert exact._worker_count(blocks) == want
+
+
 def _assert_orientation_is_the_argsort(edges):
     # The orientation by rank under the (degree, id) order, built here
     # from a lexsort. Sorting the tails alone must give the permutation
@@ -106,6 +173,7 @@ def _assert_orientation_is_the_argsort(edges):
     assert out_head.tolist() == head[want].tolist()
     assert out_head.dtype == eu.dtype
     assert np.diff(out_off).tolist() == np.bincount(tail, minlength=g.n).tolist()
+    assert out_off.dtype == graph._index_dtype(g.m)
 
 
 @pytest.mark.parametrize("edges", _BLOCK_GRAPHS)

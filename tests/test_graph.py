@@ -1,6 +1,7 @@
 import functools
 import io
 import itertools
+import math
 import tracemalloc
 import warnings
 import weakref
@@ -834,6 +835,18 @@ def test_run_pairs_keeps_no_reference_to_a_yielded_block():
     del a, b
     assert gone() is None
     assert next(pairs)[0].size == 4  # the generator was only suspended
+
+
+def test_pair_table_of_int32_offsets_counts_past_int32():
+    # The oracle's out-edge offsets are int32 below 2**31 edges, but one
+    # run of 70,000 positions makes C(70,000, 2) ~ 2.4e9 pairs: the
+    # squares, the running sums and the table must not wrap in int32.
+    offsets = np.array([0, 3, 70_003, 70_010], dtype=np.int32)
+    bounds = graph._pair_table(offsets)
+    assert bounds.dtype == np.int64
+    assert int(bounds[-1]) == math.comb(3, 2) + math.comb(70_000, 2) + math.comb(7, 2)
+    assert np.array_equal(bounds, graph._pair_table(offsets.astype(np.int64)))
+    assert np.all(np.diff(bounds) >= 0)
 
 
 def test_pair_block_searches_the_table_in_its_own_dtype():
