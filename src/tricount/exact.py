@@ -29,13 +29,13 @@ from .graph import (_CHUNK, Graph, _find_edges, _index_dtype, _orient, _pair_blo
 # graph.
 _WEDGE_BLOCK = 1 << 16
 
-# Most threads that check pair blocks at once. numpy releases the GIL in
-# the takes, sorts and searches of a block, but not in the rest: at 2
-# workers the block loop ran 1.6-1.8x faster than on one thread (70
-# against 119 ms on the million-edge power-law graph, 2 CPUs), so a
-# sixth to a quarter of a block holds the GIL, which bounds the speed-up
-# near 2.3-2.6x at 4 workers, while each worker holds one block's ~3 MB
-# of temporaries.
+# Most threads that run the oracle's chunks or pair blocks at once. numpy
+# releases the GIL in the takes, sorts and searches of a block, but not
+# in the rest: at 2 workers the block loop ran 1.6-1.8x faster than on
+# one thread (70 against 119 ms on the million-edge power-law graph, 2
+# CPUs), so a sixth to a quarter of a block holds the GIL, which bounds
+# the speed-up near 2.3-2.6x at 4 workers, while each worker holds one
+# block's ~3 MB of temporaries.
 _MAX_WORKERS = 4
 
 
@@ -121,60 +121,86 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     of the smaller endpoint degree minus 1. Time is O(m^1.5) on the
     graphs this library targets.
 
-    Threads: the blocks are independent, so when there is more than one
-    they run on a thread pool of ``_worker_count`` threads, one per CPU
-    of the process's affinity mask up to ``_MAX_WORKERS``; numpy
-    releases the GIL in most of a block's work. The calling thread takes
-    the results in block order and alone sums Δ and ``phi`` and tallies
-    T(e), so every output is the same on any number of threads. One
-    block, or one CPU, runs on the calling thread and starts no thread;
-    the pool is joined before the call returns.
+    Threads: three stages split into independent tasks: the
+    orientation's chunk loops before and after its sort, one range of
+    whole chunks per worker, and the pair blocks. A stage of more than
+    one task, on more than one CPU of the process's affinity mask, runs
+    on a thread pool of ``_worker_count`` threads, one per CPU up to
+    ``_MAX_WORKERS``; the first such stage creates the pool and the
+    later ones share it, so a call creates at most one. numpy releases
+    the GIL in most of that work. The sort, the pair table and the
+    sums stay on the calling thread: it takes the block results in
+    block order and alone sums Δ and ``phi`` and tallies T(e), so every
+    output is the same on any number of threads. A graph of one chunk
+    and one block, or one CPU, runs on the calling thread and starts no
+    thread; the pool is joined before the call returns.
 
     Memory: the keys and bitmap, 10 to 12 bytes per edge, are built
     first, as their build peaks above any array of the oracle. Beside
     them the orientation holds its sort words (8 bytes per edge) and two
     4-byte arrays per edge, the blocks hold head and canon (4 each) and
-    the pair table (4), and T(e) takes 8. Each worker has one block in
-    flight, ~3 MB of temporaries at ``_WEDGE_BLOCK`` pairs. On the
-    million-edge power-law graph the traced peak above the graph, its
-    keys and bitmap is 19.2 MiB (20.2 bytes per edge) on one CPU, set by
-    the orientation, and 21.3 MiB on two, set by the blocks in flight.
+    the pair table (4), and T(e) takes 8. Each worker has one chunk or
+    one block in flight: ~1.5 MB of temporaries at ``_CHUNK`` edges,
+    ~3 MB at ``_WEDGE_BLOCK`` pairs. On the million-edge power-law graph the
+    traced peak above the graph, its keys and bitmap is 19.2 MiB (20.1
+    bytes per edge) on one CPU, set by the orientation's read-back, and
+    21.2 MiB on two, set by the blocks in flight.
     """
     m = g.m
-    # Every cached property a block reads is built before any worker
-    # starts: the bitmap builds the edge arrays and keys, and the
-    # orientation the degrees. The bitmap comes first, as its build
+    # Every cached property a worker reads is built before the pool
+    # starts: the bitmap builds the edge arrays and keys, and
+    # ``_out_edges`` the degrees. The bitmap comes first, as its build
     # peaks above any array below.
     g.edge_bitmap
-    canon, head, out_off = _out_edges(g)
-    bounds = _pair_table(out_off)
-    del out_off
-    starts = range(0, int(bounds[-1]), _WEDGE_BLOCK)
-    check = partial(_check_block, g, canon, head, bounds)
-    workers = _worker_count(len(starts))
-    if workers == 1:
-        delta, phi, t_counts, pending = _sum_blocks(map(check, starts), m)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    with _Tasks() as tasks:
+        canon, head, out_off = _out_edges(g, tasks)
+        bounds = _pair_table(out_off)
+        del out_off
+        starts = range(0, int(bounds[-1]), _WEDGE_BLOCK)
+        check = partial(_check_block, g, canon, head, bounds)
         # Blocks run in any order on the pool's threads; ``map`` hands
-        # back their results in block order, and the pool is joined
-        # before the ``with`` ends.
-        with ThreadPoolExecutor(workers) as pool:
-            delta, phi, t_counts, pending = _sum_blocks(pool.map(check, starts), m)
-    del check, canon, head, bounds  # before the last tally
+        # back their results in block order.
+        delta, phi, t_counts, pending = _sum_blocks(tasks.map(check, starts), m)
+        del check, canon, head, bounds  # before the last tally
     t_counts = _tally(t_counts, pending, m)
     t_counts.flags.writeable = False
     return delta, EdgeTriangleCounts(counts=t_counts, phi=phi)
 
 
-def _worker_count(blocks: int) -> int:
-    """Threads for ``blocks`` pair blocks: the CPUs this process may run
-    on, at most ``_MAX_WORKERS`` and one per block; at least 1."""
+def _worker_count(tasks: int) -> int:
+    """Threads for ``tasks`` independent tasks: the CPUs this process may
+    run on, at most ``_MAX_WORKERS`` and one per task; at least 1."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _MAX_WORKERS, blocks))
+    return max(1, min(cpus, _MAX_WORKERS, tasks))
+
+
+class _Tasks:
+    """Runs the independent tasks of one ``count_triangles_exact`` stage:
+    ``map`` runs them on the calling thread when ``_worker_count`` gives
+    one worker, else on a thread pool of ``_worker_count(_MAX_WORKERS)``
+    threads, created by the first such stage and shared by the later
+    ones. The pool is joined when the ``with`` block ends."""
+
+    def __init__(self):
+        self._pool = None
+
+    def map(self, fn, tasks):
+        if _worker_count(len(tasks)) == 1:
+            return map(fn, tasks)
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(_worker_count(_MAX_WORKERS))
+        return self._pool.map(fn, tasks)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown()
 
 
 def _check_block(g: Graph, canon: np.ndarray, head: np.ndarray,
@@ -235,7 +261,7 @@ def _tally(t_counts: np.ndarray | None, pending: list[np.ndarray],
     return t_counts
 
 
-def _out_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _out_edges(g: Graph, tasks: _Tasks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges oriented tail->head, from lower to higher rank, as
     out-edge lists sorted by (tail, head): ``(canon, head, out_off)``.
 
@@ -251,43 +277,82 @@ def _out_edges(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     together). The sort is by tail alone: in canonical order a tail's
     lower heads come from earlier rows and its upper heads from its own
     row, so its heads already ascend, and a stable sort by tail gives
-    (tail, head) order. ``canon``, ``head`` and the out-degrees are read
-    back from the sorted words a chunk at a time, ``canon`` into the
-    bytes of the words already read, so no stage holds more than the
-    words and two 4-byte arrays per edge.
+    (tail, head) order. ``canon``, ``head`` and ``out_off`` are read
+    back from the sorted words a chunk at a time.
+
+    Both chunk loops, the orientation before the sort and the read-back
+    after it, run on ``tasks``, one contiguous range of whole chunks per
+    worker, and each chunk writes only its own slices. The read-back
+    writes the chunk at ``s``'s ``canon`` into the first half of its own
+    words, their uint32 entries ``2s .. 2s + size - 1``, so no chunk
+    overwrites a word that another has still to read; one strided copy
+    takes ``canon`` out at the end. Each chunk sets ``out_off`` for the
+    tails from just past the last tail of the chunk before it up to its
+    own last tail, so no two chunks write one entry. No stage holds more
+    than the words and two 4-byte arrays per edge.
     """
     eu, ev = g.edge_arrays
+    g.degrees  # ``_orient`` reads it on the workers
     m = g.m
     width = np.uint64((m - 1).bit_length())
     word = np.empty(m, dtype=np.uint64)
     edge_head = np.empty(m, dtype=eu.dtype)
-    for s in range(0, m, _CHUNK):
-        tail, edge_head[s:s + _CHUNK], _ = _orient(g, eu[s:s + _CHUNK], ev[s:s + _CHUNK])
-        chunk = word[s:s + _CHUNK]
-        chunk[:] = tail
-        chunk <<= width
-        chunk |= np.arange(s, s + chunk.size, dtype=np.uint64)
+    chunks = -(-m // _CHUNK)
+    parts = _worker_count(chunks)
+    ranges = [range(chunks * i // parts * _CHUNK, min(chunks * (i + 1) // parts * _CHUNK, m),
+                    _CHUNK) for i in range(parts)]
+
+    def orient(starts: range) -> None:
+        for s in starts:
+            tail, edge_head[s:s + _CHUNK], _ = _orient(g, eu[s:s + _CHUNK], ev[s:s + _CHUNK])
+            chunk = word[s:s + _CHUNK]
+            chunk[:] = tail
+            chunk <<= width
+            chunk |= np.arange(s, s + chunk.size, dtype=np.uint64)
+
+    list(tasks.map(orient, ranges))  # waits for every range
     word.sort()
-    head = np.empty(m, dtype=eu.dtype)
-    out_off = np.zeros(g.n + 1, dtype=_index_dtype(m))
-    # canon is written over the words already read: its entries s .. e-1
-    # take the bytes of words s/2 .. e/2 - 1, none past the chunk just read.
-    canon = word.view(np.uint32)[:m]
+    # The tail of the word before each chunk (-1 before the first) and
+    # of the last word, read before any canon is written over the words.
+    before = [-1, *(word[_CHUNK - 1:m - 1:_CHUNK] >> width).tolist()]
+    last = int(word[-1] >> width) if m else -1
     mask = (np.uint64(1) << width) - np.uint64(1)
-    for s in range(0, m, _CHUNK):
-        chunk = word[s:s + _CHUNK]
-        pos = chunk & mask
-        tail = (chunk >> width).astype(eu.dtype)
-        head[s:s + _CHUNK] = edge_head.take(pos.view(np.int64))
-        canon[s:s + _CHUNK] = pos
-        # The tails ascend, so their counts span ids tail[0] .. tail[-1].
-        lo = int(tail[0])
-        tail -= lo
-        count = np.bincount(tail)
-        out_off[lo + 1:lo + 1 + count.size] += count
-    np.cumsum(out_off, out=out_off)
+    head = np.empty(m, dtype=eu.dtype)
+    out_off = np.empty(g.n + 1, dtype=_index_dtype(m))
+
+    def read_back(starts: range) -> None:
+        # One 8-byte buffer per word of the chunk holds its tails, then
+        # its positions; the tails are int64, which np.bincount takes
+        # without a copy.
+        for s in starts:
+            chunk = word[s:s + _CHUNK]
+            buf = chunk >> width
+            tail = buf.view(np.int64)
+            # out_off[t] is the position of the first tail >= t: s for
+            # the tails after the chunk before, up to this chunk's
+            # first, then s plus the running count of the chunk's
+            # ascending tails, which span ids tail[0] .. tail[-1].
+            lo = int(tail[0])
+            out_off[before[s // _CHUNK] + 1:lo + 1] = s
+            tail -= lo
+            ends = np.cumsum(np.bincount(tail))
+            ends += s
+            out_off[lo + 1:lo + ends.size] = ends[:-1]
+            pos = np.bitwise_and(chunk, mask, out=buf).view(np.int64)
+            # Every position is in range; "clip" takes into ``out``
+            # without the buffer that the default "raise" makes.
+            edge_head.take(pos, out=head[s:s + _CHUNK], mode="clip")
+            chunk.view(np.uint32)[:chunk.size] = pos
+
+    list(tasks.map(read_back, ranges))
+    out_off[last + 1:] = m
     del edge_head  # before canon is copied out of the words
-    return canon.copy(), head, out_off
+    halves = word.view(np.uint32)
+    whole = m - m % _CHUNK  # the edges of whole chunks
+    canon = np.empty(m, dtype=np.uint32)
+    canon[:whole].reshape(-1, _CHUNK)[:] = halves[:2 * whole].reshape(-1, 2 * _CHUNK)[:, :_CHUNK]
+    canon[whole:] = halves[2 * whole:m + whole]
+    return canon, head, out_off
 
 
 def wedge_count(g: Graph) -> int:

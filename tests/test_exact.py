@@ -95,9 +95,11 @@ def test_non_edge_filter_changes_no_count(monkeypatch, bits, edges):
 def test_worker_pools_give_identical_outputs(monkeypatch):
     # 517 pairs in blocks of 7: 74 blocks, finished in any order by the
     # workers and summed in block order; T(e) is tallied in two batches.
+    # The 218 edges are oriented and read back in 32 chunks of 7.
     # Switching threads every microsecond interleaves the workers finely.
     edges = er_edges(45, 0.2, 22)
     monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
+    monkeypatch.setattr(exact, "_CHUNK", 7)
     outputs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -114,35 +116,103 @@ def test_worker_pools_give_identical_outputs(monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-class _CountedPool(concurrent.futures.ThreadPoolExecutor):
-    built = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).built += 1
-        super().__init__(*args, **kwargs)
+_CACHED = {"degrees", "edge_arrays", "edge_keys", "edge_bitmap"}
 
 
-def test_one_block_builds_no_executor(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountedPool)
-    monkeypatch.setattr(_CountedPool, "built", 0)
+@pytest.fixture
+def pools(monkeypatch):
+    """Every ``ThreadPoolExecutor`` the oracle creates, on 8 CPUs, each
+    with the cached properties that ``pools.graph`` held at creation."""
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        made = []
+        graph = None
+
+        def __init__(self, *args, **kwargs):
+            self.cached = set(vars(self.graph))
+            self.made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
     monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: set(range(8)),
                         raising=False)
-    g = graph_from_edges(er_edges(45, 0.2, 22))  # 517 pairs
-    count_triangles_exact(g)
-    assert _CountedPool.built == 0
-    # The same graph over several blocks, on two workers, does build one.
+    return Counted
+
+
+def _record_threads(monkeypatch, module, name):
+    """Whether each call of ``module.name`` ran on the main thread."""
+    on_main = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return on_main
+
+
+def _pair_count(g):
+    with exact._Tasks() as tasks:
+        out_off = exact._out_edges(g, tasks)[2]
+    return int(graph._pair_table(out_off)[-1])
+
+
+def test_one_block_builds_no_executor(monkeypatch, pools):
+    # er300 (the benchmark's sweep graph) and a smaller graph: one chunk
+    # of edges and one block of pairs each, so no stage has two tasks.
+    for edges in (er_edges(300, 0.05, 11), er_edges(45, 0.2, 22)):
+        g = pools.graph = graph_from_edges(edges)
+        assert g.m <= exact._CHUNK and _pair_count(g) <= exact._WEDGE_BLOCK
+        count_triangles_exact(g)
+    assert pools.made == []
+    # The second graph's 517 pairs over several blocks, on two workers,
+    # do build one.
     monkeypatch.setattr(exact, "_WEDGE_BLOCK", 100)
-    monkeypatch.setattr(exact, "_worker_count", lambda blocks: min(blocks, 2))
+    monkeypatch.setattr(exact, "_worker_count", lambda tasks: min(tasks, 2))
     count_triangles_exact(g)
-    assert _CountedPool.built == 1
+    assert len(pools.made) == 1
+
+
+def test_one_chunk_of_many_blocks_builds_one_executor(pools):
+    # K_300: 44,850 edges in one chunk, C(300, 3) pairs in 68 blocks.
+    g = pools.graph = graph_from_edges(complete_edges(300))
+    assert g.m <= exact._CHUNK
+    delta, per_edge = count_triangles_exact(g)
+    assert delta == math.comb(300, 3)
+    assert set(per_edge.counts.tolist()) == {298}
+    assert len(pools.made) == 1
+    assert pools.made[0].cached >= _CACHED
+
+
+def test_orientation_and_blocks_share_one_executor(monkeypatch, pools):
+    # 218 edges in 32 chunks and 517 pairs in 74 blocks: both stages
+    # have tasks for every worker, and all of them run on one pool,
+    # created once every property a worker reads is cached.
+    monkeypatch.setattr(exact, "_CHUNK", 7)
+    monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
+    orient_on_main = _record_threads(monkeypatch, exact, "_orient")
+    block_on_main = _record_threads(monkeypatch, exact, "_check_block")
+    edges = er_edges(45, 0.2, 22)
+    g = pools.graph = graph_from_edges(edges)
+    delta, _ = count_triangles_exact(g)
+    assert delta == len(triangles_by_triples(edges))
+    assert len(pools.made) == 1
+    assert pools.made[0].cached >= _CACHED
+    assert len(orient_on_main) == 32 and not any(orient_on_main)
+    assert len(block_on_main) == 74 and not any(block_on_main)
 
 
 def test_no_thread_outlives_a_call(monkeypatch):
+    # The orientation's chunks and the pair blocks both run on the pool.
+    monkeypatch.setattr(exact, "_CHUNK", 7)
     monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
-    monkeypatch.setattr(exact, "_worker_count", lambda blocks: min(blocks, 3))
+    monkeypatch.setattr(exact, "_worker_count", lambda tasks: min(tasks, 3))
+    orient_on_main = _record_threads(monkeypatch, exact, "_orient")
     before = threading.active_count()
     count_triangles_exact(graph_from_edges(er_edges(45, 0.2, 22)))
     assert threading.active_count() == before
+    assert orient_on_main and not any(orient_on_main)
 
 
 @pytest.mark.parametrize("cpus,blocks,want", [
@@ -159,7 +229,8 @@ def test_worker_count_is_bounded_by_cpus_cap_and_blocks(monkeypatch, cpus, block
 def _assert_orientation_is_the_argsort(edges):
     # The orientation by rank under the (degree, id) order, built here
     # from a lexsort. Sorting the tails alone must give the permutation
-    # that an argsort of the (tail, head) keys gives.
+    # that an argsort of the (tail, head) keys gives, on 1, 2 and 3
+    # workers alike. Returns the tails in that order.
     g = graph_from_edges(edges)
     eu, ev = g.edge_arrays
     rank = np.empty(g.n, dtype=np.int64)
@@ -167,13 +238,18 @@ def _assert_orientation_is_the_argsort(edges):
     up = rank[eu] < rank[ev]
     tail, head = np.where(up, eu, ev), np.where(up, ev, eu)
     want = np.argsort(edge_key(tail, head, g.n))
-    canon, out_head, out_off = exact._out_edges(g)
-    assert canon.tolist() == want.tolist()
-    assert canon.dtype == np.uint32
-    assert out_head.tolist() == head[want].tolist()
-    assert out_head.dtype == eu.dtype
-    assert np.diff(out_off).tolist() == np.bincount(tail, minlength=g.n).tolist()
-    assert out_off.dtype == graph._index_dtype(g.m)
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_worker_count", lambda tasks, k=workers: min(tasks, k))
+            with exact._Tasks() as tasks:
+                canon, out_head, out_off = exact._out_edges(g, tasks)
+        assert canon.tolist() == want.tolist()
+        assert canon.dtype == np.uint32
+        assert out_head.tolist() == head[want].tolist()
+        assert out_head.dtype == eu.dtype
+        assert np.diff(out_off).tolist() == np.bincount(tail, minlength=g.n).tolist()
+        assert out_off.dtype == graph._index_dtype(g.m)
+    return tail[want]
 
 
 @pytest.mark.parametrize("edges", _BLOCK_GRAPHS)
@@ -185,9 +261,23 @@ def test_orientation_sort_is_the_argsort_on_block_graphs(edges):
 @pytest.mark.parametrize("edges", _BLOCK_GRAPHS)
 def test_orientation_sort_is_the_argsort_across_chunks(monkeypatch, chunk, edges):
     # Chunks of 1 and 7 edges split the orientation and the read-back of
-    # head, canon and the out-degrees, a tail's out-edges among them.
+    # head, canon and the out-degrees, a tail's out-edges among them,
+    # and the workers' ranges of whole chunks.
     monkeypatch.setattr(exact, "_CHUNK", chunk)
     _assert_orientation_is_the_argsort(edges)
+
+
+def test_orientation_ranges_split_a_tails_run(monkeypatch):
+    # 218 edges in chunks of 50: four whole chunks and one of 18. Two
+    # workers' ranges meet at edge 100 and three workers' at 50 and
+    # 150, each inside one tail's run of out-edges, so two ranges count
+    # that tail's out-edges, and one worker's read-back writes canon
+    # into the words right beside those another worker reads.
+    monkeypatch.setattr(exact, "_CHUNK", 50)
+    tails = _assert_orientation_is_the_argsort(er_edges(45, 0.2, 22))
+    assert tails.size % 50 > 0
+    for cut in (100, 50, 150):
+        assert tails[cut - 1] == tails[cut]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -324,14 +414,23 @@ def _metrics_peak(scale):
         tracemalloc.stop()
 
 
-def test_oracle_memory_grows_by_few_bytes_per_edge():
+def test_oracle_memory_grows_by_few_bytes_per_edge(monkeypatch):
     # Both graphs exceed graph._CHUNK edges, so the fixed temporaries of
     # a chunk and a block cancel out of the difference. Beside T(e) the
     # oracle holds the sort words (8 bytes per edge) and then head and
     # canon (4 each) and the pair table (4): ~15 bytes per added edge
     # here, where the m-sized degree, orientation and int64 pair-table
     # temporaries of the earlier oracle took ~27.
-    m1, p1 = _metrics_peak(7)
-    m2, p2 = _metrics_peak(14)
-    assert graph._CHUNK < m1 < m2
-    assert p2 - p1 < 21 * (m2 - m1)
+    for workers in (1, 2):
+        monkeypatch.setattr(exact, "_worker_count", lambda tasks, k=workers: min(tasks, k))
+        if workers == 2:
+            # Two workers' chunks and blocks in flight overlap as their
+            # threads happen to run, a swing of up to ~2 MB at the
+            # default sizes that need not cancel; chunks and blocks of
+            # 4,096 keep it below ~0.1 MB.
+            monkeypatch.setattr(exact, "_CHUNK", 1 << 12)
+            monkeypatch.setattr(exact, "_WEDGE_BLOCK", 1 << 12)
+        m1, p1 = _metrics_peak(7)
+        m2, p2 = _metrics_peak(14)
+        assert graph._CHUNK < m1 < m2
+        assert p2 - p1 < 21 * (m2 - m1), workers
