@@ -122,18 +122,18 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     graphs this library targets.
 
     Threads: three stages split into independent tasks: the
-    orientation's chunk loops before and after its sort, one range of
-    whole chunks per worker, and the pair blocks. A stage of more than
-    one task, on more than one CPU of the process's affinity mask, runs
-    on a thread pool of ``_worker_count`` threads, one per CPU up to
-    ``_MAX_WORKERS``; the first such stage creates the pool and the
-    later ones share it, so a call creates at most one. numpy releases
-    the GIL in most of that work. The sort, the pair table and the
-    sums stay on the calling thread: it takes the block results in
-    block order and alone sums Δ and ``phi`` and tallies T(e), so every
-    output is the same on any number of threads. A graph of one chunk
-    and one block, or one CPU, runs on the calling thread and starts no
-    thread; the pool is joined before the call returns.
+    orientation's chunk loops before and after its sort, one task per
+    chunk, and the pair blocks. A stage of more than one task, on more
+    than one CPU of the process's affinity mask, runs on a thread pool
+    of ``_worker_count`` threads, one per CPU up to ``_MAX_WORKERS``;
+    the first such stage creates the pool and the later ones share it,
+    so a call creates at most one. numpy releases the GIL in most of
+    that work. The sort, the pair table and the sums stay on the
+    calling thread: it takes the block results in block order and alone
+    sums Δ and ``phi`` and tallies T(e), so every output is the same on
+    any number of threads. A graph of one chunk and one block, or one
+    CPU, runs on the calling thread and starts no thread; the pool is
+    joined before the call returns.
 
     Memory: the keys and bitmap, 10 to 12 bytes per edge, are built
     first, as their build peaks above any array of the oracle. Beside
@@ -141,10 +141,10 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     4-byte arrays per edge, the blocks hold head and canon (4 each) and
     the pair table (4), and T(e) takes 8. Each worker has one chunk or
     one block in flight: ~1.5 MB of temporaries at ``_CHUNK`` edges,
-    ~3 MB at ``_WEDGE_BLOCK`` pairs. On the million-edge power-law graph the
-    traced peak above the graph, its keys and bitmap is 19.2 MiB (20.1
-    bytes per edge) on one CPU, set by the orientation's read-back, and
-    21.2 MiB on two, set by the blocks in flight.
+    ~3 MB at ``_WEDGE_BLOCK`` pairs. On the million-edge power-law
+    graph the traced peak above the graph, its keys and bitmap is 18.5
+    MiB (19.4 bytes per edge) on one CPU, set by the orientation's
+    read-back, and 21.2 MiB on two, set by the blocks in flight.
     """
     m = g.m
     # Every cached property a worker reads is built before the pool
@@ -281,15 +281,15 @@ def _out_edges(g: Graph, tasks: _Tasks) -> tuple[np.ndarray, np.ndarray, np.ndar
     back from the sorted words a chunk at a time.
 
     Both chunk loops, the orientation before the sort and the read-back
-    after it, run on ``tasks``, one contiguous range of whole chunks per
-    worker, and each chunk writes only its own slices. The read-back
-    writes the chunk at ``s``'s ``canon`` into the first half of its own
-    words, their uint32 entries ``2s .. 2s + size - 1``, so no chunk
-    overwrites a word that another has still to read; one strided copy
-    takes ``canon`` out at the end. Each chunk sets ``out_off`` for the
-    tails from just past the last tail of the chunk before it up to its
-    own last tail, so no two chunks write one entry. No stage holds more
-    than the words and two 4-byte arrays per edge.
+    after it, run on ``tasks``, one task per chunk, and each chunk
+    writes only its own slices. The read-back writes the chunk at
+    ``s``'s ``canon`` into the first half of its own words, their uint32
+    entries ``2s .. 2s + size - 1``, so no chunk overwrites a word that
+    another has still to read; one strided copy takes ``canon`` out at
+    the end. Each chunk sets ``out_off`` for the tails from just past
+    the last tail of the chunk before it up to its own last tail, so no
+    two chunks write one entry. No stage holds more than the words and
+    two 4-byte arrays per edge.
     """
     eu, ev = g.edge_arrays
     g.degrees  # ``_orient`` reads it on the workers
@@ -297,20 +297,16 @@ def _out_edges(g: Graph, tasks: _Tasks) -> tuple[np.ndarray, np.ndarray, np.ndar
     width = np.uint64((m - 1).bit_length())
     word = np.empty(m, dtype=np.uint64)
     edge_head = np.empty(m, dtype=eu.dtype)
-    chunks = -(-m // _CHUNK)
-    parts = _worker_count(chunks)
-    ranges = [range(chunks * i // parts * _CHUNK, min(chunks * (i + 1) // parts * _CHUNK, m),
-                    _CHUNK) for i in range(parts)]
+    starts = range(0, m, _CHUNK)
 
-    def orient(starts: range) -> None:
-        for s in starts:
-            tail, edge_head[s:s + _CHUNK], _ = _orient(g, eu[s:s + _CHUNK], ev[s:s + _CHUNK])
-            chunk = word[s:s + _CHUNK]
-            chunk[:] = tail
-            chunk <<= width
-            chunk |= np.arange(s, s + chunk.size, dtype=np.uint64)
+    def orient(s: int) -> None:
+        tail, edge_head[s:s + _CHUNK], _ = _orient(g, eu[s:s + _CHUNK], ev[s:s + _CHUNK])
+        chunk = word[s:s + _CHUNK]
+        chunk[:] = tail
+        chunk <<= width
+        chunk |= np.arange(s, s + chunk.size, dtype=np.uint64)
 
-    list(tasks.map(orient, ranges))  # waits for every range
+    list(tasks.map(orient, starts))  # waits for every chunk
     word.sort()
     # The tail of the word before each chunk (-1 before the first) and
     # of the last word, read before any canon is written over the words.
@@ -320,31 +316,30 @@ def _out_edges(g: Graph, tasks: _Tasks) -> tuple[np.ndarray, np.ndarray, np.ndar
     head = np.empty(m, dtype=eu.dtype)
     out_off = np.empty(g.n + 1, dtype=_index_dtype(m))
 
-    def read_back(starts: range) -> None:
+    def read_back(s: int) -> None:
         # One 8-byte buffer per word of the chunk holds its tails, then
         # its positions; the tails are int64, which np.bincount takes
         # without a copy.
-        for s in starts:
-            chunk = word[s:s + _CHUNK]
-            buf = chunk >> width
-            tail = buf.view(np.int64)
-            # out_off[t] is the position of the first tail >= t: s for
-            # the tails after the chunk before, up to this chunk's
-            # first, then s plus the running count of the chunk's
-            # ascending tails, which span ids tail[0] .. tail[-1].
-            lo = int(tail[0])
-            out_off[before[s // _CHUNK] + 1:lo + 1] = s
-            tail -= lo
-            ends = np.cumsum(np.bincount(tail))
-            ends += s
-            out_off[lo + 1:lo + ends.size] = ends[:-1]
-            pos = np.bitwise_and(chunk, mask, out=buf).view(np.int64)
-            # Every position is in range; "clip" takes into ``out``
-            # without the buffer that the default "raise" makes.
-            edge_head.take(pos, out=head[s:s + _CHUNK], mode="clip")
-            chunk.view(np.uint32)[:chunk.size] = pos
+        chunk = word[s:s + _CHUNK]
+        buf = chunk >> width
+        tail = buf.view(np.int64)
+        # out_off[t] is the position of the first tail >= t: s for the
+        # tails after the chunk before, up to this chunk's first, then s
+        # plus the running count of the chunk's ascending tails, which
+        # span ids tail[0] .. tail[-1].
+        lo = int(tail[0])
+        out_off[before[s // _CHUNK] + 1:lo + 1] = s
+        tail -= lo
+        ends = np.cumsum(np.bincount(tail))
+        ends += s
+        out_off[lo + 1:lo + ends.size] = ends[:-1]
+        pos = np.bitwise_and(chunk, mask, out=buf).view(np.int64)
+        # Every position is in range; "clip" takes into ``out`` without
+        # the buffer that the default "raise" makes.
+        edge_head.take(pos, out=head[s:s + _CHUNK], mode="clip")
+        chunk.view(np.uint32)[:chunk.size] = pos
 
-    list(tasks.map(read_back, ranges))
+    list(tasks.map(read_back, starts))
     out_off[last + 1:] = m
     del edge_head  # before canon is copied out of the words
     halves = word.view(np.uint32)
