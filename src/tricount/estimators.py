@@ -40,8 +40,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .graph import (_CHUNK, Graph, _orient, _run_pairs, _sorted_unique_mask,
-                    _stable_order, has_edge_many)
+from .graph import (_CHUNK, Graph, _orient, _pair_block, _pair_table,
+                    _sorted_unique_mask, _stable_order, has_edge_many)
 from .rng import RandomSource
 
 # Sampled entities (edges for ews and es, wedges for ws) a batch of
@@ -204,16 +204,18 @@ def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray, trial: np.ndarray,
     key = key.take(order)
     other = np.concatenate([ev, eu]).take(order)
     del eu, ev, order
-    pairs = _run_pairs(np.append(np.flatnonzero(_sorted_unique_mask(key)), other.size),
-                       max(_BATCH // 2, 1))
+    runs = np.append(np.flatnonzero(_sorted_unique_mask(key)), other.size)
     # Each end's trial, held through the probes in the narrowest signed
     # type that holds one.
     key //= n
     trial = key.astype(np.min_scalar_type(-trials))
     del key
-    total = 0
-    for a, b in pairs:
-        total += a.size
+    bounds = _pair_table(runs)
+    del runs
+    total = int(bounds[-1])
+    block = max(_BATCH // 2, 1)
+    for t0 in range(0, total, block):
+        a, b = _pair_block(bounds, t0, min(t0 + block, total))
         b = other.take(b)
         hit = a[has_edge_many(g, other.take(a), b)]
         del a, b  # before the next block is built

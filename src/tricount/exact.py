@@ -128,23 +128,27 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     of ``_worker_count`` threads, one per CPU up to ``_MAX_WORKERS``;
     the first such stage creates the pool and the later ones share it,
     so a call creates at most one. numpy releases the GIL in most of
-    that work. The sort, the pair table and the sums stay on the
-    calling thread: it takes the block results in block order and alone
-    sums Δ and ``phi`` and tallies T(e), so every output is the same on
-    any number of threads. A graph of one chunk and one block, or one
+    that work. The sort, the out-edge offsets' sum, the narrowing of
+    ``canon``, the pair table and the sums stay on the calling thread:
+    it takes the chunk and block results in order and alone sums the
+    offsets, Δ and ``phi`` and tallies T(e), so every output is the same
+    on any number of threads. A graph of one chunk and one block, or one
     CPU, runs on the calling thread and starts no thread; the pool is
     joined before the call returns.
 
     Memory: the keys and bitmap, 10 to 12 bytes per edge, are built
     first, as their build peaks above any array of the oracle. Beside
     them the orientation holds its sort words (8 bytes per edge) and two
-    4-byte arrays per edge, the blocks hold head and canon (4 each) and
-    the pair table (4), and T(e) takes 8. Each worker has one chunk or
-    one block in flight: ~1.5 MB of temporaries at ``_CHUNK`` edges,
-    ~3 MB at ``_WEDGE_BLOCK`` pairs. On the million-edge power-law
-    graph the traced peak above the graph, its keys and bitmap is 18.5
-    MiB (19.4 bytes per edge) on one CPU, set by the orientation's
-    read-back, and 21.2 MiB on two, set by the blocks in flight.
+    4-byte arrays per edge: the heads in canonical and in sorted order,
+    then, once the first is freed, the sorted heads and ``canon``,
+    narrowed from the masked words. The blocks hold head and canon (4
+    each) and the pair table (4), and T(e) takes 8. Each worker has one
+    chunk or one block in flight: ~1.5 MB of temporaries at ``_CHUNK``
+    edges, ~3 MB at ``_WEDGE_BLOCK`` pairs. On the million-edge
+    power-law graph the traced peak above the graph, its keys and
+    bitmap is 18.2 MiB (19.1 bytes per edge) on one CPU, set by the
+    orientation's read-back, and 21.2 MiB on two, set by the blocks in
+    flight.
     """
     m = g.m
     # Every cached property a worker reads is built before the pool
@@ -277,19 +281,15 @@ def _out_edges(g: Graph, tasks: _Tasks) -> tuple[np.ndarray, np.ndarray, np.ndar
     together). The sort is by tail alone: in canonical order a tail's
     lower heads come from earlier rows and its upper heads from its own
     row, so its heads already ascend, and a stable sort by tail gives
-    (tail, head) order. ``canon``, ``head`` and ``out_off`` are read
-    back from the sorted words a chunk at a time.
+    (tail, head) order.
 
-    Both chunk loops, the orientation before the sort and the read-back
-    after it, run on ``tasks``, one task per chunk, and each chunk
-    writes only its own slices. The read-back writes the chunk at
-    ``s``'s ``canon`` into the first half of its own words, their uint32
-    entries ``2s .. 2s + size - 1``, so no chunk overwrites a word that
-    another has still to read; one strided copy takes ``canon`` out at
-    the end. Each chunk sets ``out_off`` for the tails from just past
-    the last tail of the chunk before it up to its own last tail, so no
-    two chunks write one entry. No stage holds more than the words and
-    two 4-byte arrays per edge.
+    Both chunk loops run on ``tasks``, one task per chunk. The
+    orientation writes each chunk's slices of the words and of the
+    heads; after the sort the read-back gathers each chunk's sorted
+    heads and returns its tail counts, which the calling thread adds
+    into ``out_off`` and sums. ``canon`` is then the words' low bits,
+    masked in place and narrowed on the calling thread. No stage holds
+    more than the words and two 4-byte arrays per edge.
     """
     eu, ev = g.edge_arrays
     g.degrees  # ``_orient`` reads it on the workers
@@ -308,45 +308,34 @@ def _out_edges(g: Graph, tasks: _Tasks) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     list(tasks.map(orient, starts))  # waits for every chunk
     word.sort()
-    # The tail of the word before each chunk (-1 before the first) and
-    # of the last word, read before any canon is written over the words.
-    before = [-1, *(word[_CHUNK - 1:m - 1:_CHUNK] >> width).tolist()]
-    last = int(word[-1] >> width) if m else -1
     mask = (np.uint64(1) << width) - np.uint64(1)
     head = np.empty(m, dtype=eu.dtype)
-    out_off = np.empty(g.n + 1, dtype=_index_dtype(m))
 
-    def read_back(s: int) -> None:
-        # One 8-byte buffer per word of the chunk holds its tails, then
-        # its positions; the tails are int64, which np.bincount takes
-        # without a copy.
+    def read_back(s: int) -> tuple[int, np.ndarray]:
+        # The chunk's heads, and its first tail with the count of each
+        # tail from there on: a sorted chunk's tails ascend. Both are
+        # int64, which take and np.bincount use without a copy.
         chunk = word[s:s + _CHUNK]
-        buf = chunk >> width
-        tail = buf.view(np.int64)
-        # out_off[t] is the position of the first tail >= t: s for the
-        # tails after the chunk before, up to this chunk's first, then s
-        # plus the running count of the chunk's ascending tails, which
-        # span ids tail[0] .. tail[-1].
-        lo = int(tail[0])
-        out_off[before[s // _CHUNK] + 1:lo + 1] = s
-        tail -= lo
-        ends = np.cumsum(np.bincount(tail))
-        ends += s
-        out_off[lo + 1:lo + ends.size] = ends[:-1]
-        pos = np.bitwise_and(chunk, mask, out=buf).view(np.int64)
+        pos = np.bitwise_and(chunk, mask).view(np.int64)
         # Every position is in range; "clip" takes into ``out`` without
         # the buffer that the default "raise" makes.
         edge_head.take(pos, out=head[s:s + _CHUNK], mode="clip")
-        chunk.view(np.uint32)[:chunk.size] = pos
+        del pos
+        tail = (chunk >> width).view(np.int64)
+        first = int(tail[0])
+        tail -= first
+        return first, np.bincount(tail)
 
-    list(tasks.map(read_back, starts))
-    out_off[last + 1:] = m
-    del edge_head  # before canon is copied out of the words
-    halves = word.view(np.uint32)
-    whole = m - m % _CHUNK  # the edges of whole chunks
-    canon = np.empty(m, dtype=np.uint32)
-    canon[:whole].reshape(-1, _CHUNK)[:] = halves[:2 * whole].reshape(-1, 2 * _CHUNK)[:, :_CHUNK]
-    canon[whole:] = halves[2 * whole:m + whole]
+    # out_off[t + 1] adds up tail t's count over the chunks its run
+    # spans; the running sum then makes it the end of t's out-edges.
+    out_off = np.zeros(g.n + 1, dtype=_index_dtype(m))
+    for first, counts in tasks.map(read_back, starts):
+        out_off[first + 1:first + 1 + counts.size] += counts
+        del counts  # before the next chunk's
+    np.cumsum(out_off, out=out_off)
+    del edge_head  # before canon is taken out of the words
+    np.bitwise_and(word, mask, out=word)
+    canon = word.astype(np.uint32)
     return canon, head, out_off
 
 

@@ -202,15 +202,17 @@ def _may_be_edges(g: Graph, key: np.ndarray) -> np.ndarray:
 def _orient(g: Graph, u: np.ndarray, v: np.ndarray):
     """For canonical pairs ``u < v`` in the dtype of ``neighbors``: the
     endpoint first in (degree, id) order (u iff d(u) <= d(v)), the other
-    endpoint, and the smaller degree, all in that dtype. The degrees
-    gathered are that narrow too, 4 bytes per pair below 2**31
-    vertices."""
+    endpoint (``u ^ v ^ first``), and the smaller degree, all in that
+    dtype. The degrees gathered are that narrow too, 4 bytes per pair
+    below 2**31 vertices."""
     deg = g.degrees
     du, dv = deg.take(u), deg.take(v)
-    first_u = du <= dv
+    first = np.where(du <= dv, u, v)
     np.minimum(du, dv, out=du)
     del dv
-    return np.where(first_u, u, v), np.where(first_u, v, u), du
+    other = u ^ v
+    other ^= first
+    return first, other, du
 
 
 def _find_edges(g: Graph, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -478,31 +480,15 @@ def _stable_order(key: np.ndarray, key_bits: int) -> np.ndarray:
     return packed.view(np.int64)
 
 
-def _run_pairs(offsets: np.ndarray, block: int):
-    """Every pair of positions ``a < b`` in the same run, in (a, b) order.
-
-    Run r holds the positions ``offsets[r] .. offsets[r+1]-1``, with
-    ``offsets[0] == 0``. Yields int64 arrays ``(a, b)`` of at most
-    ``block`` pairs at a time, so memory is O(positions + block): one
-    ``_pair_table`` entry per position and one block.
-    """
-    # A caller that passes its only reference to ``offsets`` frees it here.
-    bounds = _pair_table(offsets)
-    del offsets
-    total = int(bounds[-1])
-    for t0 in range(0, total, block):
-        # Built by a helper, so this frame holds no reference to a block
-        # while the caller works on it.
-        yield _pair_block(bounds, t0, min(t0 + block, total))
-
-
 def _pair_table(offsets: np.ndarray) -> np.ndarray:
-    """Position q of the runs ``offsets`` pairs with the later positions
-    of its run: pairs ``bounds[q] .. bounds[q+1]-1`` in the numbering of
-    all pairs. ``bounds`` is in ``_index_dtype`` of the pair total (4
-    bytes per position below 2**31 pairs), filled in ``_CHUNK``
-    positions at a time. ``offsets`` may be int32 or int64; the pair
-    counts are summed in int64 and in the table's dtype."""
+    """Position q of the runs ``offsets`` (run r holds the positions
+    ``offsets[r] .. offsets[r+1]-1``, with ``offsets[0] == 0``) pairs
+    with the later positions of its run: pairs ``bounds[q] ..
+    bounds[q+1]-1`` in the numbering of all pairs. ``bounds`` is in
+    ``_index_dtype`` of the pair total (4 bytes per position below 2**31
+    pairs), filled in ``_CHUNK`` positions at a time. ``offsets`` may be
+    int32 or int64; the pair counts are summed in int64 and in the
+    table's dtype."""
     size = np.diff(offsets).astype(np.int64, copy=False)
     total = (int(np.dot(size, size)) - int(offsets[-1])) // 2  # sum of C(size, 2)
     del size
@@ -531,7 +517,9 @@ def _spans(starts: np.ndarray, lo: int, hi: int) -> tuple[int, int, np.ndarray]:
 
 
 def _pair_block(bounds: np.ndarray, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs ``t0 .. t1-1`` of ``_run_pairs``, as its ``(a, b)`` arrays."""
+    """Pairs ``t0 .. t1-1`` of the pair table ``bounds`` of runs, as
+    int64 arrays ``(a, b)``: the pairs of positions ``a < b`` in the
+    same run, in (a, b) order."""
     j0, j1, fan = _spans(bounds, t0, t1)
     a = np.repeat(np.arange(j0, j1), fan)
     b = np.repeat(np.arange(j0 + 1, j1 + 1) - bounds[j0:j1], fan)

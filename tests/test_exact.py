@@ -226,6 +226,17 @@ def test_worker_count_is_bounded_by_cpus_cap_and_blocks(monkeypatch, cpus, block
     assert exact._worker_count(blocks) == want
 
 
+def test_worker_count_without_an_affinity_mask_counts_the_cpus(monkeypatch):
+    # Platforms without os.sched_getaffinity (macOS, Windows) fall back
+    # on os.cpu_count(), which may not know the count at all.
+    monkeypatch.delattr(exact.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(exact.os, "cpu_count", lambda: 3)
+    for tasks in (0, 1, 2, 33):
+        assert exact._worker_count(tasks) == max(1, min(3, exact._MAX_WORKERS, tasks))
+    monkeypatch.setattr(exact.os, "cpu_count", lambda: None)
+    assert exact._worker_count(33) == 1
+
+
 def _assert_orientation_is_the_argsort(edges):
     # The orientation by rank under the (degree, id) order, built here
     # from a lexsort. Sorting the tails alone must give the permutation

@@ -4,7 +4,6 @@ import itertools
 import math
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -14,8 +13,8 @@ from hypothesis import strategies as st
 from tricount import (EmptyGraphError, GraphFormatError, compute_metrics,
                       has_edge_many, load_edge_list)
 from tricount import exact, graph
-from tricount.graph import (Graph, _parse_pairs, _parse_pairs_slow, _run_pairs,
-                            edge_key, neighbor_rank)
+from tricount.graph import (Graph, _pair_block, _pair_table, _parse_pairs,
+                            _parse_pairs_slow, edge_key, neighbor_rank)
 from helpers import (BITMAP_BITS, complete_edges, er_edges, graph_from_edges,
                      graph_from_text, graph_text, hubs_and_path_edges, path_edges,
                      powerlaw_edges, star_edges)
@@ -822,19 +821,13 @@ def test_run_pairs_are_the_combinations_of_each_run(lengths, block, chunk):
             for pair in itertools.combinations(range(a, b), 2)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(graph, "_CHUNK", chunk)
-        blocks = list(_run_pairs(offsets, block))
+        bounds = _pair_table(offsets)
+    total = int(bounds[-1])
+    blocks = [_pair_block(bounds, t0, min(t0 + block, total))
+              for t0 in range(0, total, block)]
     assert all(0 < a.size <= block and a.size == b.size for a, b in blocks)
     got = [(int(a), int(b)) for pa, pb in blocks for a, b in zip(pa, pb)]
     assert got == want
-
-
-def test_run_pairs_keeps_no_reference_to_a_yielded_block():
-    pairs = _run_pairs(np.array([0, 5, 9], dtype=np.int64), 4)
-    a, b = next(pairs)
-    gone = weakref.ref(b)
-    del a, b
-    assert gone() is None
-    assert next(pairs)[0].size == 4  # the generator was only suspended
 
 
 def test_pair_table_of_int32_offsets_counts_past_int32():
