@@ -12,14 +12,13 @@ C(T(e), 2)).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .graph import (_CHUNK, Graph, _find_edges, _index_dtype, _orient, _pair_block,
-                    _pair_table, edge_key)
+from .graph import (_CHUNK, Graph, _Tasks, _find_edges, _index_dtype, _orient,
+                    _pair_block, _pair_table, edge_key)
 
 # Out-edge pairs checked per block of ``count_triangles_exact``. Each
 # pair costs ~47 bytes of temporaries (tracemalloc, the peak difference
@@ -28,15 +27,6 @@ from .graph import (_CHUNK, Graph, _find_edges, _index_dtype, _orient, _pair_blo
 # ~3 MB and adds nothing to the peak memory of loading a million-edge
 # graph.
 _WEDGE_BLOCK = 1 << 16
-
-# Most threads that run the oracle's chunks or pair blocks at once. numpy
-# releases the GIL in the takes, sorts and searches of a block, but not
-# in the rest: at 2 workers the block loop ran 1.6-1.8x faster than on
-# one thread (70 against 119 ms on the million-edge power-law graph, 2
-# CPUs), so a sixth to a quarter of a block holds the GIL, which bounds
-# the speed-up near 2.3-2.6x at 4 workers, while each worker holds one
-# block's ~3 MB of temporaries.
-_MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -124,15 +114,16 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     Threads: three stages split into independent tasks: the
     orientation's chunk loops before and after its sort, one task per
     chunk, and the pair blocks. A stage of more than one task, on more
-    than one CPU of the process's affinity mask, runs on a thread pool
-    of ``_worker_count`` threads, one per CPU up to ``_MAX_WORKERS``;
-    the first such stage creates the pool and the later ones share it,
-    so a call creates at most one. numpy releases the GIL in most of
-    that work. The sort, the out-edge offsets' sum, the narrowing of
-    ``canon``, the pair table and the sums stay on the calling thread:
-    it takes the chunk and block results in order and alone sums the
-    offsets, Δ and ``phi`` and tallies T(e), so every output is the same
-    on any number of threads. A graph of one chunk and one block, or one
+    than one CPU of the process's affinity mask, runs on a
+    ``graph._Tasks`` thread pool (the loader's parse uses the same
+    kind), one thread per CPU up to ``graph._MAX_WORKERS``; the first
+    such stage creates the pool and the later ones share it, so a call
+    creates at most one. numpy releases the GIL in most of that work.
+    The sort, the out-edge offsets' sum, the narrowing of ``canon``, the
+    pair table and the sums stay on the calling thread: it takes the
+    chunk and block results in order and alone sums the offsets, Δ and
+    ``phi`` and tallies T(e), so every output is the same on any number
+    of threads. A graph of one chunk and one block, or one
     CPU, runs on the calling thread and starts no thread; the pool is
     joined before the call returns.
 
@@ -169,42 +160,6 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     t_counts = _tally(t_counts, pending, m)
     t_counts.flags.writeable = False
     return delta, EdgeTriangleCounts(counts=t_counts, phi=phi)
-
-
-def _worker_count(tasks: int) -> int:
-    """Threads for ``tasks`` independent tasks: the CPUs this process may
-    run on, at most ``_MAX_WORKERS`` and one per task; at least 1."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _MAX_WORKERS, tasks))
-
-
-class _Tasks:
-    """Runs the independent tasks of one ``count_triangles_exact`` stage:
-    ``map`` runs them on the calling thread when ``_worker_count`` gives
-    one worker, else on a thread pool of ``_worker_count(_MAX_WORKERS)``
-    threads, created by the first such stage and shared by the later
-    ones. The pool is joined when the ``with`` block ends."""
-
-    def __init__(self):
-        self._pool = None
-
-    def map(self, fn, tasks):
-        if _worker_count(len(tasks)) == 1:
-            return map(fn, tasks)
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(_worker_count(_MAX_WORKERS))
-        return self._pool.map(fn, tasks)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown()
 
 
 def _check_block(g: Graph, canon: np.ndarray, head: np.ndarray,

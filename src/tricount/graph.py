@@ -5,9 +5,12 @@ Graphs are built from whitespace-separated edge lists (SNAP style:
 drops self-loops, collapses parallel edges, symmetrizes direction, and
 remaps the source ids densely to ``[0, n)`` in order of first
 appearance, in a few passes: numpy's text parser reads the input in
-blocks of whole lines, each checked byte by byte first (a line scan
-reads each block that fails the check, and reports its errors); the
-remap of dense ids, whose largest is below the number of ids read,
+blocks of whole lines, each checked byte by byte first, on a thread
+pool of one thread per CPU of the affinity mask, at most four (one
+thread under ``taskset -c 0``, and none for an input of one block),
+each block into its own slot of the output (a line scan on the calling
+thread reads each block that fails the check, and reports its errors);
+the remap of dense ids, whose largest is below the number of ids read,
 goes through a direct-address table of first positions, and that of
 wider or sparser ids through one stable sort of the ids, each packed
 with its position into one uint64 (a stable argsort instead when an id
@@ -19,19 +22,22 @@ neighbor lists and edge arrays are int32 below 2**31 vertices, and the
 remap's table of positions below 2**31 ids read (one rule,
 ``_index_dtype``), so no stage of the build holds a 64-bit copy of
 values that fit 32 bits: loading the million-edge power-law graph peaks
-at 33.1 MiB of traced memory, 35 bytes per edge. Edge membership is one
-bit in each of two bitmaps of the canonical edge keys' hashes (two
-one-hash Bloom filters under independent multipliers, 1 MB each at a
-million edges, each built a block of keys at a time; the second is
-tested only on the keys that pass the first), and, for the keys whose
-bits are set in both, one binary search of the ascending canonical edge
-keys; a graph builds both on first use.
+at 32.7 MiB of traced memory, 34 bytes per edge, on one CPU or two (the
+parse's ids take 16 bytes per edge, and each worker one block's
+temporaries, ~0.6 MiB). Edge membership is one bit in each of two
+bitmaps of the canonical edge keys' hashes (two one-hash Bloom filters
+under independent multipliers, 1 MB each at a million edges, each built
+a block of keys at a time; the second is tested only on the keys that
+pass the first), and, for the keys whose bits are set in both, one
+binary search of the ascending canonical edge keys; a graph builds both
+on first use.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import BinaryIO
 
@@ -287,6 +293,57 @@ def neighbor_rank(g: Graph, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return pos
 
 
+# Most threads that run the tasks of a _Tasks pool at once: the parse's
+# blocks, and the exact oracle's chunks and pair blocks. numpy releases
+# the GIL in the parse's np.fromstring and in the takes, sorts and
+# searches of the oracle's blocks, but not in the rest: at 2 workers the
+# oracle's block loop ran 1.6-1.8x faster than on one thread (70 against
+# 119 ms on the million-edge power-law graph, 2 CPUs), so a sixth to a
+# quarter of a block holds the GIL, which bounds the speed-up near
+# 2.3-2.6x at 4 workers, while each worker holds one task's temporaries.
+_MAX_WORKERS = 4
+
+
+def _worker_count(tasks: int) -> int:
+    """Threads for ``tasks`` independent tasks: the CPUs this process may
+    run on, at most ``_MAX_WORKERS`` and one per task; at least 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_WORKERS, tasks))
+
+
+class _Tasks:
+    """Runs the independent tasks of one stage: the blocks of
+    ``load_edge_list``'s parse, or the orientation chunks or pair blocks
+    of ``exact.count_triangles_exact``. ``map`` runs them on the calling
+    thread when ``_worker_count`` gives one worker (one task, or one CPU
+    in the affinity mask, as under ``taskset -c 0``), else on a thread
+    pool of ``_worker_count(_MAX_WORKERS)`` threads, created by the first
+    such stage and shared by the later ones. The pool is joined when the
+    ``with`` block ends; if it ends on an exception, the tasks not yet
+    started are cancelled first."""
+
+    def __init__(self):
+        self._pool = None
+
+    def map(self, fn, tasks):
+        if _worker_count(len(tasks)) == 1:
+            return map(fn, tasks)
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(_worker_count(_MAX_WORKERS))
+        return self._pool.map(fn, tasks)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=exc_type is not None)
+
+
 def load_edge_list(source: str | Path | BinaryIO) -> Graph:
     """Parse an edge-list byte stream into a :class:`Graph`.
 
@@ -327,8 +384,11 @@ def load_edge_list(source: str | Path | BinaryIO) -> Graph:
 
 
 # Bytes per block of the fast parser; a block runs on to the end of the
-# line this many bytes in.
-_PARSE_BLOCK = 1 << 20
+# line this many bytes in. Each worker holds one block's temporaries,
+# ~5x its bytes (0.66 MiB traced at 128 KB). On two threads the
+# million-edge power-law graph parsed as fast in blocks of 64 KB to
+# 1 MB, but 1 MB blocks raised powerlaw-estimate's peak RSS to 98 MB.
+_PARSE_BLOCK = 1 << 17
 
 
 def _parse_pairs(data: bytes) -> np.ndarray:
@@ -339,30 +399,60 @@ def _parse_pairs(data: bytes) -> np.ndarray:
     # 2**63 - 1), is read by the line scan instead: the only path that
     # reports errors, and the only one that reads ids of 10**18 and up.
     # Ids of 2**63 and up turn the output uint64.
-    lines = np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1
-    out = np.empty(2 * lines, dtype=np.int64)
-    size = start = 0
-    line, counted = 1, 0  # the line number at byte ``counted``
+    #
+    # The calling thread cuts the blocks, counts their lines and gives
+    # each a slot of two ids per line in ``out``; the blocks are checked
+    # and parsed into their slots as tasks of a _Tasks pool. The calling
+    # thread takes their counts in block order, moves each slot down to
+    # the ids before it and runs the line scan itself, so every id, line
+    # number and error is the same on any number of threads.
+    blocks = []  # (start, end, first line, slot)
+    start, line, slot = 0, 1, 0
+    text = np.frombuffer(data, dtype=np.uint8)
     while start < len(data):
         end = data.find(b"\n", start + _PARSE_BLOCK - 1)
         end = len(data) if end == -1 else end + 1
-        block, begin, start = data[start:end], start, end
-        checked = _checked_block(block)
-        if checked is None:
-            values = None
-        elif checked[1] == 0:
-            continue  # np.fromstring reads a blank block as [0]
-        else:
-            values = np.fromstring(checked[0], dtype=np.int64, sep=" ")
-        if values is None or values.size != checked[1] or values.max() >= 10**18:
-            line += data.count(b"\n", counted, begin)
-            counted = begin
-            values = _parse_pairs_slow(block, line).reshape(-1)
-            if values.dtype == np.uint64:
-                out = out.view(np.uint64)  # the ids so far are below 2**63
-        out[size:size + values.size] = values
-        size += values.size
+        # A block-sized bool array: 4x faster than data.count(b"\n", ...).
+        newlines = int(np.count_nonzero(text[start:end] == ord("\n")))
+        blocks.append((start, end, line, slot))
+        line += newlines
+        slot += 2 * (newlines + (not data.endswith(b"\n", start, end)))
+        start = end
+    out = np.empty(slot, dtype=np.int64)
+    size = 0
+    with _Tasks() as tasks:
+        parsed = tasks.map(partial(_parse_block, data, out), blocks)
+        for (start, end, line, slot), count in zip(blocks, parsed):
+            if count is None:
+                values = _parse_pairs_slow(data[start:end], line).reshape(-1)
+                if values.dtype == np.uint64:
+                    out = out.view(np.uint64)  # the ids so far are below 2**63
+                out[size:size + values.size] = values
+                count = values.size
+            elif slot != size:
+                out[size:size + count] = out[slot:slot + count]
+            size += count
     return out[:size].reshape(-1, 2)
+
+
+def _parse_block(data: bytes, out: np.ndarray,
+                 block: tuple[int, int, int, int]) -> int | None:
+    """Parse the block ``data[start:end]`` of ``block = (start, end, line,
+    slot)`` into ``out[slot:]`` by numpy's text parser, and return the
+    count of ids written; None, writing nothing, if the line scan must
+    read it. Writes only the block's own slot, so blocks may run on
+    several threads at once."""
+    start, end, _, slot = block
+    checked = _checked_block(data[start:end])
+    if checked is None:
+        return None
+    if checked[1] == 0:
+        return 0  # np.fromstring reads a blank block as [0]
+    values = np.fromstring(checked[0], dtype=np.int64, sep=" ")
+    if values.size != checked[1] or values.max() >= 10**18:
+        return None
+    out[slot:slot + values.size] = values
+    return values.size
 
 
 def _checked_block(block: bytes) -> tuple[bytes, int] | None:

@@ -2,6 +2,7 @@
 through forced sampling outcomes."""
 
 import io
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -21,6 +22,30 @@ def graph_from_edges(edges) -> Graph:
 
 def graph_from_text(text: str) -> Graph:
     return load_edge_list(io.BytesIO(text.encode()))
+
+
+def threads_running(monkeypatch, module, name, workers):
+    """The threads that call ``module.name``, filled as the calls run.
+    The first call on each thread waits, up to 10 s, until ``workers``
+    threads have made one, so a pool of fewer threads than that raises
+    ``threading.BrokenBarrierError`` rather than pass."""
+    seen = set()
+    lock = threading.Lock()
+    barrier = threading.Barrier(workers, timeout=10)
+    real = getattr(module, name)
+
+    def spy(*args):
+        # Thread objects, not idents: a later pool's threads may reuse
+        # the idents of an earlier one's.
+        with lock:
+            first = threading.current_thread() not in seen
+            seen.add(threading.current_thread())
+        if first:
+            barrier.wait()
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return seen
 
 
 def complete_edges(n):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from tricount import compute_metrics, count_triangles_exact, exact, graph, wedge_count
 from tricount.graph import _stable_order, edge_key
 from helpers import (BITMAP_BITS, FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
-                     graph_from_edges, path_edges, powerlaw_edges, star_edges)
+                     graph_from_edges, path_edges, powerlaw_edges, star_edges,
+                     threads_running)
 from oracles import (edge_triangle_counts, phi_by_triangle_enumeration,
                      triangles_by_triples)
 
@@ -97,6 +98,8 @@ def test_worker_pools_give_identical_outputs(monkeypatch):
     # workers and summed in block order; T(e) is tallied in two batches.
     # The 218 edges are oriented and read back in 32 chunks of 7.
     # Switching threads every microsecond interleaves the workers finely.
+    # Each count of workers must really run the blocks, so a patch that
+    # no longer reaches the pool fails here.
     edges = er_edges(45, 0.2, 22)
     monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
     monkeypatch.setattr(exact, "_CHUNK", 7)
@@ -105,11 +108,15 @@ def test_worker_pools_give_identical_outputs(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 3):
-            monkeypatch.setattr(exact, "_worker_count", lambda blocks, k=workers: k)
-            g = graph_from_edges(edges)
-            delta, per_edge = count_triangles_exact(g)
-            outputs.append((delta, per_edge.counts.tobytes(), per_edge.phi,
-                            compute_metrics(g).shared_edge_pairs))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph, "_worker_count", lambda tasks, k=workers: min(tasks, k))
+                ran = threads_running(mp, exact, "_check_block", workers)
+                g = graph_from_edges(edges)
+                delta, per_edge = count_triangles_exact(g)
+                assert len(ran) == workers
+                ran.clear()
+                outputs.append((delta, per_edge.counts.tobytes(), per_edge.phi,
+                                compute_metrics(g).shared_edge_pairs))
     finally:
         sys.setswitchinterval(interval)
     assert outputs[0][0] == len(triangles_by_triples(edges))
@@ -122,19 +129,25 @@ _CACHED = {"degrees", "edge_arrays", "edge_keys", "edge_bitmap"}
 @pytest.fixture
 def pools(monkeypatch):
     """Every ``ThreadPoolExecutor`` the oracle creates, on 8 CPUs, each
-    with the cached properties that ``pools.graph`` held at creation."""
+    with the cached properties that ``pools.graph`` held at creation;
+    those created while ``pools.graph`` is None, by a load's parse, go
+    to ``pools.loads`` instead."""
 
     class Counted(concurrent.futures.ThreadPoolExecutor):
         made = []
+        loads = []
         graph = None
 
         def __init__(self, *args, **kwargs):
-            self.cached = set(vars(self.graph))
-            self.made.append(self)
+            if self.graph is None:
+                self.loads.append(self)
+            else:
+                self.cached = set(vars(self.graph))
+                self.made.append(self)
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: set(range(8)),
+    monkeypatch.setattr(graph.os, "sched_getaffinity", lambda pid: set(range(8)),
                         raising=False)
     return Counted
 
@@ -153,7 +166,7 @@ def _record_threads(monkeypatch, module, name):
 
 
 def _pair_count(g):
-    with exact._Tasks() as tasks:
+    with graph._Tasks() as tasks:
         out_off = exact._out_edges(g, tasks)[2]
     return int(graph._pair_table(out_off)[-1])
 
@@ -169,15 +182,17 @@ def test_one_block_builds_no_executor(monkeypatch, pools):
     # The second graph's 517 pairs over several blocks, on two workers,
     # do build one.
     monkeypatch.setattr(exact, "_WEDGE_BLOCK", 100)
-    monkeypatch.setattr(exact, "_worker_count", lambda tasks: min(tasks, 2))
+    monkeypatch.setattr(graph, "_worker_count", lambda tasks: min(tasks, 2))
     count_triangles_exact(g)
     assert len(pools.made) == 1
 
 
 def test_one_chunk_of_many_blocks_builds_one_executor(pools):
     # K_300: 44,850 edges in one chunk, C(300, 3) pairs in 68 blocks.
+    # Its 360 KB of text parse in 3 blocks, on a pool of the load's own.
     g = pools.graph = graph_from_edges(complete_edges(300))
     assert g.m <= exact._CHUNK
+    assert len(pools.loads) == 1
     delta, per_edge = count_triangles_exact(g)
     assert delta == math.comb(300, 3)
     assert set(per_edge.counts.tolist()) == {298}
@@ -207,7 +222,7 @@ def test_no_thread_outlives_a_call(monkeypatch):
     # The orientation's chunks and the pair blocks both run on the pool.
     monkeypatch.setattr(exact, "_CHUNK", 7)
     monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
-    monkeypatch.setattr(exact, "_worker_count", lambda tasks: min(tasks, 3))
+    monkeypatch.setattr(graph, "_worker_count", lambda tasks: min(tasks, 3))
     orient_on_main = _record_threads(monkeypatch, exact, "_orient")
     before = threading.active_count()
     count_triangles_exact(graph_from_edges(er_edges(45, 0.2, 22)))
@@ -216,25 +231,25 @@ def test_no_thread_outlives_a_call(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus,blocks,want", [
-    (1, 33, 1), (2, 33, 2), (16, 33, exact._MAX_WORKERS), (16, 3, 3),
+    (1, 33, 1), (2, 33, 2), (16, 33, graph._MAX_WORKERS), (16, 3, 3),
     (2, 1, 1), (2, 0, 1),
 ])
 def test_worker_count_is_bounded_by_cpus_cap_and_blocks(monkeypatch, cpus, blocks, want):
     # The CPUs are those of the affinity mask, as ``taskset`` sets them.
-    monkeypatch.setattr(exact.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+    monkeypatch.setattr(graph.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    assert exact._worker_count(blocks) == want
+    assert graph._worker_count(blocks) == want
 
 
 def test_worker_count_without_an_affinity_mask_counts_the_cpus(monkeypatch):
     # Platforms without os.sched_getaffinity (macOS, Windows) fall back
     # on os.cpu_count(), which may not know the count at all.
-    monkeypatch.delattr(exact.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(exact.os, "cpu_count", lambda: 3)
+    monkeypatch.delattr(graph.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(graph.os, "cpu_count", lambda: 3)
     for tasks in (0, 1, 2, 33):
-        assert exact._worker_count(tasks) == max(1, min(3, exact._MAX_WORKERS, tasks))
-    monkeypatch.setattr(exact.os, "cpu_count", lambda: None)
-    assert exact._worker_count(33) == 1
+        assert graph._worker_count(tasks) == max(1, min(3, graph._MAX_WORKERS, tasks))
+    monkeypatch.setattr(graph.os, "cpu_count", lambda: None)
+    assert graph._worker_count(33) == 1
 
 
 def _assert_orientation_is_the_argsort(edges):
@@ -251,8 +266,8 @@ def _assert_orientation_is_the_argsort(edges):
     want = np.argsort(edge_key(tail, head, g.n))
     for workers in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exact, "_worker_count", lambda tasks, k=workers: min(tasks, k))
-            with exact._Tasks() as tasks:
+            mp.setattr(graph, "_worker_count", lambda tasks, k=workers: min(tasks, k))
+            with graph._Tasks() as tasks:
                 canon, out_head, out_off = exact._out_edges(g, tasks)
         assert canon.tolist() == want.tolist()
         assert canon.dtype == np.uint32
@@ -428,7 +443,7 @@ def test_oracle_memory_grows_by_few_bytes_per_edge(monkeypatch):
     # host, and 16.2 to 16.9 with the tasks one at a time.
     lock = threading.Lock()
     pooled = []
-    real_map = exact._Tasks.map
+    real_map = graph._Tasks.map
 
     def one_at_a_time(self, fn, tasks):
         def locked(task):
@@ -437,9 +452,9 @@ def test_oracle_memory_grows_by_few_bytes_per_edge(monkeypatch):
                 return fn(task)
         return real_map(self, locked, tasks)
 
-    monkeypatch.setattr(exact._Tasks, "map", one_at_a_time)
+    monkeypatch.setattr(graph._Tasks, "map", one_at_a_time)
     for workers in (1, 2):
-        monkeypatch.setattr(exact, "_worker_count", lambda tasks, k=workers: min(tasks, k))
+        monkeypatch.setattr(graph, "_worker_count", lambda tasks, k=workers: min(tasks, k))
         pooled.clear()
         m1, p1 = _metrics_peak(7)
         m2, p2 = _metrics_peak(14)

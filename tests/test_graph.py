@@ -1,7 +1,11 @@
+import concurrent.futures
 import functools
 import io
 import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -17,7 +21,7 @@ from tricount.graph import (Graph, _pair_block, _pair_table, _parse_pairs,
                             _parse_pairs_slow, edge_key, neighbor_rank)
 from helpers import (BITMAP_BITS, complete_edges, er_edges, graph_from_edges,
                      graph_from_text, graph_text, hubs_and_path_edges, path_edges,
-                     powerlaw_edges, star_edges)
+                     powerlaw_edges, star_edges, threads_running)
 from oracles import clean_edges, has_edges
 from test_golden import _powerlaw_text
 
@@ -213,6 +217,11 @@ def _no_line_scan(data, first_line=1):
     raise AssertionError("took the line scan")
 
 
+def _force_workers(mp, workers):
+    """Run every stage of more than one task on ``workers`` threads."""
+    mp.setattr(graph, "_worker_count", lambda tasks, k=workers: min(tasks, k))
+
+
 def test_non_ascii_comment_lines_keep_the_fast_path(monkeypatch):
     # A header such as "# Zürich road network" sent a million-line file
     # to the line scan, ~10x slower, while the fast path checked the whole
@@ -231,10 +240,15 @@ def test_non_ascii_comment_lines_keep_the_fast_path(monkeypatch):
     (b"999999999999999999 0\n", [[10**18 - 1, 0]]),  # the largest fast id
 ])
 def test_parser_block_edges_keep_the_fast_path(monkeypatch, data, want):
+    # Blocks of only comments or blank lines, and a last line with no
+    # newline, on 1, 2 and 3 workers.
     monkeypatch.setattr(graph, "_parse_pairs_slow", _no_line_scan)
-    for block in range(1, len(data) + 2):
+    for block, workers in itertools.product(range(1, len(data) + 2), (1, 2, 3)):
         monkeypatch.setattr(graph, "_PARSE_BLOCK", block)
-        assert _parse_pairs(data).tolist() == want
+        _force_workers(monkeypatch, workers)
+        pairs = _parse_pairs(data)
+        assert pairs.tolist() == want
+        assert pairs.dtype == np.int64
 
 
 @pytest.mark.parametrize("last, message", [
@@ -339,11 +353,149 @@ def _parsed_or_error(parse, data):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(lines=_PARSER_LINES)
 def test_parser_blocks_agree_with_line_scan(block, lines):
+    # On 1, 2 and 3 workers: the blocks are parsed on the pool, the
+    # line scan and every error stay on the calling thread.
     data = b"".join(lead + gap.join(tokens) + end for lead, tokens, gap, end in lines)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph, "_PARSE_BLOCK", block)
-        got = _parsed_or_error(_parse_pairs, data)
-    assert got == _parsed_or_error(_parse_pairs_slow, data)
+    want = _parsed_or_error(_parse_pairs_slow, data)
+    for workers in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_PARSE_BLOCK", block)
+            _force_workers(mp, workers)
+            assert _parsed_or_error(_parse_pairs, data) == want, workers
+
+
+# Blocks of 8 bytes on 1, 2 and 3 workers: every line below is a block.
+@pytest.fixture(params=[1, 2, 3])
+def parse_workers(request, monkeypatch):
+    monkeypatch.setattr(graph, "_PARSE_BLOCK", 8)
+    _force_workers(monkeypatch, request.param)
+    return request.param
+
+
+def test_parser_threads_run_the_blocks(monkeypatch, parse_workers):
+    # The workers really parse the blocks: a patch that no longer
+    # reaches the pool fails here.
+    ran = threads_running(monkeypatch, graph, "_parse_block", parse_workers)
+    data = b"".join(b"%d %d\n" % (i, i + 1) for i in range(40))
+    assert _parse_pairs(data).tolist() == [[i, i + 1] for i in range(40)]
+    assert len(ran) == parse_workers
+    assert (threading.main_thread() in ran) == (parse_workers == 1)
+
+
+def test_parser_on_more_threads_than_cpus_keeps_every_id():
+    # Four workers on blocks of a line or two, switching threads every
+    # microsecond: a slot written late, or moved down before its block
+    # is parsed, would lose or shift ids. Every fifth line is a comment
+    # and a blank line, whose slots hold no ids, so most slots move.
+    data = b"".join(b"%d %d\n" % (i, 7 * i + 3) if i % 5 else b"# note\n\n"
+                    for i in range(600))
+    want = _parse_pairs_slow(data).tolist()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_PARSE_BLOCK", 8)
+            _force_workers(mp, 4)
+            for _ in range(5):
+                assert _parse_pairs(data).tolist() == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_parser_big_id_in_a_late_block(parse_workers):
+    # The 2**63 id turns the output uint64 after the workers have written
+    # the earlier blocks' ids, and likely some later ones, as int64.
+    head = b"".join(b"%d %d\n" % (i, 10**17 + i) for i in range(30))
+    tail = b"".join(b"%d 7\n" % i for i in range(10))
+    data = head + b"%d 5\n" % 2**63 + tail
+    pairs = _parse_pairs(data)
+    assert pairs.dtype == np.uint64
+    assert pairs.tolist() == _parse_pairs_slow(data).tolist()
+    assert pairs[30].tolist() == [2**63, 5]
+
+
+def test_parser_id_of_ten_to_the_eighteen(monkeypatch, parse_workers):
+    # numpy's parser reads 10**18 right, but the line scan takes it, and
+    # the output stays int64.
+    scanned = []
+
+    def line_scan(data, first_line=1):
+        scanned.append(first_line)
+        return _parse_pairs_slow(data, first_line)
+
+    monkeypatch.setattr(graph, "_parse_pairs_slow", line_scan)
+    data = b"0 1\n" * 10 + b"%d 2\n" % 10**18 + b"3 4\n" * 10
+    pairs = _parse_pairs(data)
+    assert scanned == [11]
+    assert pairs.dtype == np.int64
+    assert pairs.tolist() == [[0, 1]] * 10 + [[10**18, 2]] + [[3, 4]] * 10
+
+
+def test_parser_bad_line_in_a_later_block_keeps_its_line(parse_workers):
+    good = b"0 1\n# note\n\n" * 12
+    with pytest.raises(GraphFormatError, match="line 37: expected two integer tokens, got 1"):
+        _parse_pairs(good + b"5\n" + good)
+    with pytest.raises(GraphFormatError, match="line 38: vertex ids must be decimal"):
+        _parse_pairs(good + b"%d 1\n" % (2**64 - 1) + b"1 x\n" + good)
+
+
+def test_load_on_threads_leaves_no_thread_and_keeps_id_dtypes(parse_workers):
+    before = threading.active_count()
+    edges = [(i, (3 * i + 1) % 50) for i in range(50)]
+    g = graph_from_edges(edges)
+    assert threading.active_count() == before
+    assert g.original_ids.dtype == np.int64
+    assert g.m == len(clean_edges(edges))
+    big = graph_from_edges(edges + [(2**64 - 1, 0)])
+    assert threading.active_count() == before
+    assert big.original_ids.dtype == np.uint64
+    assert big.original_ids[:g.n].tolist() == g.original_ids.tolist()
+
+
+def test_one_block_load_starts_no_thread(monkeypatch):
+    # Even with CPUs to spare, one block runs on the calling thread.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a thread pool")
+
+    monkeypatch.setattr(graph.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    data = graph_text(er_edges(300, 0.05, 11)).encode()
+    assert len(data) <= graph._PARSE_BLOCK
+    before = threading.active_count()
+    assert load_edge_list(io.BytesIO(data)).m == 2239
+    assert threading.active_count() == before
+    monkeypatch.setattr(graph, "_PARSE_BLOCK", len(data) // 2)
+    with pytest.raises(AssertionError, match="started a thread pool"):
+        _parse_pairs(data)
+
+
+def test_tasks_cancel_the_queued_tasks_on_an_error(monkeypatch):
+    # A malformed block ends the parse at once: the tasks still queued
+    # behind it are dropped, not run.
+    calls = []
+    lock = threading.Lock()
+
+    def task(i):
+        with lock:
+            calls.append(i)
+        if i:
+            time.sleep(0.02)
+        return i
+
+    # The results are held in a name, as _parse_pairs holds them: a
+    # results iterator dropped by the error would cancel them itself.
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(GraphFormatError):
+        with graph._Tasks() as tasks:
+            results = tasks.map(task, range(50))
+            for i in results:
+                raise GraphFormatError(f"task {i}")
+    assert len(calls) < 10
+    calls.clear()
+    with graph._Tasks() as tasks:
+        assert list(tasks.map(task, range(5))) == list(range(5))
+    assert sorted(calls) == list(range(5))
 
 
 def test_load_inline_comment_rejected():
