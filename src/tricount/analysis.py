@@ -22,7 +22,7 @@ import numpy as np
 from .exact import GraphMetrics, compute_metrics
 from .graph import Graph
 from .estimators import (RseDomainError, SamplingPlan, check_delta, check_level,
-                         check_p, method_spec, run_trials)
+                         check_p, check_rse, method_spec, run_trials)
 from .rng import RandomSource, mix_seed
 
 
@@ -31,34 +31,18 @@ from .rng import RandomSource, mix_seed
 _SEED_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class SampleSizeRequest:
-    """Target RSE plus the graph metrics the inversion formulas need."""
-
-    target_rse: float
-    metrics: GraphMetrics
-
-    def __post_init__(self):
-        _check_rse(self.target_rse)
-
-
-def _check_rse(target_rse: float):
-    """The one rule for a target RSE: 0 < target <= 1."""
-    if not 0.0 < target_rse <= 1.0:
-        raise ValueError("target RSE must be in (0, 1]")
-
-
-def sample_size_for_rse(request: SampleSizeRequest, method: str) -> int:
+def sample_size_for_rse(method: str, metrics: GraphMetrics, target_rse: float) -> int:
     """Entities to sample so the approximate RSE meets the target.
 
     Inverts the method's approximate formula: edges for ews/es, wedges
     for ws. Results round up, so the target is guaranteed (never below 1).
     A size that is not finite raises RseDomainError (``_finite``).
     """
+    check_rse(target_rse)
     spec = method_spec(method)
-    check_delta(request.metrics.triangle_count)
-    size = _finite(spec.size, request.metrics, request.target_rse ** 2,
-                   f"{method} sample size for target RSE {request.target_rse}")
+    check_delta(metrics.triangle_count)
+    size = _finite(spec.size, metrics, target_rse ** 2,
+                   f"{method} sample size for target RSE {target_rse}")
     return max(1, math.ceil(size))
 
 

@@ -15,8 +15,9 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import SampleSizeRequest, _check_rse, rse_sweep, sample_size_for_rse
-from .estimators import METHODS, check_level, check_p, estimate, method_spec
+from .analysis import rse_sweep, sample_size_for_rse
+from .estimators import (METHODS, check_level, check_p, check_rse, estimate,
+                         method_spec)
 from .exact import GraphMetrics, compute_metrics
 from .graph import load_edge_list
 from .rng import RandomSource
@@ -190,6 +191,9 @@ def _parse_inline_metrics(text: str) -> GraphMetrics:
     if 3.0 * delta > wedges:  # each triangle closes three wedges
         raise ValueError(f"--metrics: delta must be <= lambda/3, got delta "
                          f"{parts[2].strip()} and lambda {parts[3].strip()}")
+    if phi < 3.0 * delta:  # each triangle adds 2a + b - 3 >= 3 to phi
+        raise ValueError(f"--metrics: phi must be >= 3*delta, got phi "
+                         f"{parts[4].strip()} and delta {parts[2].strip()}")
     c = 3.0 * delta / wedges if wedges > 0 else 0.0
     return GraphMetrics(n=int(n), m=int(m), triangle_count=delta,
                         wedge_count=wedges, clustering_coefficient=c,
@@ -199,13 +203,12 @@ def _parse_inline_metrics(text: str) -> GraphMetrics:
 def _run_sample_size(args, parser):
     # The target first, so a bad one costs neither the metrics nor a file read.
     try:
-        _check_rse(args.rse)
+        check_rse(args.rse)
     except ValueError as exc:
         raise ValueError(f"--rse: {exc}") from None
     metrics = (_parse_inline_metrics(args.metrics) if args.metrics is not None
                else compute_metrics(load_edge_list(args.graph)))
-    request = SampleSizeRequest(target_rse=args.rse, metrics=metrics)
-    sizes = {method: sample_size_for_rse(request, method)
+    sizes = {method: sample_size_for_rse(method, metrics, args.rse)
              for method in ("ews", "ws", "es")}
     _render(args, {"target_rse": args.rse, **sizes,
                    "ws_over_ews": sizes["ws"] / sizes["ews"]})

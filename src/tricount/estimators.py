@@ -23,11 +23,12 @@ groups the batch's edge ends by one exact sort of their (trial,
 vertex) keys.
 
 Each method's closed-form relative standard error (RSE: standard
-deviation of the raw statistic over its expected value) sits next to
-its estimator. The exact form follows from the variance; the
-approximate form drops only negative terms inside the radical, so
-``exact <= approx``. ``_METHODS`` holds every per-method decision:
-level, draws, scale, closed-form RSE and its inversion to a sample size.
+deviation of the raw statistic over its expected value) lives in its
+``_METHODS`` row, as its ``theory``. The exact form follows from the
+variance; the approximate form drops only negative terms inside the
+radical, so ``exact <= approx``. ``_METHODS`` holds every per-method
+decision: level, draws, scale, closed-form RSE and its inversion to a
+sample size.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ def check_p(p: float):
     """The one rule for an edge probability: 0 < p <= 1."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"sampling probability p must be in (0, 1], got {p}")
+
+
+def check_rse(target_rse: float):
+    """The one rule for a target RSE: 0 < target <= 1."""
+    if not 0.0 < target_rse <= 1.0:
+        raise ValueError("target RSE must be in (0, 1]")
 
 
 def _check_k(k: int):
@@ -287,11 +294,6 @@ def check_delta(delta: float):
                              "undefined for triangle-free graphs")
 
 
-def _check_p_delta(p: float, delta: float):
-    check_p(p)
-    check_delta(delta)
-
-
 def _check_clustering(c: float):
     if c <= 0.0:
         raise RseDomainError("clustering coefficient must be positive")
@@ -299,56 +301,44 @@ def _check_clustering(c: float):
         raise RseDomainError(f"clustering coefficient {c} exceeds 1")
 
 
-def rse_tau_exact(p: float, delta: float, shared_pairs: float, phi: float) -> float:
-    """Exact RSE of the ews raw statistic: sqrt(p*phi - p^2(3D + 2K)) / (3pD)."""
-    _check_p_delta(p, delta)
-    radicand = p * phi - p * p * (3.0 * delta + 2.0 * shared_pairs)
+def _ews_theory(met, p: float) -> tuple[float, float]:
+    """ews RSE of the raw statistic, exact sqrt(p*phi - p^2(3D + 2K)) / (3pD)
+    and approximate sqrt(phi / (9 p D^2)), which drops the negative term."""
+    delta = met.triangle_count
+    radicand = p * met.phi - p * p * (3.0 * delta + 2.0 * met.shared_edge_pairs)
     if radicand < 0:
-        if radicand > -1e-9 * max(p * phi, 1.0):  # exact-zero variance cases
+        if radicand > -1e-9 * max(p * met.phi, 1.0):  # exact-zero variance cases
             radicand = 0.0
         else:
             raise RseDomainError("negative variance: inconsistent metrics")
-    return math.sqrt(radicand) / (3.0 * p * delta)
+    return (math.sqrt(radicand) / (3.0 * p * delta),
+            math.sqrt(met.phi / (9.0 * p * delta * delta)))
 
 
-def rse_tau_approx(p: float, delta: float, phi: float) -> float:
-    """Approximate ews RSE: sqrt(phi / (9 p D^2)); drops the negative term."""
-    _check_p_delta(p, delta)
-    return math.sqrt(phi / (9.0 * p * delta * delta))
+def _es_theory(met, p: float) -> tuple[float, float]:
+    """es RSE of the closed-wedge count, exact
+    sqrt(3D(p^2-p^4) + 8K(p^3-p^4)) / (3 p^2 D) and approximate
+    sqrt(1/(3 p^2 D) + 8K/(9 p D^2)). Both read low: the variance leaves
+    out 6D(p^3-p^4) (``es_variance`` in ``tests/oracles.py``); they stay
+    while the pinned sweep digests cover every es row's theory columns."""
+    delta, shared = met.triangle_count, met.shared_edge_pairs
+    variance = 3.0 * delta * (p**2 - p**4) + 8.0 * shared * (p**3 - p**4)
+    return (math.sqrt(variance) / (3.0 * p * p * delta),
+            math.sqrt(1.0 / (3.0 * p * p * delta)
+                      + 8.0 * shared / (9.0 * p * delta * delta)))
 
 
-def rse_omega_exact(p: float, m: float, clustering: float, wedges: float) -> float:
-    """Exact RSE of the ws closed-wedge count for k = pm draws without
-    replacement: sqrt((1-C)/(pmC) * (1 - (pm-1)/(L-1)))."""
-    _check_clustering(clustering)
-    k = p * m
-    if k < 1:
-        raise RseDomainError("exact form requires p*m >= 1")
+def _ws_theory(met, k: int) -> tuple[float, float]:
+    """ws RSE of the closed-wedge count over k draws, exact (without
+    replacement) sqrt((1-C)/(kC) * (1 - (k-1)/(L-1))) and approximate
+    sqrt((1-C)/(kC)). ``k`` is read as given, never rebuilt from p and m."""
+    c, wedges = met.clustering_coefficient, met.wedge_count
+    _check_clustering(c)
     if wedges <= 1 or k > wedges:
-        raise RseDomainError("need 1 < k <= wedge count")
-    radicand = (1.0 - clustering) / (k * clustering) * (1.0 - (k - 1.0) / (wedges - 1.0))
-    return math.sqrt(radicand)
-
-
-def rse_omega_approx(p: float, m: float, clustering: float) -> float:
-    """Approximate ws RSE: sqrt((1-C) / (pmC))."""
-    _check_clustering(clustering)
-    return math.sqrt((1.0 - clustering) / (p * m * clustering))
-
-
-def rse_rho_exact(p: float, delta: float, shared_pairs: float) -> float:
-    """Exact RSE of the es closed-wedge count:
-    sqrt(3D(p^2-p^4) + 8K(p^3-p^4)) / (3 p^2 D)."""
-    _check_p_delta(p, delta)
-    variance = 3.0 * delta * (p**2 - p**4) + 8.0 * shared_pairs * (p**3 - p**4)
-    return math.sqrt(variance) / (3.0 * p * p * delta)
-
-
-def rse_rho_approx(p: float, delta: float, shared_pairs: float) -> float:
-    """Approximate es RSE: sqrt(1/(3 p^2 D) + 8K/(9 p D^2))."""
-    _check_p_delta(p, delta)
-    return math.sqrt(1.0 / (3.0 * p * p * delta)
-                     + 8.0 * shared_pairs / (9.0 * p * delta * delta))
+        raise RseDomainError(f"need more than one wedge and k <= wedge count, "
+                             f"got k = {k} and {wedges:.15g} wedges")
+    radicand = (1.0 - c) / (k * c) * (1.0 - (k - 1.0) / (wedges - 1.0))
+    return math.sqrt(radicand), math.sqrt((1.0 - c) / (k * c))
 
 
 def _es_size(met, r2: float) -> float:
@@ -369,26 +359,17 @@ def _ws_size(met, r2: float) -> float:
 _METHODS = {
     "ews": _Method(level="p", draw=_edge_draw, finish=_ews_finish,
                    scale=lambda g, tau, p: tau / (3.0 * p),
-                   theory=lambda met, p: (
-                       rse_tau_exact(p, met.triangle_count, met.shared_edge_pairs,
-                                     met.phi),
-                       rse_tau_approx(p, met.triangle_count, met.phi)),
+                   theory=_ews_theory,
                    size=lambda met, r2: met.m * met.phi / (
                        9.0 * r2 * met.triangle_count * met.triangle_count)),
     "es": _Method(level="p", draw=_edge_draw, finish=_es_finish,
                   # 3p^2 underflows to 0 below p ~ 1e-162; no closed wedge is 0.
                   scale=lambda g, closed, p: closed / (3.0 * p * p) if closed else 0.0,
-                  theory=lambda met, p: (
-                      rse_rho_exact(p, met.triangle_count, met.shared_edge_pairs),
-                      rse_rho_approx(p, met.triangle_count, met.shared_edge_pairs)),
+                  theory=_es_theory,
                   size=_es_size),
     "ws": _Method(level="k", draw=_ws_draw, finish=_ws_finish,
                   scale=lambda g, omega, k: omega * _wedge_total(g) / (3.0 * k),
-                  # p*m is k exactly at p = 1, m = k; (k/m)*m can miss by an ulp.
-                  theory=lambda met, k: (
-                      rse_omega_exact(1.0, k, met.clustering_coefficient,
-                                      met.wedge_count),
-                      rse_omega_approx(1.0, k, met.clustering_coefficient)),
+                  theory=_ws_theory,
                   size=_ws_size),
 }
 METHODS = tuple(_METHODS)

@@ -11,16 +11,15 @@ import time
 import pytest
 
 from tricount import (GraphMetrics, RandomSource, SamplingPlan,
-                      SampleSizeRequest, build_wedge_sampler,
-                      count_triangles_exact, empirical_rse, es_estimate,
-                      ews_estimate, load_edge_list, rse_omega_approx,
-                      rse_tau_approx, sample_size_for_rse, ws_estimate)
+                      build_wedge_sampler, count_triangles_exact,
+                      empirical_rse, es_estimate, ews_estimate,
+                      load_edge_list, sample_size_for_rse, ws_estimate)
 from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
                      forced_es_census, forced_ews_tau, forced_ws_omega,
                      graph_from_edges, graph_text, internal_id, path_edges,
                      powerlaw_edges, star_edges)
-from oracles import (closed_wedge_census, ews_increment, triangles_by_triples,
-                     wedge_closed)
+from oracles import (closed_wedge_census, ews_increment, rse_omega_approx,
+                     rse_tau_approx, triangles_by_triples, wedge_closed)
 
 
 def _criterion(num, name, failures):
@@ -101,8 +100,8 @@ def test_criterion_2_sample_size_table():
     failures = []
     start = time.perf_counter()
     for name, row in REFERENCE_ROWS.items():
-        req = SampleSizeRequest(target_rse=0.05, metrics=metrics_from_row(row))
-        got = {m: sample_size_for_rse(req, m) for m in ("ews", "ws", "es")}
+        met = metrics_from_row(row)
+        got = {m: sample_size_for_rse(m, met, 0.05) for m in ("ews", "ws", "es")}
         for method in ("ews", "ws", "es"):
             rel = abs(got[method] - row[method]) / row[method]
             if rel > 0.02:

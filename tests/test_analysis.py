@@ -1,18 +1,19 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tricount import (GraphMetrics, RseDomainError, SamplingPlan,
-                      SampleSizeRequest, compute_metrics, empirical_rse,
-                      mix_seed, rse_omega_approx, rse_omega_exact,
-                      rse_rho_approx, rse_rho_exact, rse_sweep,
-                      rse_tau_approx, rse_tau_exact, sample_size_for_rse,
-                      theory_rse)
+                      compute_metrics, empirical_rse, mix_seed, rse_sweep,
+                      sample_size_for_rse, theory_rse)
 from tricount import analysis
 from helpers import complete_edges, er_edges, graph_from_edges
-from oracles import ews_moments_exhaustive
+from oracles import (es_moments_exhaustive, es_variance, ews_moments_exhaustive,
+                     rse_omega_approx, rse_omega_exact, rse_rho_approx,
+                     rse_rho_exact, rse_tau_approx, rse_tau_exact,
+                     ws_moments_exhaustive)
 
 WEB_GOOGLE = GraphMetrics(n=875_000, m=4_322_000, triangle_count=13_391_000.0,
                           wedge_count=3 * 13_391_000 / 0.0552,
@@ -20,21 +21,36 @@ WEB_GOOGLE = GraphMetrics(n=875_000, m=4_322_000, triangle_count=13_391_000.0,
                           phi=35.4 * 3 * 13_391_000,
                           shared_edge_pairs=46.4 * 13_391_000)
 
+BOWTIE = [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]
+K5_MINUS_EDGE = complete_edges(5)[1:]
+
 
 def metrics_of(edges):
     return compute_metrics(graph_from_edges(edges))
 
 
+def form_metrics(delta, shared, phi, wedges=None, clustering=None):
+    """Metrics holding just what the closed forms read; by default every
+    wedge closes."""
+    wedges = 3 * delta if wedges is None else wedges
+    c = 3 * delta / wedges if clustering is None else clustering
+    return GraphMetrics(n=10, m=10, triangle_count=delta, wedge_count=wedges,
+                        clustering_coefficient=c, phi=phi, shared_edge_pairs=shared)
+
+
 def test_rse_tau_exact_closed_forms():
-    assert rse_tau_exact(1.0, 4, 6, 24) == 0.0     # every wedge of K4 closes
-    assert rse_tau_exact(1.0, 1, 0, 3) == 0.0
-    assert rse_tau_exact(0.5, 1, 0, 3) == pytest.approx(0.57735026, abs=1e-6)
+    def exact(p, delta, shared, phi):
+        return theory_rse("ews", form_metrics(delta, shared, phi), p=p)[0]
+
+    assert exact(1.0, 4, 6, 24) == 0.0     # every wedge of K4 closes
+    assert exact(1.0, 1, 0, 3) == 0.0
+    assert exact(0.5, 1, 0, 3) == pytest.approx(0.57735026, abs=1e-6)
     # phi = p(3D + 2K) is zero variance, whose radicand rounds to a tiny
     # negative and is clamped to 0; a clearly negative one is refused.
     assert 0.1 * 0.5 - 0.1 * 0.1 * (3 * 1 + 2 * 1) < 0
-    assert rse_tau_exact(0.1, 1, 1, 0.5) == 0.0
+    assert exact(0.1, 1, 1, 0.5) == 0.0
     with pytest.raises(RseDomainError, match="negative variance"):
-        rse_tau_exact(0.5, 1, 0, 0)
+        exact(0.5, 1, 0, 0)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8, 1.0])
@@ -48,73 +64,107 @@ def test_rse_tau_exact_matches_exhaustive_enumeration(edges, p):
     met = metrics_of(edges)
     mean, var = ews_moments_exhaustive(edges, p)
     assert mean == pytest.approx(3 * p * met.triangle_count, rel=1e-12)
-    formula = rse_tau_exact(p, met.triangle_count, met.shared_edge_pairs, met.phi)
+    formula = theory_rse("ews", met, p=p)[0]
     assert formula == pytest.approx(math.sqrt(var) / mean, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
+@pytest.mark.parametrize("edges", [complete_edges(4), BOWTIE, K5_MINUS_EDGE])
+def test_es_variance_matches_exhaustive_enumeration(edges, p):
+    met = metrics_of(edges)
+    delta, shared = Fraction(met.triangle_count), Fraction(met.shared_edge_pairs)
+    mean, var = es_moments_exhaustive(edges, p)
+    assert mean == 3 * p * p * delta
+    assert var == es_variance(p, delta, shared)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the es exact form leaves out 6*delta*(p^3 - p^4) "
+                          "of the variance")
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3)])
+@pytest.mark.parametrize("edges", [complete_edges(4), BOWTIE, K5_MINUS_EDGE])
+def test_es_theory_matches_exhaustive_enumeration(edges, p):
+    mean, var = es_moments_exhaustive(edges, p)
+    exact = theory_rse("es", metrics_of(edges), p=float(p))[0]
+    assert exact ** 2 == pytest.approx(float(var / mean ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("edges", [complete_edges(4), BOWTIE, K5_MINUS_EDGE])
+def test_ws_theory_matches_exhaustive_enumeration(edges, k):
+    # ws draws with replacement, which the approximate form describes;
+    # the exact form is the one for draws without replacement.
+    exact, approx = theory_rse("ws", metrics_of(edges), k=k)
+    for form, replace in ((approx, True), (exact, False)):
+        mean, var = ws_moments_exhaustive(edges, k, replace)
+        assert abs(form - math.sqrt(var / mean ** 2)) <= math.ulp(form)
+
+
 def test_rse_tau_approx_values():
-    assert rse_tau_approx(1.0, 1, 3) == pytest.approx(math.sqrt(1 / 3))
+    def approx(p, delta, phi):
+        return theory_rse("ews", form_metrics(delta, 0, phi), p=p)[1]
+
+    assert approx(1.0, 1, 3) == pytest.approx(math.sqrt(1 / 3))
     # doubling p halves the squared RSE exactly
-    a, b = rse_tau_approx(0.1, 50, 900), rse_tau_approx(0.2, 50, 900)
+    a, b = approx(0.1, 50, 900), approx(0.2, 50, 900)
     assert a * a == pytest.approx(2 * b * b, rel=1e-12)
 
 
 def test_rse_tau_approx_hits_target_at_published_size():
-    p = 1525 / WEB_GOOGLE.m
-    rse = rse_tau_approx(p, WEB_GOOGLE.triangle_count, WEB_GOOGLE.phi)
+    rse = theory_rse("ews", WEB_GOOGLE, p=1525 / WEB_GOOGLE.m)[1]
     assert rse == pytest.approx(0.05, rel=0.02)
 
 
 def test_rse_omega_values():
-    assert rse_omega_approx(0.3, 100, 1.0) == 0.0  # complete graph: C = 1
-    k = 6842
-    rse = rse_omega_approx(k / WEB_GOOGLE.m, WEB_GOOGLE.m, 0.0552)
+    # complete graph: C = 1
+    assert theory_rse("ws", form_metrics(100, 0, 300), k=30) == (0.0, 0.0)
+    rse = theory_rse("ws", WEB_GOOGLE, k=6842)[1]
     assert rse == pytest.approx(0.05, rel=0.02)
-    with pytest.raises(RseDomainError):
-        rse_omega_approx(0.5, 100, 0.0)
+    with pytest.raises(RseDomainError, match="must be positive"):
+        theory_rse("ws", form_metrics(1, 0, 3, 300, clustering=0.0), k=30)
     with pytest.raises(RseDomainError, match="exceeds 1"):
-        rse_omega_approx(0.5, 100, 1.5)
+        theory_rse("ws", form_metrics(1, 0, 3, 300, clustering=1.5), k=30)
 
 
 def test_rse_omega_exact_needs_valid_domain():
-    with pytest.raises(RseDomainError):
-        rse_omega_exact(1e-9, 100, 0.5, 1000)  # fewer than one draw
+    met = form_metrics(2, 0, 6, 12)
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        theory_rse("ws", met, k=0)  # fewer than one draw
     # correction factor reaches zero when every wedge is drawn
-    assert rse_omega_exact(1.0, 12, 0.5, 12) == 0.0
+    assert theory_rse("ws", met, k=12)[0] == 0.0
+    with pytest.raises(RseDomainError, match=r"got k = 13 and 12 wedges$"):
+        theory_rse("ws", met, k=13)
+    with pytest.raises(RseDomainError, match=r"more than one wedge.*got k = 1 and 1 wedges"):
+        theory_rse("ws", form_metrics(1, 0, 3, 1.0, clustering=0.5), k=1)
 
 
 def test_rse_rho_values():
-    assert rse_rho_exact(1.0, 7, 100) == 0.0
+    assert theory_rse("es", form_metrics(7, 100, 21), p=1.0)[0] == 0.0
     # closed form at p=1/2 on a single triangle with no shared edges
-    assert rse_rho_exact(0.5, 1, 0) == pytest.approx(
+    assert theory_rse("es", form_metrics(1, 0, 3), p=0.5)[0] == pytest.approx(
         math.sqrt(3 * (0.25 - 0.0625)) / (3 * 0.25))
-    rse = rse_rho_approx(16_556 / WEB_GOOGLE.m, WEB_GOOGLE.triangle_count,
-                         WEB_GOOGLE.shared_edge_pairs)
+    rse = theory_rse("es", WEB_GOOGLE, p=16_556 / WEB_GOOGLE.m)[1]
     assert rse == pytest.approx(0.05, rel=0.02)
 
 
 @pytest.mark.parametrize("p", [0.01, 0.05, 0.2, 0.7, 1.0])
 def test_exact_is_never_above_approx(er300_metrics, p):
     met = er300_metrics
-    d, k_, phi = met.triangle_count, met.shared_edge_pairs, met.phi
-    assert rse_tau_exact(p, d, k_, phi) <= rse_tau_approx(p, d, phi) + 1e-15
-    assert rse_rho_exact(p, d, k_) <= rse_rho_approx(p, d, k_) + 1e-15
-    if p * met.m >= 1:
-        c = met.clustering_coefficient
-        assert (rse_omega_exact(p, met.m, c, met.wedge_count)
-                <= rse_omega_approx(p, met.m, c) + 1e-15)
+    for method, level in (("ews", {"p": p}), ("es", {"p": p}),
+                          ("ws", {"k": math.ceil(p * met.m)})):
+        exact, approx = theory_rse(method, met, **level)
+        assert exact <= approx + 1e-15
 
 
 def test_sample_size_web_google_row():
-    req = SampleSizeRequest(target_rse=0.05, metrics=WEB_GOOGLE)
-    assert sample_size_for_rse(req, "ews") == pytest.approx(1525, rel=0.02)
-    assert sample_size_for_rse(req, "ws") == pytest.approx(6842, rel=0.02)
-    assert sample_size_for_rse(req, "es") == pytest.approx(16_556, rel=0.02)
+    assert sample_size_for_rse("ews", WEB_GOOGLE, 0.05) == pytest.approx(1525, rel=0.02)
+    assert sample_size_for_rse("ws", WEB_GOOGLE, 0.05) == pytest.approx(6842, rel=0.02)
+    assert sample_size_for_rse("es", WEB_GOOGLE, 0.05) == pytest.approx(16_556, rel=0.02)
 
 
 def test_sample_size_floors_at_one(k3):
-    req = SampleSizeRequest(target_rse=1.0, metrics=compute_metrics(k3))
-    sizes = {m: sample_size_for_rse(req, m) for m in ("ews", "ws", "es")}
+    met = compute_metrics(k3)
+    sizes = {m: sample_size_for_rse(m, met, 1.0) for m in ("ews", "ws", "es")}
     assert all(1 <= s <= 3 for s in sizes.values())
 
 
@@ -125,11 +175,11 @@ def test_sample_size_past_the_float_range_is_a_domain_error(method, target, delt
     met = GraphMetrics(n=10, m=10, triangle_count=delta, wedge_count=3.0,
                        clustering_coefficient=delta, phi=30.0, shared_edge_pairs=5.0)
     with pytest.raises(RseDomainError, match="not finite"):
-        sample_size_for_rse(SampleSizeRequest(target_rse=target, metrics=met), method)
+        sample_size_for_rse(method, met, target)
     huge = GraphMetrics(n=10, m=1e300, triangle_count=1.0, wedge_count=3.0,
                         clustering_coefficient=1.0, phi=1e300, shared_edge_pairs=5.0)
     with pytest.raises(RseDomainError, match="not finite"):  # m * phi is inf
-        sample_size_for_rse(SampleSizeRequest(target_rse=0.1, metrics=huge), "ews")
+        sample_size_for_rse("ews", huge, 0.1)
 
 
 @pytest.mark.parametrize("method, p", [("es", 1e-300),   # 3p^2 * delta is 0
@@ -143,11 +193,10 @@ def test_theory_past_the_float_range_is_a_domain_error(method, p):
 
 
 def test_sample_size_validates():
-    with pytest.raises(ValueError):
-        SampleSizeRequest(target_rse=0.0, metrics=WEB_GOOGLE)
-    req = SampleSizeRequest(target_rse=0.05, metrics=WEB_GOOGLE)
-    with pytest.raises(ValueError):
-        sample_size_for_rse(req, "unknown")
+    with pytest.raises(ValueError, match=r"target RSE must be in \(0, 1\]"):
+        sample_size_for_rse("ews", WEB_GOOGLE, 0.0)
+    with pytest.raises(ValueError, match="unknown method"):
+        sample_size_for_rse("unknown", WEB_GOOGLE, 0.05)
 
 
 @pytest.mark.parametrize("method", ["ews", "ws", "es"])
@@ -157,8 +206,7 @@ def test_sample_size_round_trip(er300_metrics, method, target, which):
     """Forward-evaluating the approximation at the returned size meets the
     target, and one entity fewer would miss it."""
     met = er300_metrics if which == "er300" else WEB_GOOGLE
-    req = SampleSizeRequest(target_rse=target, metrics=met)
-    size = sample_size_for_rse(req, method)
+    size = sample_size_for_rse(method, met, target)
     if method != "ws" and size > met.m:
         pytest.skip("target unattainable by edge subsampling (p would exceed 1)")
 
@@ -306,7 +354,8 @@ def test_rse_sweep_checks_row_theory_before_any_trial(monkeypatch):
     run_trials = analysis.run_trials
     monkeypatch.setattr(analysis, "run_trials",
                         lambda *args: calls.append(1) or run_trials(*args))
-    with pytest.raises(RseDomainError, match=r"need 1 < k <= wedge count"):
+    with pytest.raises(RseDomainError, match=r"need more than one wedge and k <= wedge count, "
+                       r"got k = 7 and 3 wedges$"):
         rse_sweep(g, ["ews", "ws"], [0.1, 0.5], runs=1000, seed=42)
     # triangle-free: the empirical-RSE message, before any trial
     with pytest.raises(RseDomainError, match="triangle-free"):

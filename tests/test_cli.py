@@ -302,6 +302,15 @@ def test_sample_size_rejects_delta_above_lambda_third(capsys):
     assert "--metrics: delta must be <= lambda/3, got delta 5 and lambda 0" in err
 
 
+def test_sample_size_rejects_phi_below_three_delta(capsys):
+    # Each triangle adds 2a + b - 3 >= 3 to phi, so no graph has phi < 3*delta.
+    code, out, err = run_cli(capsys, ["sample-size", "--metrics",
+                                      "4,4,1,3,2,0", "--rse", "0.1"])
+    assert code == 1
+    assert out == ""
+    assert "--metrics: phi must be >= 3*delta, got phi 2 and delta 1" in err
+
+
 def test_sample_size_accepts_delta_of_lambda_third(capsys):
     code, out, _ = run_cli(capsys, ["sample-size", "--metrics", "10,10,5,15,30,5",
                                     "--rse", "0.1", "--format", "json"])
