@@ -9,8 +9,8 @@ each, sample-size inversion, and an empirical trial harness. See the
 from .analysis import (RseRow, empirical_rse, rse_sweep, sample_size_for_rse,
                        theory_rse)
 from .estimators import (EstimateResult, NoWedgesError, RseDomainError,
-                         SamplingPlan, WedgeSampler, build_wedge_sampler,
-                         es_estimate, ews_estimate, ws_estimate)
+                         WedgeSampler, build_wedge_sampler, es_estimate,
+                         ews_estimate, ws_estimate)
 from .exact import (EdgeTriangleCounts, GraphMetrics, compute_metrics,
                     count_triangles_exact, wedge_count)
 from .graph import (EmptyGraphError, Graph, GraphFormatError, has_edge_many,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EdgeTriangleCounts", "EmptyGraphError", "EstimateResult",
     "Graph", "GraphFormatError", "GraphMetrics", "NoWedgesError",
-    "RandomSource", "RseDomainError", "RseRow", "SamplingPlan", "WedgeSampler",
+    "RandomSource", "RseDomainError", "RseRow", "WedgeSampler",
     "build_wedge_sampler", "compute_metrics", "count_triangles_exact",
     "empirical_rse", "es_estimate", "ews_estimate", "has_edge_many",
     "load_edge_list", "mix_seed", "rse_sweep", "sample_size_for_rse",

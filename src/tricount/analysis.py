@@ -21,8 +21,8 @@ import numpy as np
 
 from .exact import GraphMetrics, compute_metrics
 from .graph import Graph
-from .estimators import (RseDomainError, SamplingPlan, check_delta, check_level,
-                         check_p, check_rse, method_spec, run_trials)
+from .estimators import (RseDomainError, check_delta, check_level, check_p,
+                         check_rse, check_runs, method_spec, run_trials)
 from .rng import RandomSource, mix_seed
 
 
@@ -86,7 +86,7 @@ def theory_rse(method: str, metrics: GraphMetrics, p: float | None = None,
                k: int | None = None) -> tuple[float, float]:
     """(exact, approximate) closed-form RSE for one configuration: at
     ``p`` for ews and es, at ``k`` for ws. Accepts and rejects the
-    (method, p, k) a ``SamplingPlan`` does (``check_level``), and raises
+    (method, p, k) ``empirical_rse`` does (``check_level``), and raises
     RseDomainError where the RSE is not finite (``_finite``)."""
     level = check_level(method, p, k)
     check_delta(metrics.triangle_count)
@@ -103,31 +103,33 @@ def _trial_sources(seed: int, runs: int) -> Iterator[RandomSource]:
         yield from base.derive(np.arange(start, min(start + _SEED_BLOCK, runs)))
 
 
-def empirical_rse(g: Graph, plan: SamplingPlan, metrics: GraphMetrics) -> RseRow:
-    """Run ``plan.runs`` independent seeded trials and compare to theory.
+def empirical_rse(g: Graph, method: str, metrics: GraphMetrics,
+                  p: float | None = None, k: int | None = None, *,
+                  seed: int, runs: int) -> RseRow:
+    """Run ``runs`` independent seeded trials of ``method`` at ``p``, or
+    at ``k`` for ws (which may carry a nominal ``p``), against theory.
 
-    Trial ``i`` draws from ``RandomSource(plan.seed).derive(i)``, so any
+    Trial ``i`` draws from ``RandomSource(seed).derive(i)``, so any
     single trial can be reproduced in isolation and trials are
     order-independent. The sources are derived a block at a time and
     the trials run as batches on the estimators' trial engine: draws
-    stay per trial, the graph work runs once per batch, and memory is
-    bounded by the block and batch sizes, not by ``plan.runs`` times the
-    sample size. The sum of squared deviations uses compensated
-    accumulation (math.fsum).
+    stay per trial and the graph work runs once per batch. The engine
+    returns one raw statistic, sampled count and estimate per trial,
+    and the row keeps them for its two-pass mean and variance, so its
+    memory grows with ``runs``. The sum of squared deviations uses
+    compensated accumulation (math.fsum).
     """
-    if plan.runs < 2:
-        raise ValueError("empirical RSE needs at least 2 runs")
-    exact, approx = theory_rse(plan.method, metrics, p=plan.p, k=plan.k)
-    _, sampled, estimates = run_trials(
-        g, plan.method, plan.level, _trial_sources(plan.seed, plan.runs))
+    check_runs(runs)
+    level = check_level(method, p, k)
+    exact, approx = theory_rse(method, metrics, p=p, k=k)
+    _, sampled, estimates = run_trials(g, method, level, _trial_sources(seed, runs))
 
-    mu = math.fsum(estimates) / plan.runs
-    mean_sq = math.fsum((e - mu) ** 2 for e in estimates) / plan.runs
+    mu = math.fsum(estimates) / runs
+    mean_sq = math.fsum((e - mu) ** 2 for e in estimates) / runs
     emp = math.sqrt(mean_sq) / metrics.triangle_count
-    return RseRow(method=plan.method, p=plan.p, k=plan.k,
-                  sampled=sum(sampled) / plan.runs, empirical_rse=emp,
-                  exact_rse=exact, approx_rse=approx, mean_estimate=mu,
-                  runs=plan.runs)
+    return RseRow(method=method, p=p, k=k, sampled=sum(sampled) / runs,
+                  empirical_rse=emp, exact_rse=exact, approx_rse=approx,
+                  mean_estimate=mu, runs=runs)
 
 
 def rse_sweep(g: Graph, methods: list[str], ps: list[float], runs: int,
@@ -144,13 +146,13 @@ def rse_sweep(g: Graph, methods: list[str], ps: list[float], runs: int,
         raise ValueError("need at least one method and one sampling probability")
     for p in ps:
         check_p(p)  # before ceil(p * m), which overflows at p = inf
-    if runs < 2:
-        raise ValueError("empirical RSE needs at least 2 runs")
-    plans = [SamplingPlan(method=method, p=p, seed=mix_seed(seed, idx), runs=runs,
-                          k=(math.ceil(p * g.m)
-                             if method_spec(method).level == "k" else None))
-             for idx, (method, p) in enumerate(itertools.product(methods, ps))]
+    check_runs(runs)
+    configs = [(method, p,
+                math.ceil(p * g.m) if method_spec(method).level == "k" else None)
+               for method, p in itertools.product(methods, ps)]
     metrics = compute_metrics(g)
-    for plan in plans:
-        theory_rse(plan.method, metrics, p=plan.p, k=plan.k)
-    return tuple(empirical_rse(g, plan, metrics) for plan in plans)
+    for method, p, k in configs:
+        theory_rse(method, metrics, p=p, k=k)
+    return tuple(empirical_rse(g, method, metrics, p, k, seed=mix_seed(seed, idx),
+                               runs=runs)
+                 for idx, (method, p, k) in enumerate(configs))

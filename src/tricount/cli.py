@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from .analysis import rse_sweep, sample_size_for_rse
-from .estimators import (METHODS, check_level, check_p, check_rse, estimate,
-                         method_spec)
+from .estimators import (METHODS, check_level, check_p, check_rse, check_runs,
+                         estimate, method_spec)
 from .exact import GraphMetrics, compute_metrics
 from .graph import load_edge_list
 from .rng import RandomSource
@@ -155,8 +155,10 @@ def _run_rse_sweep(args, parser):
             check_p(p)
     except ValueError as exc:
         raise ValueError(f"--p: {exc}") from None
-    if args.runs < 2:
-        raise ValueError(f"--runs must be >= 2, got {args.runs}")
+    try:
+        check_runs(args.runs)
+    except ValueError as exc:
+        raise ValueError(f"--runs: {exc}") from None
     g = load_edge_list(args.graph)
     # Echoed so any row is re-runnable: row i uses mix_seed(seed, i),
     # trial j of that row uses derive(j) of the row seed.

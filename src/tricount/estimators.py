@@ -70,7 +70,14 @@ def check_p(p: float):
 def check_rse(target_rse: float):
     """The one rule for a target RSE: 0 < target <= 1."""
     if not 0.0 < target_rse <= 1.0:
-        raise ValueError("target RSE must be in (0, 1]")
+        raise ValueError(f"target RSE must be in (0, 1], got {target_rse}")
+
+
+def check_runs(runs: int):
+    """The one rule for a trial count: an integer runs >= 2, as an
+    empirical RSE needs a spread."""
+    if not (isinstance(runs, numbers.Integral) and runs >= 2):
+        raise ValueError(f"runs must be an integer >= 2, got {runs}")
 
 
 def _check_k(k: int):
@@ -427,32 +434,6 @@ def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource]
         sampled += [d.size for d in draws]
         values, bounds = _concat(draws)
         raw += spec.finish(g, level, batch, values, bounds).tolist()
-
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    """One estimator configuration: method, p or k, base seed, trial count.
-
-    ``p`` is the edge-sampling probability used by ``ews`` and ``es``;
-    ``k`` is the wedge-sample count used by ``ws``. For ``ws`` plans a
-    nominal ``p`` may be carried alongside ``k`` for reporting.
-    """
-
-    method: str
-    p: float | None = None
-    k: int | None = None
-    seed: int = 0
-    runs: int = 1
-
-    def __post_init__(self):
-        check_level(self.method, self.p, self.k)
-        if not (isinstance(self.runs, numbers.Integral) and self.runs >= 1):
-            raise ValueError(f"runs must be an integer >= 1, got {self.runs}")
-
-    @property
-    def level(self):
-        """The level the method reads: ``p``, or ``k`` for ws."""
-        return getattr(self, method_spec(self.method).level)
 
 
 @dataclass(frozen=True)

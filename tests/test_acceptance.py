@@ -10,10 +10,10 @@ import time
 
 import pytest
 
-from tricount import (GraphMetrics, RandomSource, SamplingPlan,
-                      build_wedge_sampler, count_triangles_exact,
-                      empirical_rse, es_estimate, ews_estimate,
-                      load_edge_list, sample_size_for_rse, ws_estimate)
+from tricount import (GraphMetrics, RandomSource, build_wedge_sampler,
+                      count_triangles_exact, empirical_rse, es_estimate,
+                      ews_estimate, load_edge_list, sample_size_for_rse,
+                      ws_estimate)
 from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
                      forced_es_census, forced_ews_tau, forced_ws_omega,
                      graph_from_edges, graph_text, internal_id, path_edges,
@@ -143,18 +143,16 @@ def test_criterion_4_rse_theory_match(er300, er300_metrics):
     failures = []
     met = er300_metrics
     k_ws = math.ceil(0.1 * er300.m)
-    plans = [SamplingPlan(method="ews", p=0.1, seed=4100, runs=1000),
-             SamplingPlan(method="es", p=0.2, seed=4200, runs=1000),
-             SamplingPlan(method="ws", k=k_ws, seed=4300, runs=1000)]
-    for plan in plans:
-        row = empirical_rse(er300, plan, met)
-        if plan.method == "ews":
+    for method, level, seed in (("ews", {"p": 0.1}, 4100), ("es", {"p": 0.2}, 4200),
+                                ("ws", {"k": k_ws}, 4300)):
+        row = empirical_rse(er300, method, met, **level, seed=seed, runs=1000)
+        if method == "ews":
             rel_exact = abs(row.empirical_rse / row.exact_rse - 1)
             if rel_exact > 0.10:
                 failures.append(f"ews vs exact: {rel_exact:.2%} > 10%")
         rel_approx = abs(row.empirical_rse / row.approx_rse - 1)
         if rel_approx > 0.15:
-            failures.append(f"{plan.method} vs approx: {rel_approx:.2%} > 15%")
+            failures.append(f"{method} vs approx: {rel_approx:.2%} > 15%")
     _criterion(4, "RSE theory match at 1000 runs", failures)
 
 

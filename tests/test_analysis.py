@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tricount import (GraphMetrics, RseDomainError, SamplingPlan,
-                      compute_metrics, empirical_rse, mix_seed, rse_sweep,
-                      sample_size_for_rse, theory_rse)
+from tricount import (GraphMetrics, RseDomainError, compute_metrics,
+                      empirical_rse, mix_seed, rse_sweep, sample_size_for_rse,
+                      theory_rse)
 from tricount import analysis
 from helpers import complete_edges, er_edges, graph_from_edges
 from oracles import (es_moments_exhaustive, es_variance, ews_moments_exhaustive,
@@ -251,13 +251,11 @@ def test_es_slope_is_steeper_than_ews():
 
 def test_empirical_rse_deterministic_cases(k3, k4):
     met3 = compute_metrics(k3)
-    row = empirical_rse(k3, SamplingPlan(method="ews", p=1.0, seed=1, runs=50),
-                        met3)
+    row = empirical_rse(k3, "ews", met3, p=1.0, seed=1, runs=50)
     assert row.empirical_rse == 0.0
     assert row.mean_estimate == 1.0
     met4 = compute_metrics(k4)
-    row = empirical_rse(k4, SamplingPlan(method="es", p=1.0, seed=2, runs=50),
-                        met4)
+    row = empirical_rse(k4, "es", met4, p=1.0, seed=2, runs=50)
     assert row.empirical_rse == 0.0
     assert row.mean_estimate == 4.0
 
@@ -265,28 +263,27 @@ def test_empirical_rse_deterministic_cases(k3, k4):
 def test_empirical_rse_validates(k3, path3):
     met = compute_metrics(k3)
     with pytest.raises(ValueError):
-        empirical_rse(k3, SamplingPlan(method="ews", p=1.0, runs=1), met)
+        empirical_rse(k3, "ews", met, p=1.0, seed=0, runs=1)
     with pytest.raises(RseDomainError):
-        empirical_rse(path3, SamplingPlan(method="ews", p=1.0, runs=10),
-                      compute_metrics(path3))
+        empirical_rse(path3, "ews", compute_metrics(path3), p=1.0, seed=0, runs=10)
 
 
 def test_runs_must_be_an_integer(k3):
-    # a fractional runs count used to pass the plan and fail in range()
+    # a fractional runs count would otherwise fail in range()
+    met = compute_metrics(k3)
     for bad in (2.5, 3.0, math.inf, math.nan, 0, "5"):
         with pytest.raises(ValueError, match="runs must be an integer"):
-            SamplingPlan(method="ews", p=0.5, runs=bad)
+            empirical_rse(k3, "ews", met, p=0.5, seed=0, runs=bad)
     with pytest.raises(ValueError, match="runs must be an integer"):
         rse_sweep(k3, ["ews"], [0.5], runs=3.5, seed=0)
-    assert SamplingPlan(method="ews", p=0.5, runs=np.int64(3)).runs == 3
+    assert empirical_rse(k3, "ews", met, p=0.5, seed=0, runs=np.int64(3)).runs == 3
 
 
 def test_empirical_rse_tracks_theory():
     edges = er_edges(300, 0.05, 11)
     g = graph_from_edges(edges)
     met = compute_metrics(g)
-    plan = SamplingPlan(method="ews", p=0.1, seed=5150, runs=1000)
-    row = empirical_rse(g, plan, met)
+    row = empirical_rse(g, "ews", met, p=0.1, seed=5150, runs=1000)
     assert abs(row.empirical_rse / row.approx_rse - 1) < 0.15
 
 
@@ -295,10 +292,8 @@ def test_empirical_rse_converges_in_runs(method):
     g = graph_from_edges(er_edges(120, 0.08, 31))
     met = compute_metrics(g)
     kwargs = {"k": math.ceil(0.15 * g.m)} if method == "ws" else {"p": 0.15}
-    small = empirical_rse(
-        g, SamplingPlan(method=method, seed=61, runs=1000, **kwargs), met)
-    big = empirical_rse(
-        g, SamplingPlan(method=method, seed=62, runs=4000, **kwargs), met)
+    small = empirical_rse(g, method, met, **kwargs, seed=61, runs=1000)
+    big = empirical_rse(g, method, met, **kwargs, seed=62, runs=4000)
     assert abs(big.empirical_rse / small.empirical_rse - 1) < 0.10
 
 
@@ -314,10 +309,8 @@ def test_rse_sweep_shape_and_reproducibility(er300, er300_metrics):
             assert row.k is None
     # single-configuration sweep equals one empirical_rse call
     single = rse_sweep(er300, ["ews"], [0.1], runs=50, seed=123)[0]
-    direct = empirical_rse(
-        er300,
-        SamplingPlan(method="ews", p=0.1, seed=mix_seed(123, 0), runs=50),
-        er300_metrics)
+    direct = empirical_rse(er300, "ews", er300_metrics, p=0.1,
+                           seed=mix_seed(123, 0), runs=50)
     assert single == direct
 
 
@@ -337,12 +330,28 @@ def test_rse_sweep_checks_every_row_before_the_first(monkeypatch):
     with pytest.raises(ValueError, match="p must be"):
         rse_sweep(k5, ["ws"], [math.inf], runs=5, seed=0)
     rows = []
-    monkeypatch.setattr(analysis, "empirical_rse", lambda *args: rows.append(args))
+    monkeypatch.setattr(analysis, "empirical_rse",
+                        lambda *args, **kwargs: rows.append((args, kwargs)))
     for methods, ps in [(["ews", "ws"], [0.5, math.inf]), (["ews"], [0.5, 0.0]),
                         (["ws", "es"], [0.5, math.nan]), (["ews", "bogus"], [0.5])]:
         with pytest.raises(ValueError):
             rse_sweep(k5, methods, ps, runs=5, seed=0)
     assert rows == []  # a bad late row costs no computed row
+
+
+def test_every_sweep_row_goes_through_empirical_rse(monkeypatch, er300):
+    # The benchmark's tracer and its self-test patch the module global.
+    want = rse_sweep(er300, ["ews", "ws"], [0.1, 0.2], runs=3, seed=1)
+    calls = []
+    empirical = analysis.empirical_rse
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return empirical(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "empirical_rse", counting)
+    assert rse_sweep(er300, ["ews", "ws"], [0.1, 0.2], runs=3, seed=1) == want
+    assert len(calls) == 4
 
 
 def test_rse_sweep_checks_row_theory_before_any_trial(monkeypatch):
@@ -373,7 +382,7 @@ def test_rse_sweep_checks_runs_before_the_metrics(monkeypatch, k3, runs):
     calls = []
     monkeypatch.setattr(analysis, "compute_metrics",
                         lambda g: calls.append(g) or compute_metrics(g))
-    with pytest.raises(ValueError, match="at least 2 runs"):
+    with pytest.raises(ValueError, match=f"runs must be an integer >= 2, got {runs}$"):
         rse_sweep(k3, ["ews"], [0.5], runs=runs, seed=0)
     assert calls == []
     rse_sweep(k3, ["ews"], [0.5], runs=2, seed=0)
@@ -395,23 +404,24 @@ def test_rows_derive_trial_sources_a_block_at_a_time(monkeypatch):
     assert seeds == [mix_seed(9, j) for j in range(len(seeds))]
 
 
-def test_theory_rse_dispatch(er300_metrics):
+def test_theory_rse_dispatch(er300, er300_metrics):
     ex, ap = theory_rse("ws", er300_metrics, k=200)
     assert 0 < ex <= ap
     with pytest.raises(ValueError):
         theory_rse("bogus", er300_metrics, p=0.1)
     with pytest.raises(ValueError, match="ews requires p"):
         theory_rse("ews", er300_metrics)
-    # theory_rse and SamplingPlan share one level rule.
+    # theory_rse and empirical_rse share one level rule.
     for method, p, k, message in (("ews", 0.1, 5, "does not take k"),
                                   ("es", 0.1, 5, "does not take k"),
                                   ("ws", 7.0, 200, "p must be")):
         with pytest.raises(ValueError, match=message):
             theory_rse(method, er300_metrics, p=p, k=k)
         with pytest.raises(ValueError, match=message):
-            SamplingPlan(method=method, p=p, k=k)
+            empirical_rse(er300, method, er300_metrics, p=p, k=k, seed=0, runs=2)
     assert theory_rse("ws", er300_metrics, p=0.1, k=200) == (ex, ap)
-    SamplingPlan(method="ws", p=0.1, k=200)
+    row = empirical_rse(er300, "ws", er300_metrics, p=0.1, k=200, seed=0, runs=2)
+    assert (row.p, row.k, row.exact_rse, row.approx_rse) == (0.1, 200, ex, ap)
 
 
 def test_ws_theory_reads_k_itself():

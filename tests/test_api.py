@@ -11,7 +11,7 @@ REPO = Path(__file__).resolve().parents[1]
 PUBLIC_API = [
     "EdgeTriangleCounts", "EmptyGraphError", "EstimateResult", "Graph",
     "GraphFormatError", "GraphMetrics", "NoWedgesError", "RandomSource",
-    "RseDomainError", "RseRow", "SamplingPlan", "WedgeSampler",
+    "RseDomainError", "RseRow", "WedgeSampler",
     "build_wedge_sampler", "compute_metrics", "count_triangles_exact",
     "empirical_rse", "es_estimate", "ews_estimate", "has_edge_many",
     "load_edge_list", "mix_seed", "rse_sweep", "sample_size_for_rse",

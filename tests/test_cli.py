@@ -347,7 +347,8 @@ def test_sample_size_checks_rse_before_reading_the_graph(capsys, tmp_path, rse):
     code, out, err = run_cli(capsys, ["sample-size", "--graph",
                                       str(tmp_path / "missing.txt"), "--rse", rse])
     assert code == 1 and out == ""
-    assert err == "tricount: error: --rse: target RSE must be in (0, 1]\n"
+    assert err == ("tricount: error: --rse: target RSE must be in (0, 1], "
+                   f"got {float(rse)}\n")
 
 
 @pytest.mark.parametrize("dest", ["", "missing/out.csv"])

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tricount import (NoWedgesError, RandomSource, SamplingPlan,
-                      build_wedge_sampler, compute_metrics,
-                      count_triangles_exact, empirical_rse, es_estimate, ews_estimate,
-                      ws_estimate)
+from tricount import (NoWedgesError, RandomSource, build_wedge_sampler,
+                      compute_metrics, count_triangles_exact, empirical_rse,
+                      es_estimate, ews_estimate, ws_estimate)
 from tricount import estimators, graph
 from tricount.estimators import run_trials
 from helpers import (FIVE_TRIANGLE_EDGES, circulant_edges, complete_edges,
@@ -17,23 +16,28 @@ from oracles import (adjacency, clean_edges, closed_wedge_census, ews_increment,
                      hinge, wedge_closed)
 
 
-def test_plan_validation():
-    SamplingPlan(method="ews", p=0.5, seed=1, runs=3)
-    SamplingPlan(method="ws", k=10, seed=1)
+def test_plan_validation(k4):
+    met = compute_metrics(k4)
+
+    def row(method, runs=3, **level):
+        return empirical_rse(k4, method, met, **level, seed=1, runs=runs)
+
+    assert row("ews", p=0.5).runs == 3
+    assert row("ws", k=10).k == 10
     with pytest.raises(ValueError):
-        SamplingPlan(method="ews", p=0.0)
+        row("ews", p=0.0)
     with pytest.raises(ValueError):
-        SamplingPlan(method="es", p=0.5, k=3)
+        row("es", p=0.5, k=3)
     with pytest.raises(ValueError):
-        SamplingPlan(method="ws", k=0)
+        row("ws", k=0)
     with pytest.raises(ValueError):
-        SamplingPlan(method="ws", k=2.5)
+        row("ws", k=2.5)
     with pytest.raises(ValueError, match="p must be"):
-        SamplingPlan(method="ws", p=7.0, k=3)  # the nominal p is checked too
+        row("ws", p=7.0, k=3)  # the nominal p is checked too
     with pytest.raises(ValueError):
-        SamplingPlan(method="ews", p=0.5, runs=0)
+        row("ews", p=0.5, runs=0)
     with pytest.raises(ValueError):
-        SamplingPlan(method="nope", p=0.5)
+        row("nope", p=0.5)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 99])
@@ -390,12 +394,15 @@ def test_batched_trials_equal_lone_estimates():
 def test_batch_budget_does_not_change_sweep_rows(monkeypatch, budget):
     g = graph_from_edges(er_edges(60, 0.15, 2))
     metrics = compute_metrics(g)
-    plans = [SamplingPlan(method="ews", p=0.3, seed=1, runs=30),
-             SamplingPlan(method="es", p=0.3, seed=2, runs=30),
-             SamplingPlan(method="ws", k=40, seed=3, runs=30)]
-    want = [empirical_rse(g, plan, metrics) for plan in plans]
+    configs = [("ews", {"p": 0.3}, 1), ("es", {"p": 0.3}, 2), ("ws", {"k": 40}, 3)]
+
+    def rows():
+        return [empirical_rse(g, method, metrics, **level, seed=seed, runs=30)
+                for method, level, seed in configs]
+
+    want = rows()
     monkeypatch.setattr(estimators, "_BATCH", budget)
-    assert [empirical_rse(g, plan, metrics) for plan in plans] == want
+    assert rows() == want
 
 
 def test_zero_edge_trials_sample_nothing(five_tri):
