@@ -12,7 +12,7 @@ from .estimators import (EstimateResult, NoWedgesError, RseDomainError,
                          WedgeSampler, build_wedge_sampler, es_estimate,
                          ews_estimate, ws_estimate)
 from .exact import (EdgeTriangleCounts, GraphMetrics, compute_metrics,
-                    count_triangles_exact, wedge_count)
+                    count_triangles_exact)
 from .graph import (EmptyGraphError, Graph, GraphFormatError, has_edge_many,
                     load_edge_list)
 from .rng import RandomSource, mix_seed
@@ -26,5 +26,5 @@ __all__ = [
     "build_wedge_sampler", "compute_metrics", "count_triangles_exact",
     "empirical_rse", "es_estimate", "ews_estimate", "has_edge_many",
     "load_edge_list", "mix_seed", "rse_sweep", "sample_size_for_rse",
-    "theory_rse", "wedge_count", "ws_estimate",
+    "theory_rse", "ws_estimate",
 ]

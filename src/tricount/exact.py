@@ -3,11 +3,10 @@
 These serve as ground truth for the sampling experiments and as inputs
 to the closed-form error theory: the triangle count, the wedge count,
 the global clustering coefficient, the per-edge triangle counts T(e),
-and the two variance drivers ``phi`` (sum over triangles, with vertex
-degrees a <= b <= c, of 2a + b - 3, equivalently sum over edges of
-T(e) * (min endpoint degree - 1); 24 on K4) and ``shared_edge_pairs``
-(number of unordered triangle pairs sharing an edge, sum over edges of
-C(T(e), 2)).
+and the two variance drivers, both sums over edges of T(e): ``phi``,
+of T(e) * (min endpoint degree - 1) (24 on K4), and
+``shared_edge_pairs``, the number of unordered triangle pairs sharing
+an edge, of C(T(e), 2) (6 on K4).
 """
 
 from __future__ import annotations
@@ -21,11 +20,11 @@ from .graph import (_CHUNK, Graph, _Tasks, _find_edges, _index_dtype, _orient,
                     _pair_block, _pair_table, edge_key)
 
 # Out-edge pairs checked per block of ``count_triangles_exact``. Each
-# pair costs ~47 bytes of temporaries (tracemalloc, the peak difference
+# pair costs ~33 bytes of temporaries (tracemalloc, the peak difference
 # between blocks of 2**20 and 2**16 pairs on the million-edge power-law
-# graph, its edge bitmap built: 86.5 against 42.2 MB), so a block holds
-# ~3 MB and adds nothing to the peak memory of loading a million-edge
-# graph.
+# graph, its edge bitmap built, on one thread: 50.5 against 18.0 MB), so
+# a block holds ~2 MB and adds nothing to the peak memory of loading a
+# million-edge graph.
 _WEDGE_BLOCK = 1 << 16
 
 
@@ -81,15 +80,13 @@ class GraphMetrics:
 
 @dataclass(frozen=True)
 class EdgeTriangleCounts:
-    """T(e) of every canonical edge, aligned with ``Graph.edge_arrays``,
-    and ``phi``, the sum over edges of T(e) * (min endpoint degree - 1)."""
+    """T(e) of every canonical edge, aligned with ``Graph.edge_arrays``."""
 
     counts: np.ndarray
-    phi: int
 
 
 def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
-    """Exact triangle count, per-edge T(e) and ``phi``.
+    """Exact triangle count and per-edge T(e).
 
     The forward algorithm in array form. Each edge is oriented from
     lower to higher rank under the (degree, id) total order, so a
@@ -105,11 +102,10 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     search over the cached ascending ``Graph.edge_keys``. On the
     million-edge power-law graph 19% of the pairs pass the first filter
     (403,766 of 2,147,830) and 9.8% pass both (210,665, the 186,896
-    triangles included). T(e) is tallied with ``np.bincount``, and
-    ``phi`` summed per triangle found, as 2 d(u) + min(d(v), d(w)) - 3:
-    u has the smallest degree, so that is the sum over its three edges
-    of the smaller endpoint degree minus 1. Time is O(m^1.5) on the
-    graphs this library targets.
+    triangles included). A block returns the canonical positions of
+    each triangle's three edges and nothing else, and T(e) is tallied
+    from them with ``np.bincount``. Time is O(m^1.5) on the graphs this
+    library targets.
 
     Threads: three stages split into independent tasks: the
     orientation's chunk loops before and after its sort, one task per
@@ -121,9 +117,9 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     creates at most one. numpy releases the GIL in most of that work.
     The sort, the out-edge offsets' sum, the narrowing of ``canon``, the
     pair table and the sums stay on the calling thread: it takes the
-    chunk and block results in order and alone sums the offsets, Δ and
-    ``phi`` and tallies T(e), so every output is the same on any number
-    of threads. A graph of one chunk and one block, or one
+    chunk and block results in order and alone sums the offsets and Δ
+    and tallies T(e), so every output is the same on any number of
+    threads. A graph of one chunk and one block, or one
     CPU, runs on the calling thread and starts no thread; the pool is
     joined before the call returns.
 
@@ -135,11 +131,11 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     narrowed from the masked words. The blocks hold head and canon (4
     each) and the pair table (4), and T(e) takes 8. Each worker has one
     chunk or one block in flight: ~1.5 MB of temporaries at ``_CHUNK``
-    edges, ~3 MB at ``_WEDGE_BLOCK`` pairs. On the million-edge
-    power-law graph the traced peak above the graph, its keys and
-    bitmap is 18.2 MiB (19.1 bytes per edge) on one CPU, set by the
-    orientation's read-back, and 21.2 MiB on two, set by the blocks in
-    flight.
+    edges, ~2 MB at ``_WEDGE_BLOCK`` pairs. On the million-edge
+    power-law graph the traced peak of a first ``compute_metrics``
+    above the graph, its keys and bitmap is 18.2 MiB (19.1 bytes per
+    edge) on one CPU, set by the orientation's read-back, and 19.7 MiB
+    on two, set by the blocks in flight.
     """
     m = g.m
     # Every cached property a worker reads is built before the pool
@@ -155,49 +151,38 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
         check = partial(_check_block, g, canon, head, bounds)
         # Blocks run in any order on the pool's threads; ``map`` hands
         # back their results in block order.
-        delta, phi, t_counts, pending = _sum_blocks(tasks.map(check, starts), m)
+        delta, t_counts, pending = _sum_blocks(tasks.map(check, starts), m)
         del check, canon, head, bounds  # before the last tally
     t_counts = _tally(t_counts, pending, m)
     t_counts.flags.writeable = False
-    return delta, EdgeTriangleCounts(counts=t_counts, phi=phi)
+    return delta, EdgeTriangleCounts(counts=t_counts)
 
 
 def _check_block(g: Graph, canon: np.ndarray, head: np.ndarray,
                  bounds: np.ndarray, t0: int):
     """The triangles closed by pairs ``t0 .. t0 + _WEDGE_BLOCK - 1`` of
-    the pair table ``bounds``: ``(phi, (a, b, closing))``, the block's
-    share of ``phi`` and the canonical positions of each triangle's
-    three edges. Reads only arrays built before the call, so blocks may
-    run on several threads at once."""
+    the pair table ``bounds``: ``(a, b, closing)``, the canonical
+    positions of each triangle's three edges. Reads only arrays built
+    before the call, so blocks may run on several threads at once."""
     a, b = _pair_block(bounds, t0, min(t0 + _WEDGE_BLOCK, int(bounds[-1])))
     # A tail's heads ascend, so out-edges a < b of one tail close on
     # the canonical edge head[a]--head[b].
-    v, w = head.take(a), head.take(b)
-    hit, closing = _find_edges(g, edge_key(v, w, g.n))
-    a, b = canon.take(a.take(hit)), canon.take(b.take(hit))
-    # The tail u's degree, the smaller one of its edge a's ends.
-    deg = g.degrees
-    eu, ev = g.edge_arrays
-    du = np.minimum(deg.take(eu.take(a)), deg.take(ev.take(a)))
-    dvw = np.minimum(deg.take(v.take(hit)), deg.take(w.take(hit)))
-    phi = (2 * int(du.sum(dtype=np.int64)) + int(dvw.sum(dtype=np.int64))
-           - 3 * int(hit.size))
-    return phi, (a, b, closing)
+    hit, closing = _find_edges(g, edge_key(head.take(a), head.take(b), g.n))
+    return canon.take(a.take(hit)), canon.take(b.take(hit)), closing
 
 
 def _sum_blocks(blocks, m: int):
-    """Δ and ``phi``, summed as Python ints, from the results of
-    ``_check_block`` taken in block order, with T(e) as far as tallied
-    (None: not yet) and the edge hits still to tally."""
+    """Δ, as a Python int, from the results of ``_check_block`` taken in
+    block order, with T(e) as far as tallied (None: not yet) and the
+    edge hits still to tally."""
     # T(e) is allocated at the first tally, so it takes no room during
     # the blocks before it.
     t_counts = None
     pending: list[np.ndarray] = []
     npending = 0
-    delta = phi = 0
-    for block_phi, edges in blocks:
+    delta = 0
+    for edges in blocks:
         delta += int(edges[0].size)
-        phi += block_phi
         pending += edges
         npending += 3 * edges[0].size
         # Tally in batches of about m edge hits: one bincount per block
@@ -205,7 +190,7 @@ def _sum_blocks(blocks, m: int):
         if npending >= m:
             t_counts = _tally(t_counts, pending, m)
             pending, npending = [], 0
-    return delta, phi, t_counts, pending
+    return delta, t_counts, pending
 
 
 def _tally(t_counts: np.ndarray | None, pending: list[np.ndarray],
@@ -294,32 +279,39 @@ def _out_edges(g: Graph, tasks: _Tasks) -> tuple[np.ndarray, np.ndarray, np.ndar
     return canon, head, out_off
 
 
-def wedge_count(g: Graph) -> int:
-    """Number of wedges: sum over vertices of d(d-1)/2."""
-    return int(g.wedge_prefix[-1])
-
-
 def compute_metrics(g: Graph) -> GraphMetrics:
     """Assemble all exact metrics of a graph in one pass."""
     delta, per_edge = count_triangles_exact(g)
-    wedges = wedge_count(g)
-    # sum over e of C(T(e), 2), with sum(T) == 3 delta
-    shared = (_sum_of_squares(per_edge.counts) - 3 * delta) // 2
+    wedges = int(g.wedge_prefix[-1])
+    squares, dots = _edge_sums(per_edge.counts, *g.edge_arrays, g.degrees)
     c = 3.0 * delta / wedges if wedges > 0 else 0.0
+    # sum T(e) == 3 delta, so the sums over e of C(T(e), 2) and of
+    # T(e) * (min endpoint degree - 1) are these.
     return GraphMetrics(n=g.n, m=g.m, triangle_count=delta,
                         wedge_count=wedges, clustering_coefficient=c,
-                        phi=per_edge.phi, shared_edge_pairs=shared)
+                        phi=dots - 3 * delta,
+                        shared_edge_pairs=(squares - 3 * delta) // 2)
 
 
-def _sum_of_squares(t: np.ndarray) -> int:
-    """The exact sum of the squares of the non-negative int64 ``t``: each
-    slice's sum by ``np.dot``, the slices short enough that none wraps
-    int64 (``_CHUNK`` values while all stay below 2**23.5), summed as
-    Python ints."""
+def _edge_sums(t: np.ndarray, eu: np.ndarray, ev: np.ndarray,
+               deg: np.ndarray) -> tuple[int, int]:
+    """The exact sums over edges e = (eu, ev) of T(e)^2 and of
+    T(e) * min(deg[eu], deg[ev]), for the non-negative int64 ``t``.
+
+    ``_CHUNK`` edges at a time, and fewer once max T * max(max T,
+    max degree) passes 2**63 / ``_CHUNK``, so that no slice's int64
+    ``np.dot`` wraps; the slices' sums add up as Python ints. Degrees
+    are gathered only at the edges of some triangle.
+    """
     top = int(t.max(initial=0))
-    step = max(1, min(_CHUNK, (2**63 - 1) // max(top * top, 1)))
-    total = 0
+    big = top * max(top, int(deg.max(initial=0)))
+    step = max(1, min(_CHUNK, (2**63 - 1) // max(big, 1)))
+    squares = dots = 0
     for s in range(0, t.size, step):
         c = t[s:s + step]
-        total += int(np.dot(c, c))
-    return total
+        squares += int(np.dot(c, c))
+        at = np.flatnonzero(c != 0)  # faster on bools than on int64
+        d = np.minimum(deg.take(eu[s:s + step].take(at)),
+                       deg.take(ev[s:s + step].take(at)))
+        dots += int(np.dot(c.take(at), d))
+    return squares, dots

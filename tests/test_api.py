@@ -15,7 +15,7 @@ PUBLIC_API = [
     "build_wedge_sampler", "compute_metrics", "count_triangles_exact",
     "empirical_rse", "es_estimate", "ews_estimate", "has_edge_many",
     "load_edge_list", "mix_seed", "rse_sweep", "sample_size_for_rse",
-    "theory_rse", "wedge_count", "ws_estimate",
+    "theory_rse", "ws_estimate",
 ]
 
 

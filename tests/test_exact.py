@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tricount import compute_metrics, count_triangles_exact, exact, graph, wedge_count
+from tricount import compute_metrics, count_triangles_exact, exact, graph
 from tricount.graph import _stable_order, edge_key
 from helpers import (BITMAP_BITS, FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
                      graph_from_edges, path_edges, powerlaw_edges, star_edges,
@@ -34,7 +34,7 @@ def test_path_has_no_triangles(path3):
 def test_five_triangle_example_graph(five_tri):
     delta, _ = count_triangles_exact(five_tri)
     assert delta == 5
-    assert wedge_count(five_tri) == 56
+    assert compute_metrics(five_tri).wedge_count == 56
 
 
 @pytest.mark.parametrize("seed,density", [(1, 0.05), (2, 0.15), (3, 0.35),
@@ -65,9 +65,9 @@ def _assert_oracle_counts(edges):
     want = edge_triangle_counts(edges)
     assert got == want
     assert delta == len(triangles_by_triples(edges))
-    # phi is summed per triangle inside the block loop, K from sum T^2.
+    # phi and K are both summed from T(e), over _CHUNK edges at a time.
     met = compute_metrics(g)
-    assert met.phi == per_edge.phi == phi_by_triangle_enumeration(edges)
+    assert met.phi == phi_by_triangle_enumeration(edges)
     assert met.shared_edge_pairs == sum(math.comb(t, 2) for t in want.values())
 
 
@@ -76,7 +76,8 @@ def _assert_oracle_counts(edges):
 def test_per_edge_counts_across_wedge_blocks(monkeypatch, block, edges):
     # Tiny blocks split one edge's wedges over several blocks; the star,
     # the path and the single edge have no oriented wedges at all. The
-    # same chunk size splits the orientation and the pair table's build.
+    # same chunk size splits the orientation, the pair table's build and
+    # compute_metrics' pass over T(e).
     monkeypatch.setattr(exact, "_WEDGE_BLOCK", block)
     monkeypatch.setattr(exact, "_CHUNK", block)
     monkeypatch.setattr(graph, "_CHUNK", block)
@@ -115,8 +116,7 @@ def test_worker_pools_give_identical_outputs(monkeypatch):
                 delta, per_edge = count_triangles_exact(g)
                 assert len(ran) == workers
                 ran.clear()
-                outputs.append((delta, per_edge.counts.tobytes(), per_edge.phi,
-                                compute_metrics(g).shared_edge_pairs))
+                outputs.append((delta, per_edge.counts.tobytes(), compute_metrics(g)))
     finally:
         sys.setswitchinterval(interval)
     assert outputs[0][0] == len(triangles_by_triples(edges))
@@ -337,8 +337,8 @@ def test_block_order_of_keys_too_wide_to_pack_whole():
 
 
 def test_wedge_count_examples(k3, k4, five_tri):
-    assert wedge_count(k3) == 3
-    assert wedge_count(k4) == 12  # 4 vertices, C(3,2) wedges each
+    assert compute_metrics(k3).wedge_count == 3
+    assert compute_metrics(k4).wedge_count == 12  # 4 vertices, C(3,2) wedges each
 
 
 def test_k4_metrics(k4):
@@ -400,17 +400,42 @@ def test_metrics_json(k4):
     assert payload["delta"] == 4 and payload["K"] == 6 and payload["phi"] == 24
 
 
-def test_sum_of_squares_is_exact_where_an_int64_dot_wraps():
+def _edge_sums(t, deg):
+    """``exact._edge_sums`` of ``t`` on edges whose smaller endpoint
+    degree is ``deg`` (an int, or one per edge)."""
+    d = np.broadcast_to(np.asarray(deg, dtype=np.int64), t.shape).copy()
+    ends = np.arange(t.size)
+    return exact._edge_sums(t, ends, ends, d)
+
+
+def test_edge_sums_are_exact_where_an_int64_dot_wraps():
     # T(e) can pass 2**31 only beyond the edge limit, but sum T^2 wraps
     # int64 well inside it: K_92,682 has 4,294,930,221 edges, each with
     # T = 92,680, and sum T^2 ~ 3.69e19.
     big = np.full(4, 3 * 10**9, dtype=np.int64)
     assert int(np.dot(big, big)) != 4 * (3 * 10**9) ** 2  # the wrap
-    assert exact._sum_of_squares(big) == 4 * (3 * 10**9) ** 2
+    assert _edge_sums(big, 1) == (4 * (3 * 10**9) ** 2, 4 * 3 * 10**9)
     many = np.arange(3 * graph._CHUNK + 5, dtype=np.int64)
     many[7] = 2**31
-    assert exact._sum_of_squares(many) == sum(x * x for x in many.tolist())
-    assert exact._sum_of_squares(np.zeros(0, dtype=np.int64)) == 0
+    want = sum(x * x for x in many.tolist())
+    assert _edge_sums(many, 1) == (want, int(many.sum()))
+    assert _edge_sums(np.zeros(0, dtype=np.int64), 1) == (0, 0)
+    # sum T * min degree wraps as well where the degrees exceed T: a
+    # slice of 4 edges at T = 10**9 and degree 3 * 10**9 sums to 1.2e19,
+    # where T^2 alone lets the whole chunk be one slice.
+    t = np.full(4, 10**9, dtype=np.int64)
+    d = np.full(4, 3 * 10**9, dtype=np.int64)
+    assert int(np.dot(t, d)) != 4 * 3 * 10**18  # the wrap
+    assert _edge_sums(t, d) == (4 * 10**18, 4 * 3 * 10**18)
+    # Among many small products, an edge of no triangle gathers no
+    # degree, and the degrees come from the smaller end.
+    t = np.arange(3 * graph._CHUNK + 5, dtype=np.int64) % 5
+    t[9] = 10**9
+    d = np.arange(t.size, dtype=np.int64) + 3 * 10**9
+    hi = d + 1
+    want = sum(x * y for x, y in zip(t.tolist(), d.tolist()))
+    assert exact._edge_sums(t, np.arange(t.size), np.arange(t.size) + t.size,
+                            np.concatenate([d, hi]))[1] == want
 
 
 def _metrics_peak(scale):
