@@ -3,7 +3,7 @@
 These serve as ground truth for the sampling experiments and as inputs
 to the closed-form error theory: the triangle count, the wedge count,
 the global clustering coefficient, the per-edge triangle counts T(e),
-and the two variance drivers, both sums over edges of T(e): ``phi``,
+and the two variance terms, both sums over edges of T(e): ``phi``,
 of T(e) * (min endpoint degree - 1) (24 on K4), and
 ``shared_edge_pairs``, the number of unordered triangle pairs sharing
 an edge, of C(T(e), 2) (6 on K4).
