@@ -114,10 +114,9 @@ def empirical_rse(g: Graph, method: str, metrics: GraphMetrics,
     order-independent. The sources are derived a block at a time and
     the trials run as batches on the estimators' trial engine: draws
     stay per trial and the graph work runs once per batch. The engine
-    returns one raw statistic, sampled count and estimate per trial,
-    and the row keeps them for its two-pass mean and variance, so its
-    memory grows with ``runs``. The sum of squared deviations uses
-    compensated accumulation (math.fsum).
+    returns the sampled counts and estimates as arrays, 8 bytes per
+    trial each, which the row reads for its two-pass mean and variance.
+    Both sums use compensated accumulation (math.fsum).
     """
     check_runs(runs)
     level = check_level(method, p, k)
@@ -125,9 +124,9 @@ def empirical_rse(g: Graph, method: str, metrics: GraphMetrics,
     _, sampled, estimates = run_trials(g, method, level, _trial_sources(seed, runs))
 
     mu = math.fsum(estimates) / runs
-    mean_sq = math.fsum((e - mu) ** 2 for e in estimates) / runs
+    mean_sq = math.fsum((estimates - mu) ** 2) / runs
     emp = math.sqrt(mean_sq) / metrics.triangle_count
-    return RseRow(method=method, p=p, k=k, sampled=sum(sampled) / runs,
+    return RseRow(method=method, p=p, k=k, sampled=int(sampled.sum()) / runs,
                   empirical_rse=emp, exact_rse=exact, approx_rse=approx,
                   mean_estimate=mu, runs=runs)
 

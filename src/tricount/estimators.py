@@ -15,12 +15,13 @@ Three methods share a deterministic random-source contract:
 All three run on one trial engine. Each trial draws only from its own
 :class:`RandomSource`, the same draws in the same order whether it runs
 alone or among thousands; the graph work (hinges, neighbor lookups,
-closure probes) runs once over a batch of trials' samples.
-Phase two makes one draw call per trial: ews draws its wedge ends, ws
-its two neighbor picks (``_draw_each``). ws finds its hinges by one
-search over the batch's wedge positions in ascending order, and es
-groups the batch's edge ends by one exact sort of their (trial,
-vertex) keys.
+closure probes) runs once over a batch of trials' samples, and gives
+each trial one column of an int64 record whose row 0 is the raw
+statistic. Phase two makes one draw call per trial: ews draws its
+wedge ends, ws its two neighbor picks (``_draw_each``). ws finds its
+hinges by one search over the batch's wedge positions in ascending
+order, and es groups the batch's edge ends by one exact sort of their
+(trial, vertex) keys.
 
 Each method's closed-form relative standard error (RSE: standard
 deviation of the raw statistic over its expected value) lives in its
@@ -104,8 +105,9 @@ class _Method:
     ``draw`` makes a trial's first draw; ``finish`` takes a batch's
     first draws end to end and where each trial's run of them starts,
     does the graph work, including each trial's later draws, and
-    returns the raw statistic per trial; ``scale(g, raw, level)`` turns
-    one raw statistic into the estimate. ``theory(metrics, level)`` is the
+    returns the record: int64, a row per per-trial sum (row 0 the raw
+    statistic), a column per trial. ``scale(g, raw, level)`` turns one
+    raw statistic into the estimate, ``theory(metrics, level)`` is the
     (exact, approximate) closed-form RSE, and ``size(metrics, r2)`` the
     entities (edges, or wedges for ws) whose approximate RSE is sqrt(r2).
     """
@@ -160,10 +162,10 @@ def _draw_each(rngs: list[RandomSource], highs: np.ndarray,
 
 
 def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Exact integer sum of ``values`` over each trial's run."""
-    cum = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(values, out=cum[1:])
-    return cum[bounds[1:]] - cum[bounds[:-1]]
+    """Each row of ``values`` summed exactly over each trial's run."""
+    cum = np.zeros((values.shape[0], values.shape[1] + 1), dtype=np.int64)
+    np.cumsum(values, axis=1, out=cum[:, 1:])
+    return cum[:, bounds[1:]] - cum[:, bounds[:-1]]
 
 
 def _wedge_end(g: Graph, hinge: np.ndarray, other: np.ndarray,
@@ -191,7 +193,7 @@ def _ews_finish(g: Graph, p: float, rngs, idx, bounds) -> np.ndarray:
     w = _wedge_end(g, hinge, other, _draw_each(rngs, dh[np.newaxis], bounds)[0])
     del hinge
     closed = has_edge_many(g, other, w)
-    return _run_sums(np.where(closed, dh, 0), bounds)
+    return _run_sums(np.where(closed, dh, 0)[np.newaxis], bounds)
 
 
 def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray, trial: np.ndarray,
@@ -242,7 +244,7 @@ def _es_finish(g: Graph, p: float, rngs, idx, bounds) -> np.ndarray:
     closed, _ = _closed_wedges(g, eu[idx], ev[idx],
                                np.repeat(np.arange(len(rngs)), np.diff(bounds)),
                                len(rngs))
-    return closed
+    return closed[np.newaxis]
 
 
 def _wedge_total(g: Graph) -> int:
@@ -287,7 +289,7 @@ def _ws_finish(g: Graph, k: int, rngs, t, bounds) -> np.ndarray:
     j += base
     del base
     closed = has_edge_many(g, g.neighbors[i], g.neighbors[j])
-    return _run_sums(closed, bounds)
+    return _run_sums(closed[np.newaxis], bounds)
 
 
 class RseDomainError(ValueError):
@@ -407,19 +409,20 @@ def check_level(method: str, p: float | None = None, k: int | None = None):
 
 
 def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource]
-               ) -> tuple[list[int], list[int], list[float]]:
-    """Raw statistic, sampled count and estimate of one trial per source.
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One trial per source (at least one): the record (int64, (rows,
+    trials)), sampled counts (int64, from the batch bounds) and estimates
+    (float64, scaled from row 0's Python ints: ws's omega * W is exact).
 
     Trial i draws only from the i-th source, exactly the draws of a lone
     estimate and in the same order, so no result depends on batching.
     Trials are gathered until their samples reach ``_BATCH`` entities,
     then the graph work runs once over the batch, so memory is
-    O(_BATCH + one trial's sample) however many trials there are.
+    O(_BATCH + one trial's sample) besides the three arrays.
     ``level`` must have passed ``check_level``.
     """
     spec = _METHODS[method]
-    raw: list[int] = []
-    sampled: list[int] = []
+    sums, sampled = [], []  # one array per batch
     rngs = iter(rngs)
     while True:
         batch, draws, size = [], [], 0
@@ -430,10 +433,13 @@ def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource]
             if size >= _BATCH:
                 break
         if not batch:
-            return raw, sampled, [spec.scale(g, r, level) for r in raw]
-        sampled += [d.size for d in draws]
+            break
         values, bounds = _concat(draws)
-        raw += spec.finish(g, level, batch, values, bounds).tolist()
+        sampled.append(np.diff(bounds))
+        sums.append(spec.finish(g, level, batch, values, bounds))
+    sums = np.concatenate(sums, axis=1)
+    scaled = (spec.scale(g, int(r), level) for r in sums[0])
+    return sums, np.concatenate(sampled), np.fromiter(scaled, np.float64)
 
 
 @dataclass(frozen=True)
@@ -469,10 +475,10 @@ def estimate(g: Graph, method: str, level, rng: RandomSource) -> EstimateResult:
     """One trial of ``method`` at ``level`` (``p``, or ``k`` for ws)."""
     start = time.perf_counter()
     check_level(method, **{method_spec(method).level: level})
-    (raw,), (sampled,), (est,) = run_trials(g, method, level, [rng])
+    sums, sampled, est = run_trials(g, method, level, [rng])
     return EstimateResult(method=method, p_or_k=float(level), seed=rng.seed,
-                          raw_statistic=raw, entities_sampled=sampled,
-                          estimate=est, elapsed=time.perf_counter() - start)
+                          raw_statistic=int(sums[0, 0]), entities_sampled=int(sampled[0]),
+                          estimate=float(est[0]), elapsed=time.perf_counter() - start)
 
 
 def ews_estimate(g: Graph, p: float, rng: RandomSource) -> EstimateResult:

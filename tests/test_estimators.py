@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -369,25 +370,36 @@ def _trials(g, method, level, runs=40, seed=5):
     return run_trials(g, method, level, RandomSource(seed).derive(np.arange(runs)))
 
 
+def _assert_same_trials(got, want, what):
+    # The record, the sampled counts and the estimates, array by array.
+    for a, b, dtype in zip(got, want, (np.int64, np.int64, np.float64)):
+        assert a.dtype == b.dtype == dtype and np.array_equal(a, b), what
+
+
 @pytest.mark.parametrize("budget", [1, 7])
 def test_batch_budget_does_not_change_trials(monkeypatch, budget):
     cases = _batch_cases()
     want = {name: _trials(*case) for name, case in cases.items()}
     monkeypatch.setattr(estimators, "_BATCH", budget)
     for name, case in cases.items():
-        assert _trials(*case) == want[name], name
+        _assert_same_trials(_trials(*case), want[name], name)
 
 
 def test_batched_trials_equal_lone_estimates():
     lone = {"ews": ews_estimate, "es": es_estimate, "ws": ws_estimate}
     for name, (g, method, level) in _batch_cases().items():
-        raw, sampled, est = _trials(g, method, level)
+        sums, sampled, est = _trials(g, method, level)
+        assert sums.shape == (1, sampled.size) == (1, est.size), name
         base = RandomSource(5)
-        for i in range(len(raw)):
+        for i in range(sampled.size):
             res = lone[method](g, level, base.derive(i))
             assert (res.raw_statistic, res.entities_sampled, res.estimate) \
-                == (raw[i], sampled[i], est[i]), (name, i)
-            assert type(res.raw_statistic) is int
+                == (sums[0, i], sampled[i], est[i]), (name, i)
+            # Python scalars, not numpy's: json.dumps refuses np.int64,
+            # and `estimate --format json` would crash on one.
+            assert (type(res.raw_statistic), type(res.entities_sampled),
+                    type(res.estimate)) == (int, int, float), (name, i)
+            json.dumps(res.to_dict())
 
 
 @pytest.mark.parametrize("budget", [1, 7])
@@ -406,9 +418,10 @@ def test_batch_budget_does_not_change_sweep_rows(monkeypatch, budget):
 
 
 def test_zero_edge_trials_sample_nothing(five_tri):
-    raw, sampled, est = _trials(five_tri, "ews", 0.05, runs=60)
-    assert 0 in sampled and any(sampled)
-    assert all(r == 0 and e == 0.0 for r, s, e in zip(raw, sampled, est) if s == 0)
+    sums, sampled, est = _trials(five_tri, "ews", 0.05, runs=60)
+    empty = sampled == 0
+    assert empty.any() and not empty.all()
+    assert not sums[:, empty].any() and not est[empty].any()
 
 
 @pytest.mark.parametrize("p", [1e-300, 5e-324])
@@ -448,10 +461,10 @@ def test_es_groups_ends_by_the_whole_key(monkeypatch):
     g = graph_from_edges(er_edges(60, 0.15, 2))
     runs = 40
     want = _trials(g, "es", 0.3, runs=runs)
-    ends = 2 * sum(want[1])
+    ends = 2 * int(want[1].sum())
     assert (runs * g.n - 1).bit_length() + (ends - 1).bit_length() > 20
     monkeypatch.setattr(graph, "_WORD_BITS", 20)
-    assert _trials(g, "es", 0.3, runs=runs) == want
+    _assert_same_trials(_trials(g, "es", 0.3, runs=runs), want, "es")
 
 
 def test_phase_two_draws_once_per_trial(monkeypatch):
