@@ -417,8 +417,8 @@ def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource]
     Trial i draws only from the i-th source, exactly the draws of a lone
     estimate and in the same order, so no result depends on batching.
     Trials are gathered until their samples reach ``_BATCH`` entities,
-    then the graph work runs once over the batch, so memory is
-    O(_BATCH + one trial's sample) besides the three arrays.
+    then the graph work runs once over the batch, which holds those
+    entities, the last trial's sample and one source per trial.
     ``level`` must have passed ``check_level``.
     """
     spec = _METHODS[method]
