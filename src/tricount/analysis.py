@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Iterator
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from .estimators import (RseDomainError, check_delta, check_level, check_p,
 from .rng import RandomSource, mix_seed
 
 
-# Trial sources a sweep row derives per vectorized pass; a row holds at
-# most this many not yet handed to the trial engine.
+# Trials a sweep row derives in one vectorized pass and hands to one
+# trial engine call, so a row never holds more sources than this.
 _SEED_BLOCK = 1024
 
 
@@ -95,14 +94,6 @@ def theory_rse(method: str, metrics: GraphMetrics, p: float | None = None,
                    f"{method} RSE at {spec.level} = {level}")
 
 
-def _trial_sources(seed: int, runs: int) -> Iterator[RandomSource]:
-    """``RandomSource(seed).derive(j)`` for j < runs, derived
-    ``_SEED_BLOCK`` at a time as the trial engine takes them."""
-    base = RandomSource(seed)
-    for start in range(0, runs, _SEED_BLOCK):
-        yield from base.derive(np.arange(start, min(start + _SEED_BLOCK, runs)))
-
-
 def empirical_rse(g: Graph, method: str, metrics: GraphMetrics,
                   p: float | None = None, k: int | None = None, *,
                   seed: int, runs: int) -> RseRow:
@@ -111,17 +102,24 @@ def empirical_rse(g: Graph, method: str, metrics: GraphMetrics,
 
     Trial ``i`` draws from ``RandomSource(seed).derive(i)``, so any
     single trial can be reproduced in isolation and trials are
-    order-independent. The sources are derived a block at a time and
-    the trials run as batches on the estimators' trial engine: draws
-    stay per trial and the graph work runs once per batch. The engine
-    returns the sampled counts and estimates as arrays, 8 bytes per
-    trial each, which the row reads for its two-pass mean and variance.
-    Both sums use compensated accumulation (math.fsum).
+    order-independent. The row runs ``_SEED_BLOCK`` trials at a time,
+    derived in one pass and run in one call to the estimators' trial
+    engine (draws per trial, graph work once per batch), so it holds one
+    block's sources however many runs it has. It keeps the sampled
+    counts and estimates, 8 bytes per trial each, for its two-pass mean
+    and variance. Both sums use compensated accumulation (math.fsum).
     """
     check_runs(runs)
     level = check_level(method, p, k)
     exact, approx = theory_rse(method, metrics, p=p, k=k)
-    _, sampled, estimates = run_trials(g, method, level, _trial_sources(seed, runs))
+    base = RandomSource(seed)
+    sampled, estimates = [], []  # one array per block
+    for start in range(0, runs, _SEED_BLOCK):
+        rngs = base.derive(np.arange(start, min(start + _SEED_BLOCK, runs)))
+        _, block_sampled, block_estimates = run_trials(g, method, level, rngs)
+        sampled.append(block_sampled)
+        estimates.append(block_estimates)
+    sampled, estimates = np.concatenate(sampled), np.concatenate(estimates)
 
     mu = math.fsum(estimates) / runs
     mean_sq = math.fsum((estimates - mu) ** 2) / runs

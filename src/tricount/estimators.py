@@ -48,8 +48,8 @@ from .rng import RandomSource
 
 # Sampled entities (edges for ews and es, wedges for ws) a batch of
 # trials gathers before its graph work runs. The graph work holds
-# ~60-80 bytes of temporaries per entity, so a batch stays a few MB
-# however many trials a sweep row runs; its per-trial part is one
+# ~60-80 bytes of temporaries per entity, and the batch a ~0.9 KB source
+# per trial, at most 1,024 from a sweep row; its per-trial part is one
 # phase-two draw call, and its sorts (ws hinges, es ends) are one per
 # batch. es probes its wedge pairs in blocks of _BATCH // 2, as it holds
 # the batch's edge ends and their trials meanwhile.
@@ -418,8 +418,8 @@ def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource]
     estimate and in the same order, so no result depends on batching.
     Trials are gathered until their samples reach ``_BATCH`` entities,
     then the graph work runs once over the batch, which holds those
-    entities, the last trial's sample and one source per trial.
-    ``level`` must have passed ``check_level``.
+    entities, the last trial's sample and one source per trial; a batch
+    never spans two calls. ``level`` must have passed ``check_level``.
     """
     spec = _METHODS[method]
     sums, sampled = [], []  # one array per batch

@@ -121,11 +121,12 @@ class Graph:
     @cached_property
     def wedge_prefix(self) -> np.ndarray:
         """Cumulative wedge counts (int64, length n): entry v is the number
-        of wedges hinged at vertices 0..v, d(d - 1)/2 each. Computed once;
-        read-only."""
-        d = self.degrees.astype(np.int64)
+        of wedges hinged at vertices 0..v, d(d - 1)/2 each, taken in uint64
+        so no d < 2**32 wraps. Computed once; read-only."""
+        d = self.degrees.astype(np.uint64)
         d *= d - 1
         d //= 2
+        d = d.view(np.int64)
         np.cumsum(d, out=d)
         d.flags.writeable = False
         return d

@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from tricount import compute_metrics
-from tricount.analysis import _trial_sources
+import numpy as np
+
+from tricount import RandomSource, compute_metrics
 from tricount.estimators import run_trials
 from helpers import (FIVE_TRIANGLE_EDGES, complete_edges, er_edges,
                      graph_from_edges, graph_text, hubs_and_path_edges,
@@ -82,7 +83,7 @@ def er300_runs20k(er300, er300_metrics):
         start = time.perf_counter()
         sums, _, estimates = run_trials(
             g, method, level,
-            _trial_sources(UNBIASEDNESS_SEEDS[method], UNBIASEDNESS_RUNS))
+            RandomSource(UNBIASEDNESS_SEEDS[method]).derive(np.arange(UNBIASEDNESS_RUNS)))
         out[method] = {"estimates": estimates, "raws": sums[0],
                        "kind": kind, "level": level,
                        "elapsed": time.perf_counter() - start}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -389,19 +390,44 @@ def test_rse_sweep_checks_runs_before_the_metrics(monkeypatch, k3, runs):
     assert len(calls) == 1
 
 
-def test_rows_derive_trial_sources_a_block_at_a_time(monkeypatch):
-    blocks = []
-    derive = analysis.RandomSource.derive
+def test_rows_derive_trial_sources_a_block_at_a_time(monkeypatch, er300,
+                                                     er300_metrics):
+    blocks, calls = [], []
+    derive, run_trials = analysis.RandomSource.derive, analysis.run_trials
+
+    def recorded_run_trials(g, method, level, rngs):
+        calls.append([r.seed for r in rngs])
+        return run_trials(g, method, level, rngs)
+
     monkeypatch.setattr(analysis.RandomSource, "derive",
                         lambda self, idx: blocks.append(idx.size) or derive(self, idx))
-    sources = analysis._trial_sources(9, 10**12)
-    first = next(sources)
-    assert blocks == [analysis._SEED_BLOCK]
-    assert first.seed == mix_seed(9, 0)
-    blocks.clear()
-    seeds = [s.seed for s in analysis._trial_sources(9, 2 * analysis._SEED_BLOCK + 3)]
+    monkeypatch.setattr(analysis, "run_trials", recorded_run_trials)
+    runs = 2 * analysis._SEED_BLOCK + 3
+    row = empirical_rse(er300, "ews", er300_metrics, p=0.05, seed=9, runs=runs)
     assert blocks == [analysis._SEED_BLOCK, analysis._SEED_BLOCK, 3]
-    assert seeds == [mix_seed(9, j) for j in range(len(seeds))]
+    assert [len(seeds) for seeds in calls] == blocks
+    assert sum(calls, []) == [mix_seed(9, j) for j in range(runs)]
+    # The row of one run_trials over derive(np.arange(runs)).
+    monkeypatch.setattr(analysis, "_SEED_BLOCK", runs)
+    calls.clear()
+    assert empirical_rse(er300, "ews", er300_metrics, p=0.05, seed=9, runs=runs) == row
+    assert [len(seeds) for seeds in calls] == [runs]
+
+
+def test_row_memory_is_bounded_by_a_block_not_by_runs():
+    # At p = 0.001 a trial samples almost no edges, so the trial engine's
+    # entity budget never closes a batch: the row's blocks alone bound
+    # the sources (~0.9 KB each) it holds. 10,000 runs traced ~11 MB
+    # when a batch took sources until its entities filled it.
+    g = graph_from_edges(complete_edges(5) + [(4, 5)])
+    metrics = compute_metrics(g)
+    tracemalloc.start()
+    try:
+        empirical_rse(g, "ews", metrics, p=0.001, seed=3, runs=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_theory_rse_dispatch(er300, er300_metrics):

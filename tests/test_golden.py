@@ -122,6 +122,8 @@ GOLDEN_ESTIMATES = {
 }
 # sha256 of the stdout of ``tricount rse-sweep`` on er300 (_sweep_digest)
 GOLDEN_SWEEP_SHA256 = "96852a978d70f76edd254b1438dbffba19c2f5c40508b3a95a1de2f289d7e703"
+# ... at --p 0.05 and 2,051 runs, three blocks of trials per row
+GOLDEN_SWEEP_BLOCKS_SHA256 = "945db2e91c2baf2508962099fae9740a7ab90b4fb23fc82cdf79afd21b611cca"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ESTIMATES))
@@ -136,18 +138,23 @@ def test_golden_estimates(er300, five_tri, name, method):
         assert type(res.raw_statistic) is int
 
 
-def _sweep_digest(path) -> str:
+def _sweep_digest(path, ps=("0.1", "0.2"), runs=50) -> str:
     out = io.StringIO()
+    levels = [arg for p in ps for arg in ("--p", p)]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(["rse-sweep", "--graph", path, "--method", "ews",
-                         "--method", "es", "--method", "ws", "--p", "0.1",
-                         "--p", "0.2", "--runs", "50", "--seed", "7"])
+                         "--method", "es", "--method", "ws", *levels,
+                         "--runs", str(runs), "--seed", "7"])
     assert code == 0
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def test_golden_sweep_csv(er300_file):
     assert _sweep_digest(er300_file) == GOLDEN_SWEEP_SHA256
+
+
+def test_golden_sweep_csv_over_blocks(er300_file):
+    assert _sweep_digest(er300_file, ["0.05"], 2051) == GOLDEN_SWEEP_BLOCKS_SHA256
 
 
 @pytest.mark.parametrize("chunk", [1, 7])

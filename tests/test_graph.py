@@ -645,6 +645,17 @@ def test_degrees_are_cached_and_read_only():
         deg[0] = 7
 
 
+def test_wedge_prefix_holds_past_int64_degree_products():
+    # A star with 3.5e9 leaves is within the limits (n < 2**32, m <=
+    # 2**32), but d(d - 1) for its hub passes 2**63. Only the offsets
+    # are read, so nothing that large is built.
+    d = 3_500_000_000
+    g = Graph(n=2, m=0, offsets=np.array([0, d, d + 1]),
+              neighbors=np.empty(0, np.int64), original_ids=np.arange(2))
+    assert g.wedge_prefix.dtype == np.int64
+    assert g.wedge_prefix.tolist() == [d * (d - 1) // 2] * 2
+
+
 def _powerlaw10k_edges():
     u, v = powerlaw_edges(8675309, n=3_000, raw=14_000, m=10_000)
     return list(zip(u.tolist(), v.tolist()))
