@@ -1,9 +1,8 @@
 import math
 import time
 
-import pytest
-
 import numpy as np
+import pytest
 
 from tricount import RandomSource, compute_metrics
 from tricount.estimators import run_trials
