@@ -15,13 +15,13 @@ Three methods share a deterministic random-source contract:
 All three run on one trial engine. Each trial draws only from its own
 :class:`RandomSource`, the same draws in the same order whether it runs
 alone or among thousands; the graph work (hinges, neighbor lookups,
-closure probes) runs once over a batch of trials' samples, and gives
-each trial one column of an int64 record whose row 0 is the raw
-statistic. Phase two makes one draw call per trial: ews draws its
-wedge ends, ws its two neighbor picks (``_draw_each``). ws finds its
-hinges by one search over the batch's wedge positions in ascending
-order, and es groups the batch's edge ends by one exact sort of their
-(trial, vertex) keys.
+closure probes) runs once over a batch of trials' samples, gathered
+until they reach ``graph._CHUNK`` entities, and gives each trial one
+column of an int64 record whose row 0 is the raw statistic. Phase two
+makes one draw call per trial: ews draws its wedge ends, ws its two
+neighbor picks (``_draw_each``). ws finds its hinges by one search over
+the batch's wedge positions in ascending order, and es groups the
+batch's edge ends by one exact sort of their (trial, vertex) keys.
 
 Each method's closed-form relative standard error (RSE: standard
 deviation of the raw statistic over its expected value) lives in its
@@ -46,14 +46,6 @@ from .graph import (_CHUNK, Graph, _orient, _pair_block, _pair_table,
                     _sorted_unique_mask, _stable_order, has_edge_many)
 from .rng import RandomSource
 
-# Sampled entities (edges for ews and es, wedges for ws) a batch of
-# trials gathers before its graph work runs. The graph work holds
-# ~60-80 bytes of temporaries per entity, and the batch a ~0.9 KB source
-# per trial, at most 1,024 from a sweep row; its per-trial part is one
-# phase-two draw call, and its sorts (ws hinges, es ends) are one per
-# batch. es probes its wedge pairs in blocks of _BATCH // 2, as it holds
-# the batch's edge ends and their trials meanwhile.
-_BATCH = 1 << 16
 # A ws trial draws k wedge positions into one array.
 _K_MAX = int(np.iinfo(np.intp).max)
 
@@ -205,8 +197,8 @@ def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray, trial: np.ndarray,
     wedge at that hinge. Edge ends are sorted by their whole (trial,
     hinge) key (``_stable_order``), so no two vertices' runs merge at
     any key width; an end then pairs with each later end of its run,
-    the pairs are probed ``_BATCH // 2`` at a time, and each hit counts
-    for its first end's trial.
+    the pairs are probed ``_CHUNK`` at a time, and each hit counts for
+    its first end's trial.
     """
     closed = np.zeros(trials, dtype=np.int64)
     if eu.size == 0:
@@ -229,9 +221,8 @@ def _closed_wedges(g: Graph, eu: np.ndarray, ev: np.ndarray, trial: np.ndarray,
     bounds = _pair_table(runs)
     del runs
     total = int(bounds[-1])
-    block = max(_BATCH // 2, 1)
-    for t0 in range(0, total, block):
-        a, b = _pair_block(bounds, t0, min(t0 + block, total))
+    for t0 in range(0, total, _CHUNK):
+        a, b = _pair_block(bounds, t0, min(t0 + _CHUNK, total))
         b = other.take(b)
         hit = a[has_edge_many(g, other.take(a), b)]
         del a, b  # before the next block is built
@@ -416,7 +407,7 @@ def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource]
 
     Trial i draws only from the i-th source, exactly the draws of a lone
     estimate and in the same order, so no result depends on batching.
-    Trials are gathered until their samples reach ``_BATCH`` entities,
+    Trials are gathered until their samples reach ``_CHUNK`` entities,
     then the graph work runs once over the batch, which holds those
     entities, the last trial's sample and one source per trial; a batch
     never spans two calls. ``level`` must have passed ``check_level``.
@@ -430,7 +421,7 @@ def run_trials(g: Graph, method: str, level, rngs: Iterable[RandomSource]
             batch.append(rng)
             draws.append(spec.draw(g, level, rng))
             size += draws[-1].size
-            if size >= _BATCH:
+            if size >= _CHUNK:
                 break
         if not batch:
             break

@@ -19,14 +19,6 @@ import numpy as np
 from .graph import (_CHUNK, Graph, _Tasks, _find_edges, _index_dtype, _orient,
                     _pair_block, _pair_table, edge_key)
 
-# Out-edge pairs checked per block of ``count_triangles_exact``. Each
-# pair costs ~33 bytes of temporaries (tracemalloc, the peak difference
-# between blocks of 2**20 and 2**16 pairs on the million-edge power-law
-# graph, its edge bitmap built, on one thread: 50.5 against 18.0 MB), so
-# a block holds ~2 MB and adds nothing to the peak memory of loading a
-# million-edge graph.
-_WEDGE_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class GraphMetrics:
@@ -93,7 +85,7 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     triangle is found exactly once, at its lowest-ranked vertex ``u``:
     as the pair of out-edges ``u->v``, ``u->w`` whose heads are
     adjacent. That makes sum over u of C(d+(u), 2) candidate pairs,
-    where d+(u) is the out-degree, taken a fixed block at a time.
+    where d+(u) is the out-degree, taken ``_CHUNK`` at a time.
 
     Each block's closing keys are looked up as ``has_edge_many`` looks
     up its pairs, by ``graph._find_edges``: a key whose bit is clear in
@@ -130,12 +122,12 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
     then, once the first is freed, the sorted heads and ``canon``,
     narrowed from the masked words. The blocks hold head and canon (4
     each) and the pair table (4), and T(e) takes 8. Each worker has one
-    chunk or one block in flight: ~1.5 MB of temporaries at ``_CHUNK``
-    edges, ~2 MB at ``_WEDGE_BLOCK`` pairs. On the million-edge
-    power-law graph the traced peak of a first ``compute_metrics``
-    above the graph, its keys and bitmap is 18.2 MiB (19.1 bytes per
-    edge) on one CPU, set by the orientation's read-back, and 19.7 MiB
-    on two, set by the blocks in flight.
+    chunk of ``_CHUNK`` edges or one block of ``_CHUNK`` pairs in flight,
+    ~1.5 or ~2 MB of temporaries. On the million-edge power-law graph
+    the traced peak of a first ``compute_metrics`` above the graph, its
+    keys and bitmap is 18.2 MiB (19.1 bytes per edge) on one CPU, set by
+    the orientation's read-back, and 19.7 MiB on two, set by the blocks
+    in flight.
     """
     m = g.m
     # Every cached property a worker reads is built before the pool
@@ -147,7 +139,7 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
         canon, head, out_off = _out_edges(g, tasks)
         bounds = _pair_table(out_off)
         del out_off
-        starts = range(0, int(bounds[-1]), _WEDGE_BLOCK)
+        starts = range(0, int(bounds[-1]), _CHUNK)
         check = partial(_check_block, g, canon, head, bounds)
         # Blocks run in any order on the pool's threads; ``map`` hands
         # back their results in block order.
@@ -160,11 +152,11 @@ def count_triangles_exact(g: Graph) -> tuple[int, EdgeTriangleCounts]:
 
 def _check_block(g: Graph, canon: np.ndarray, head: np.ndarray,
                  bounds: np.ndarray, t0: int):
-    """The triangles closed by pairs ``t0 .. t0 + _WEDGE_BLOCK - 1`` of
+    """The triangles closed by pairs ``t0 .. t0 + _CHUNK - 1`` of
     the pair table ``bounds``: ``(a, b, closing)``, the canonical
     positions of each triangle's three edges. Reads only arrays built
     before the call, so blocks may run on several threads at once."""
-    a, b = _pair_block(bounds, t0, min(t0 + _WEDGE_BLOCK, int(bounds[-1])))
+    a, b = _pair_block(bounds, t0, min(t0 + _CHUNK, int(bounds[-1])))
     # A tail's heads ascend, so out-edges a < b of one tail close on
     # the canonical edge head[a]--head[b].
     hit, closing = _find_edges(g, edge_key(head.take(a), head.take(b), g.n))

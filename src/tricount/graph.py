@@ -22,9 +22,9 @@ neighbor lists and edge arrays are int32 below 2**31 vertices, and the
 remap's table of positions below 2**31 ids read (one rule,
 ``_index_dtype``), so no stage of the build holds a 64-bit copy of
 values that fit 32 bits: loading the million-edge power-law graph peaks
-at 32.7 MiB of traced memory, 34 bytes per edge, on one CPU or two (the
-parse's ids take 16 bytes per edge, and each worker one block's
-temporaries, ~0.6 MiB). Edge membership is one bit in each of two
+at 32.7 MiB of traced memory on one CPU, 34 bytes per edge, and 33.3 MiB
+on two (the parse's ids take 16 bytes per edge, and each worker one
+block's temporaries, ~0.3 MiB). Edge membership is one bit in each of two
 bitmaps of the canonical edge keys' hashes (two one-hash Bloom filters
 under independent multipliers, 1 MB each at a million edges, each built
 a block of keys at a time; the second is tested only on the keys that
@@ -53,12 +53,34 @@ _MULTIPLIERS = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xC2B2AE3D27D4EB4F))
 # vertex id pack into one uint64 (the exact oracle's packed sorts rely
 # on it).
 _MAX_EDGES = 2**32
-# Elements per block of a pass that would otherwise hold an m-sized
-# temporary: the edge keys hashed at a time into a filter of the edge
-# bitmap, and the uniform reals that ``estimators``' phase one draws at
-# a time (O(_CHUNK + pm) memory per draw rather than 8m bytes; PCG64
-# gives the same stream whether the reals are drawn at once or in
-# pieces).
+# Elements per block of every pass that would otherwise hold a temporary
+# the size of m, of the input or of a batch's sample, so that each holds
+# a few MB at most:
+# - the edge keys hashed at a time into a filter of the edge bitmap, and
+#   the positions of a pair table filled at a time;
+# - the bytes of a block of the parse, which runs on to the end of the
+#   line this many bytes in. Each worker holds one block's temporaries,
+#   ~5x its bytes (0.31 MiB traced at 64 KB). On two threads the
+#   million-edge power-law graph parsed as fast in blocks of 64 KB to
+#   1 MB, but 1 MB blocks raised powerlaw-estimate's peak RSS to 98 MB;
+# - the edges ``exact`` orients, and the out-edge pairs it checks, per
+#   task. A pair costs ~33 bytes of temporaries (tracemalloc, the peak
+#   difference between blocks of 2**20 and 2**16 pairs on the
+#   million-edge power-law graph, its edge bitmap built, on one thread:
+#   50.5 against 18.0 MB), so a block holds ~2 MB and adds nothing to
+#   the peak memory of loading a million-edge graph;
+# - the uniform reals that ``estimators``' phase one draws at a time
+#   (O(_CHUNK + pm) memory per draw rather than 8m bytes; PCG64 gives the
+#   same stream whether the reals are drawn at once or in pieces);
+# - the sampled entities (edges for ews and es, wedges for ws) a batch of
+#   trials gathers before its graph work runs. The graph work holds
+#   ~60-80 bytes of temporaries per entity, and the batch a ~0.9 KB
+#   source per trial, at most 1,024 from a sweep row; its per-trial part
+#   is one phase-two draw call, and its sorts (ws hinges, es ends) are
+#   one per batch;
+# - the wedge pairs es probes at a time, beside the batch's edge ends and
+#   their trials (one es estimate on the million-edge power-law graph at
+#   p = 0.03 traces 2.68 MiB, below the 2.86 MiB of ews at p = 0.07).
 _CHUNK = 1 << 16
 
 
@@ -384,14 +406,6 @@ def load_edge_list(source: str | Path | BinaryIO) -> Graph:
     return _build(keys.pop(), original_ids)
 
 
-# Bytes per block of the fast parser; a block runs on to the end of the
-# line this many bytes in. Each worker holds one block's temporaries,
-# ~5x its bytes (0.66 MiB traced at 128 KB). On two threads the
-# million-edge power-law graph parsed as fast in blocks of 64 KB to
-# 1 MB, but 1 MB blocks raised powerlaw-estimate's peak RSS to 98 MB.
-_PARSE_BLOCK = 1 << 17
-
-
 def _parse_pairs(data: bytes) -> np.ndarray:
     # Fast path: numpy's text parser, one block of whole lines at a time,
     # into one array sized for two ids per line. A block that fails the
@@ -411,7 +425,7 @@ def _parse_pairs(data: bytes) -> np.ndarray:
     start, line, slot = 0, 1, 0
     text = np.frombuffer(data, dtype=np.uint8)
     while start < len(data):
-        end = data.find(b"\n", start + _PARSE_BLOCK - 1)
+        end = data.find(b"\n", start + _CHUNK - 1)
         end = len(data) if end == -1 else end + 1
         # A block-sized bool array: 4x faster than data.count(b"\n", ...).
         newlines = int(np.count_nonzero(text[start:end] == ord("\n")))

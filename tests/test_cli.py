@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tricount
 from tricount.analysis import RSE_REPORT_CSV_HEADER
 from tricount.cli import _METRICS_CSV_KEYS, main
 from helpers import complete_edges, graph_text, path_edges
@@ -373,10 +376,22 @@ def test_rse_sweep_ws_at_one_wedge(capsys, tmp_path):
     assert row.split(",")[:4] == ["ws", "0.01", "1", "1"]
 
 
+def _child_env() -> dict:
+    """This environment, with the directory of the imported package first
+    on PYTHONPATH, so a child process imports the package under test
+    whether or not the caller set PYTHONPATH."""
+    env = dict(os.environ)
+    paths = [str(Path(tricount.__file__).resolve().parents[1])]
+    if env.get("PYTHONPATH"):
+        paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    return env
+
+
 def test_module_entry_point(triangle_file):
     proc = subprocess.run([sys.executable, "-m", "tricount", "stats",
                            "--graph", triangle_file],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,m,delta")
 
@@ -387,7 +402,8 @@ def test_stats_leaves_numpy_random_unloaded(triangle_file):
     code = ("import sys; from tricount.cli import main; "
             f"main(['stats', '--graph', {triangle_file!r}]); "
             "sys.exit('numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n,m,delta")
 

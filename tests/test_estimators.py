@@ -380,7 +380,7 @@ def _assert_same_trials(got, want, what):
 def test_batch_budget_does_not_change_trials(monkeypatch, budget):
     cases = _batch_cases()
     want = {name: _trials(*case) for name, case in cases.items()}
-    monkeypatch.setattr(estimators, "_BATCH", budget)
+    monkeypatch.setattr(estimators, "_CHUNK", budget)
     for name, case in cases.items():
         _assert_same_trials(_trials(*case), want[name], name)
 
@@ -413,7 +413,7 @@ def test_batch_budget_does_not_change_sweep_rows(monkeypatch, budget):
                 for method, level, seed in configs]
 
     want = rows()
-    monkeypatch.setattr(estimators, "_BATCH", budget)
+    monkeypatch.setattr(estimators, "_CHUNK", budget)
     assert rows() == want
 
 
@@ -465,6 +465,31 @@ def test_es_groups_ends_by_the_whole_key(monkeypatch):
     assert (runs * g.n - 1).bit_length() + (ends - 1).bit_length() > 20
     monkeypatch.setattr(graph, "_WORD_BITS", 20)
     _assert_same_trials(_trials(g, "es", 0.3, runs=runs), want, "es")
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_es_census_of_a_batch_is_each_trials_census(monkeypatch, chunk):
+    # 30 trials' samples censused as one batch, its wedge pairs probed
+    # ``_CHUNK`` at a time: blocks of 1 and 7 pairs cut runs and trials
+    # apart. A pair dropped or counted twice at a block edge moves a
+    # trial's closed count or the batch's wedge total off the brute-force
+    # census, taken trial by trial.
+    edges = er_edges(60, 0.15, 2)
+    g = graph_from_edges(edges)
+    eu, ev = g.edge_arrays
+    ids = g.original_ids
+    draws = [estimators._edge_draw(g, 0.3, rng)
+             for rng in RandomSource(4).derive(np.arange(30))]
+    want = [closed_wedge_census(edges, [(int(ids[eu[i]]), int(ids[ev[i]])) for i in d])
+            for d in draws]
+    if chunk is not None:
+        monkeypatch.setattr(estimators, "_CHUNK", chunk)
+    idx = np.concatenate(draws)
+    trial = np.repeat(np.arange(len(draws)), [d.size for d in draws])
+    closed, total = estimators._closed_wedges(g, eu[idx], ev[idx], trial, len(draws))
+    assert closed.tolist() == [c for c, _ in want]
+    assert total == sum(t for _, t in want)
+    assert all(c for c, _ in want) and total > 7 * len(draws)
 
 
 def test_phase_two_draws_once_per_trial(monkeypatch):

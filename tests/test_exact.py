@@ -78,7 +78,6 @@ def test_per_edge_counts_across_wedge_blocks(monkeypatch, block, edges):
     # the path and the single edge have no oriented wedges at all. The
     # same chunk size splits the orientation, the pair table's build and
     # compute_metrics' pass over T(e).
-    monkeypatch.setattr(exact, "_WEDGE_BLOCK", block)
     monkeypatch.setattr(exact, "_CHUNK", block)
     monkeypatch.setattr(graph, "_CHUNK", block)
     _assert_oracle_counts(edges)
@@ -90,7 +89,7 @@ def test_non_edge_filter_changes_no_count(monkeypatch, bits, edges):
     # The oracle's filter is the graph's edge bitmap, built after the
     # patch; an edge whose bit went unset would lose its triangles.
     monkeypatch.setattr(graph, "_bitmap_bits", bits)
-    monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
+    monkeypatch.setattr(exact, "_CHUNK", 7)
     _assert_oracle_counts(edges)
 
 
@@ -102,7 +101,6 @@ def test_worker_pools_give_identical_outputs(monkeypatch):
     # Each count of workers must really run the blocks, so a patch that
     # no longer reaches the pool fails here.
     edges = er_edges(45, 0.2, 22)
-    monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
     monkeypatch.setattr(exact, "_CHUNK", 7)
     outputs = []
     interval = sys.getswitchinterval()
@@ -176,12 +174,12 @@ def test_one_block_builds_no_executor(monkeypatch, pools):
     # of edges and one block of pairs each, so no stage has two tasks.
     for edges in (er_edges(300, 0.05, 11), er_edges(45, 0.2, 22)):
         g = pools.graph = graph_from_edges(edges)
-        assert g.m <= exact._CHUNK and _pair_count(g) <= exact._WEDGE_BLOCK
+        assert g.m <= exact._CHUNK and _pair_count(g) <= exact._CHUNK
         count_triangles_exact(g)
     assert pools.made == []
     # The second graph's 517 pairs over several blocks, on two workers,
     # do build one.
-    monkeypatch.setattr(exact, "_WEDGE_BLOCK", 100)
+    monkeypatch.setattr(exact, "_CHUNK", 100)
     monkeypatch.setattr(graph, "_worker_count", lambda tasks: min(tasks, 2))
     count_triangles_exact(g)
     assert len(pools.made) == 1
@@ -205,7 +203,6 @@ def test_orientation_and_blocks_share_one_executor(monkeypatch, pools):
     # have tasks for every worker, and all of them run on one pool,
     # created once every property a worker reads is cached.
     monkeypatch.setattr(exact, "_CHUNK", 7)
-    monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
     orient_on_main = _record_threads(monkeypatch, exact, "_orient")
     block_on_main = _record_threads(monkeypatch, exact, "_check_block")
     edges = er_edges(45, 0.2, 22)
@@ -221,7 +218,6 @@ def test_orientation_and_blocks_share_one_executor(monkeypatch, pools):
 def test_no_thread_outlives_a_call(monkeypatch):
     # The orientation's chunks and the pair blocks both run on the pool.
     monkeypatch.setattr(exact, "_CHUNK", 7)
-    monkeypatch.setattr(exact, "_WEDGE_BLOCK", 7)
     monkeypatch.setattr(graph, "_worker_count", lambda tasks: min(tasks, 3))
     orient_on_main = _record_threads(monkeypatch, exact, "_orient")
     before = threading.active_count()
@@ -314,18 +310,18 @@ def test_block_order_of_keys_too_wide_to_pack_whole():
     # bits dropped.
     n = 2**32 - 1
     key_bits = (n * n - 1).bit_length()
-    drop = key_bits + (exact._WEDGE_BLOCK - 1).bit_length() - 64
+    drop = key_bits + (exact._CHUNK - 1).bit_length() - 64
     assert drop > 0
     # Keys that differ in the low ``drop`` bits alone, which a packed
     # word would lose, next to the largest key and on both sides of
     # 2**63, and keys spread over the whole range.
     rng = np.random.default_rng(12)
-    near = rng.integers(0, 1 << (drop + 4), size=exact._WEDGE_BLOCK, dtype=np.uint64)
+    near = rng.integers(0, 1 << (drop + 4), size=exact._CHUNK, dtype=np.uint64)
     query = np.concatenate([np.uint64(n * n - 1) - near[:20000],
                             np.uint64(2**63) + near[20000:30000],
                             np.uint64(2**63) - near[30000:40000]])
     query = np.concatenate([query, rng.integers(
-        0, n * n, size=exact._WEDGE_BLOCK - query.size, dtype=np.uint64)])
+        0, n * n, size=exact._CHUNK - query.size, dtype=np.uint64)])
     rng.shuffle(query)
     order = _stable_order(query, key_bits)
     assert order.dtype == np.int64

@@ -244,7 +244,7 @@ def test_parser_block_edges_keep_the_fast_path(monkeypatch, data, want):
     # newline, on 1, 2 and 3 workers.
     monkeypatch.setattr(graph, "_parse_pairs_slow", _no_line_scan)
     for block, workers in itertools.product(range(1, len(data) + 2), (1, 2, 3)):
-        monkeypatch.setattr(graph, "_PARSE_BLOCK", block)
+        monkeypatch.setattr(graph, "_CHUNK", block)
         _force_workers(monkeypatch, workers)
         pairs = _parse_pairs(data)
         assert pairs.tolist() == want
@@ -258,7 +258,7 @@ def test_parser_block_edges_keep_the_fast_path(monkeypatch, data, want):
 ])
 def test_parser_bad_line_in_the_last_block_reports_its_line(monkeypatch, last, message):
     # 258 ids on a line: 2 runs once the per-line count wraps at 256.
-    monkeypatch.setattr(graph, "_PARSE_BLOCK", 8)
+    monkeypatch.setattr(graph, "_CHUNK", 8)
     with pytest.raises(GraphFormatError, match=message):
         _parse_pairs(b"0 1\n" * 20 + b"# note\n" + last)
 
@@ -274,7 +274,7 @@ def test_parser_reads_a_big_id_block_alone_by_line_scan(monkeypatch):
         return _parse_pairs_slow(data, first_line)
 
     monkeypatch.setattr(graph, "_parse_pairs_slow", line_scan)
-    monkeypatch.setattr(graph, "_PARSE_BLOCK", 4)  # a block per line here
+    monkeypatch.setattr(graph, "_CHUNK", 4)  # a block per line here
     big = b"%d 2\n" % (2**64 - 1)
     data = b"0 1\n" * 20 + b"# note\n" + big
     pairs = _parse_pairs(data)
@@ -359,7 +359,7 @@ def test_parser_blocks_agree_with_line_scan(block, lines):
     want = _parsed_or_error(_parse_pairs_slow, data)
     for workers in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph, "_PARSE_BLOCK", block)
+            mp.setattr(graph, "_CHUNK", block)
             _force_workers(mp, workers)
             assert _parsed_or_error(_parse_pairs, data) == want, workers
 
@@ -367,7 +367,7 @@ def test_parser_blocks_agree_with_line_scan(block, lines):
 # Blocks of 8 bytes on 1, 2 and 3 workers: every line below is a block.
 @pytest.fixture(params=[1, 2, 3])
 def parse_workers(request, monkeypatch):
-    monkeypatch.setattr(graph, "_PARSE_BLOCK", 8)
+    monkeypatch.setattr(graph, "_CHUNK", 8)
     _force_workers(monkeypatch, request.param)
     return request.param
 
@@ -394,7 +394,7 @@ def test_parser_on_more_threads_than_cpus_keeps_every_id():
     sys.setswitchinterval(1e-6)
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph, "_PARSE_BLOCK", 8)
+            mp.setattr(graph, "_CHUNK", 8)
             _force_workers(mp, 4)
             for _ in range(5):
                 assert _parse_pairs(data).tolist() == want
@@ -461,11 +461,11 @@ def test_one_block_load_starts_no_thread(monkeypatch):
                         raising=False)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     data = graph_text(er_edges(300, 0.05, 11)).encode()
-    assert len(data) <= graph._PARSE_BLOCK
+    assert len(data) <= graph._CHUNK
     before = threading.active_count()
     assert load_edge_list(io.BytesIO(data)).m == 2239
     assert threading.active_count() == before
-    monkeypatch.setattr(graph, "_PARSE_BLOCK", len(data) // 2)
+    monkeypatch.setattr(graph, "_CHUNK", len(data) // 2)
     with pytest.raises(AssertionError, match="started a thread pool"):
         _parse_pairs(data)
 
@@ -971,7 +971,7 @@ def test_edge_key_round_trips_and_orders_at_the_vertex_limit():
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(lengths=st.lists(st.one_of(st.integers(0, 1), st.integers(2, 40)),
                         max_size=10),
-       block=st.sampled_from([1, 7, exact._WEDGE_BLOCK]),
+       block=st.sampled_from([1, 7, graph._CHUNK]),
        chunk=st.sampled_from([1, 3, graph._CHUNK]))
 @example(lengths=[], block=1, chunk=1)
 @example(lengths=[0, 1, 0, 1], block=7, chunk=3)
