@@ -105,26 +105,26 @@ def empirical_rse(g: Graph, method: str, metrics: GraphMetrics,
     order-independent. The row runs ``_SEED_BLOCK`` trials at a time,
     derived in one pass and run in one call to the estimators' trial
     engine (draws per trial, graph work once per batch), so it holds one
-    block's sources however many runs it has. It keeps the sampled
-    counts and estimates, 8 bytes per trial each, for its two-pass mean
-    and variance. Both sums use compensated accumulation (math.fsum).
+    block's sources however many runs it has. It adds up sampled counts
+    and keeps one estimate per trial (8 bytes) for its two-pass mean and
+    variance. Both sums use compensated accumulation (math.fsum).
     """
     check_runs(runs)
     level = check_level(method, p, k)
     exact, approx = theory_rse(method, metrics, p=p, k=k)
     base = RandomSource(seed)
-    sampled, estimates = [], []  # one array per block
+    sampled, estimates = 0, np.empty(runs)
     for start in range(0, runs, _SEED_BLOCK):
-        rngs = base.derive(np.arange(start, min(start + _SEED_BLOCK, runs)))
-        _, block_sampled, block_estimates = run_trials(g, method, level, rngs)
-        sampled.append(block_sampled)
-        estimates.append(block_estimates)
-    sampled, estimates = np.concatenate(sampled), np.concatenate(estimates)
+        stop = min(start + _SEED_BLOCK, runs)
+        _, block_sampled, estimates[start:stop] = run_trials(
+            g, method, level, base.derive(np.arange(start, stop)))
+        sampled += int(block_sampled.sum())
 
     mu = math.fsum(estimates) / runs
-    mean_sq = math.fsum((estimates - mu) ** 2) / runs
+    estimates -= mu
+    mean_sq = math.fsum(np.square(estimates, out=estimates)) / runs
     emp = math.sqrt(mean_sq) / metrics.triangle_count
-    return RseRow(method=method, p=p, k=k, sampled=int(sampled.sum()) / runs,
+    return RseRow(method=method, p=p, k=k, sampled=sampled / runs,
                   empirical_rse=emp, exact_rse=exact, approx_rse=approx,
                   mean_estimate=mu, runs=runs)
 

@@ -418,16 +418,25 @@ def test_row_memory_is_bounded_by_a_block_not_by_runs():
     # At p = 0.001 a trial samples almost no edges, so the trial engine's
     # entity budget never closes a batch: the row's blocks alone bound
     # the sources (~0.9 KB each) it holds. 10,000 runs traced ~11 MB
-    # when a batch took sources until its entities filled it.
+    # when a batch took sources until its entities filled it. Past the
+    # blocks, a row keeps one float64 estimate per trial, so its peak
+    # grows ~9 bytes per added trial; a row that also kept the sampled
+    # counts and joined per-block arrays grew ~17. A first, untraced row
+    # takes the imports a row's first draw makes (~0.8 MB), which would
+    # otherwise land in the smaller row's peak alone.
     g = graph_from_edges(complete_edges(5) + [(4, 5)])
     metrics = compute_metrics(g)
-    tracemalloc.start()
-    try:
-        empirical_rse(g, "ews", metrics, p=0.001, seed=3, runs=10_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    empirical_rse(g, "ews", metrics, p=0.001, seed=3, runs=2)
+    peaks = []
+    for runs in (5_000, 25_000):
+        tracemalloc.start()
+        try:
+            empirical_rse(g, "ews", metrics, p=0.001, seed=3, runs=runs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 4e6
+    assert peaks[1] - peaks[0] <= 12 * 20_000, peaks
 
 
 def test_theory_rse_dispatch(er300, er300_metrics):
