@@ -18,10 +18,11 @@ alone or among thousands; the graph work (hinges, neighbor lookups,
 closure probes) runs once over a batch of trials' samples, gathered
 until they reach ``graph._CHUNK`` entities, and gives each trial one
 column of an int64 record whose row 0 is the raw statistic. Phase two
-makes one draw call per trial: ews draws its wedge ends, ws its two
-neighbor picks (``_draw_each``). ws finds its hinges by one search over
-the batch's wedge positions in ascending order, and es groups the
-batch's edge ends by one exact sort of their (trial, vertex) keys.
+makes one draw call per trial (``_draw_each``), and ews and ws take a
+wedge's far end by one rule (``_wedge_end``): the hinge's j-th neighbor
+other than a given end. ws finds its hinges by one search over the
+batch's wedge positions in ascending order, and es groups the batch's
+edge ends by one exact sort of their (trial, vertex) keys.
 
 Each method's closed-form relative standard error (RSE: standard
 deviation of the raw statistic over its expected value) lives in its
@@ -163,8 +164,9 @@ def _run_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 def _wedge_end(g: Graph, hinge: np.ndarray, other: np.ndarray,
                j: np.ndarray) -> np.ndarray:
     """Entry ``j`` (0 <= j < d(hinge) - 1) of each hinge's neighbor list
-    once ``other`` is left out. The list is strictly increasing, so j
-    passes ``other`` exactly when the entry at j is not below it.
+    once ``other`` is left out: the far end of a wedge whose one end is
+    ``other``, for ews and ws alike. The list is strictly increasing, so
+    j passes ``other`` exactly when the entry at j is not below it.
     Overwrites ``j``."""
     j += g.offsets[hinge]
     j += g.neighbors[j] >= other
@@ -267,19 +269,18 @@ def _hinges(g: Graph, t: np.ndarray) -> np.ndarray:
 
 
 def _ws_finish(g: Graph, k: int, rngs, t, bounds) -> np.ndarray:
+    """Each wedge's hinge, its first end (neighbor i < d), and its far end,
+    neighbor j < d - 1 of the rest (``_wedge_end``): a uniform pair."""
     hinge = _hinges(g, t)
     highs = np.empty((2, hinge.size), dtype=np.int64)
     highs[0] = g.degrees.take(hinge)
     np.subtract(highs[0], 1, out=highs[1])
     i, j = _draw_each(rngs, highs, bounds)
     del highs
-    j += j >= i
-    base = g.offsets[hinge]
+    end = g.neighbors[g.offsets[hinge] + i]
+    w = _wedge_end(g, hinge, end, j)
     del hinge
-    i += base
-    j += base
-    del base
-    closed = has_edge_many(g, g.neighbors[i], g.neighbors[j])
+    closed = has_edge_many(g, end, w)
     return _run_sums(closed[np.newaxis], bounds)
 
 

@@ -37,25 +37,10 @@ class GraphMetrics:
     phi: float
     shared_edge_pairs: float
 
-    @property
-    def tri_per_edge(self) -> float:
-        """3 * triangles / m: triangles an average edge participates in."""
-        return 3.0 * self.triangle_count / self.m if self.m else 0.0
-
-    @property
-    def phi_over_3delta(self) -> float:
-        if self.triangle_count == 0:
-            return 0.0
-        return self.phi / (3.0 * self.triangle_count)
-
-    @property
-    def k_over_delta(self) -> float:
-        if self.triangle_count == 0:
-            return 0.0
-        return self.shared_edge_pairs / self.triangle_count
-
     def to_dict(self) -> dict:
-        """Flat JSON-ready mapping (raw counts plus the table ratios)."""
+        """Flat JSON-ready mapping: raw counts, then the table ratios
+        (0.0 where the denominator, m or delta, is 0)."""
+        delta = self.triangle_count
         return {
             "n": self.n,
             "m": self.m,
@@ -64,9 +49,9 @@ class GraphMetrics:
             "C": self.clustering_coefficient,
             "phi": self.phi,
             "K": self.shared_edge_pairs,
-            "tri_per_edge": self.tri_per_edge,
-            "phi_over_3delta": self.phi_over_3delta,
-            "K_over_delta": self.k_over_delta,
+            "tri_per_edge": 3.0 * delta / self.m if self.m else 0.0,
+            "phi_over_3delta": self.phi / (3.0 * delta) if delta else 0.0,
+            "K_over_delta": self.shared_edge_pairs / delta if delta else 0.0,
         }
 
 

@@ -268,6 +268,27 @@ def test_sample_size_rows_are_pinned(capsys, rse, row):
     assert out == f"target_rse,ews,ws,es,ws_over_ews\n{row}\n"
 
 
+@pytest.mark.parametrize("rse", ["0.05", "0.01"])
+@pytest.mark.parametrize("source", ["inline", "er300"])
+def test_sample_size_ws_over_ews_closed_form(capsys, request, source, rse):
+    # ws over ews sizes is (1-C)/(r^2 C) over m phi/(9 r^2 delta^2); with
+    # C = 3 delta/lambda the target r cancels: (1-C)(lambda/m)/(phi/(3 delta)).
+    # Both sizes are rounded up, hence the tolerance.
+    if source == "inline":
+        m, delta, lam, phi = 4322000, 13391000, 727771739, 1422124200
+        argv = ["--metrics", "875000,4322000,13391000,727771739,1422124200,621342400"]
+    else:
+        met = request.getfixturevalue("er300_metrics")
+        m, delta, lam, phi = met.m, met.triangle_count, met.wedge_count, met.phi
+        argv = ["--graph", request.getfixturevalue("er300_file")]
+    c = 3 * delta / lam
+    code, out, _ = run_cli(capsys, ["sample-size", *argv, "--rse", rse,
+                                    "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["ws_over_ews"] == pytest.approx(
+        (1 - c) * (lam / m) / (phi / (3 * delta)), rel=1e-3)
+
+
 @pytest.mark.parametrize("metrics", ["10,10,1e-200,1,30,5", "10,1e300,1,3,1e300,5"])
 def test_sample_size_past_the_float_range_fails_cleanly(capsys, metrics):
     # delta * delta underflows to 0 / m * phi overflows to inf

@@ -140,6 +140,15 @@ def test_phase_two_skip_is_exact(request, which):
     got = estimators._wedge_end(g, np.repeat(hinge, draws),
                                 np.repeat(other, draws), j)
     assert got.tolist() == want
+    # ws's index form: for every first end nbrs[i] of every hinge, draw j
+    # is the neighbor at j, or at j + 1 once j reaches i.
+    for h in range(g.n):
+        nbrs = g.neighbors[g.offsets[h]:g.offsets[h + 1]]
+        j = np.arange(nbrs.size - 1)
+        for i in range(nbrs.size):
+            got = estimators._wedge_end(g, np.full(j.size, h),
+                                        np.full(j.size, nbrs[i]), j.copy())
+            assert np.array_equal(got, nbrs[j + (j >= i)])
 
 
 def test_forced_outcome_ews_example(five_tri):

@@ -342,9 +342,10 @@ def test_k4_metrics(k4):
     assert (met.triangle_count, met.wedge_count) == (4, 12)
     assert met.clustering_coefficient == 1.0
     assert (met.phi, met.shared_edge_pairs) == (24, 6)
-    assert met.tri_per_edge == 2.0
-    assert met.phi_over_3delta == 2.0
-    assert met.k_over_delta == 1.5
+    ratios = met.to_dict()
+    assert ratios["tri_per_edge"] == 2.0
+    assert ratios["phi_over_3delta"] == 2.0
+    assert ratios["K_over_delta"] == 1.5
 
 
 def test_k3_metrics(k3):
@@ -371,6 +372,9 @@ def test_triangle_free_metrics_are_zero(make):
     assert met.phi == 0
     assert met.shared_edge_pairs == 0
     assert met.clustering_coefficient == 0.0
+    # The ratios over delta fall back to 0 rather than divide by it.
+    ratios = met.to_dict()
+    assert ratios["phi_over_3delta"] == ratios["K_over_delta"] == 0.0
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
